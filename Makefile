@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race race-hot bench bench-smoke bench-compare fleet-smoke verify clean
+.PHONY: all build test vet race race-hot bench bench-smoke bench-compare fleet-smoke e2ebench-check verify clean
 
 all: build
 
@@ -50,10 +50,19 @@ bench-compare:
 fleet-smoke:
 	$(GO) test ./cmd/xpscalar/ -run 'TestFleet' -count=1 -timeout 600s
 
+# e2ebench-check vets and tests the end-to-end benchmark. e2ebench/ is its
+# own Go module (it replaces xpscalar with ../), so ./... from the root
+# never compiles it; this keeps a change to the exported API from breaking
+# the benchmark unnoticed.
+e2ebench-check:
+	$(GO) -C e2ebench vet ./...
+	$(GO) -C e2ebench test ./...
+
 # verify is the pre-merge gate: static checks, a full build, the test
-# suite under the race detector, and one pass of the headline reproduction
-# benchmarks (Table 4 exploration, Table 5 cross-configuration matrix).
-verify: vet build race bench
+# suite under the race detector, the benchmark module's checks, and one
+# pass of the headline reproduction benchmarks (Table 4 exploration,
+# Table 5 cross-configuration matrix).
+verify: vet build race e2ebench-check bench
 
 clean:
 	$(GO) clean ./...

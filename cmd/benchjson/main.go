@@ -36,9 +36,9 @@ import (
 )
 
 // suite is the kernel benchmark set: the macro annealing chain, the
-// sim-level evaluation, the raw pipeline loop, the steady-state
-// reusable-runner path that the evaluation engine rides, the N=8
-// lockstep kernel that batched evaluations amortize the stream over,
+// sim-level evaluation, the raw pipeline loop, the steady-state one-lane
+// MultiRunner that the evaluation engine runs for a lone cache miss, the
+// N=8 lockstep kernel that batched evaluations amortize the stream over,
 // the persistent tier's disk-hit path (read + decode + verify of one
 // on-disk evaluation record), the remote tier's hit path (one loopback
 // HTTP GET to the owning peer), and the disabled-tracing guards — span

@@ -7,13 +7,15 @@
 // Usage:
 //
 //	crossconf [-source paper|sim] [-slowdown] [-mark none|forward|full] [-n instr] [-iterations n] [-seed n]
-//	          [-lockstep=false] [-timeout d] [-evalstats] [-cache-dir dir]
+//	          [-timeout d] [-evalstats] [-cache-dir dir]
 //	          [-cache-peers urls] [-trace file] [-metrics-addr addr] [-progress]
 //	          [-cpuprofile file] [-memprofile file]
 //
 // Matrices go to stdout; diagnostics go to stderr. With -source sim, -trace
 // records the regeneration pipeline (annealing steps, evaluations, matrix
-// cells) and -metrics-addr serves live Prometheus metrics.
+// cells) and -metrics-addr serves live Prometheus metrics. Each matrix row
+// — every customized configuration against one workload — is simulated as
+// one lockstep group over a single replay of that workload's stream.
 package main
 
 import (
@@ -44,7 +46,6 @@ func run(ctx context.Context) error {
 		iters      = flag.Int("iterations", 200, "annealing iterations (sim source)")
 		seed       = flag.Int64("seed", 42, "seed (sim source)")
 		saveM      = flag.String("savematrix", "", "write the matrix to this JSON file")
-		lockstep   = flag.Bool("lockstep", true, "simulate grouped cache misses in lockstep over a shared instruction stream")
 		evalstats  = flag.Bool("evalstats", false, "print evaluation-engine cache counters after the run")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file")
@@ -80,7 +81,7 @@ func run(ctx context.Context) error {
 		return err
 	}
 	sess := session.New(session.Options{
-		Engine: evalengine.Options{DisableLockstep: !*lockstep, Backend: backend},
+		Engine: evalengine.Options{Backend: backend},
 	})
 	tel, err := cli.StartTelemetry("crossconf", sess, tcfg)
 	defer func() {

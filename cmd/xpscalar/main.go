@@ -7,7 +7,7 @@
 // Usage:
 //
 //	xpscalar [-workload name] [-iterations n] [-chains n] [-short n] [-long n] [-seed n]
-//	         [-neighborhood k] [-lockstep=false] [-timeout d] [-evalstats]
+//	         [-neighborhood k] [-timeout d] [-evalstats]
 //	         [-cache-dir dir] [-cache-peers urls] [-trace file] [-spans file]
 //	         [-metrics-addr addr] [-progress] [-log-level l] [-log-format text|json]
 //	         [-cpuprofile file] [-memprofile file]
@@ -17,13 +17,12 @@
 // -spans records hierarchical execution spans for cmd/xptrace, and
 // -metrics-addr serves live Prometheus metrics while the search runs.
 //
-// Cache-missing evaluations submitted together are simulated as lockstep
-// groups over one shared replay of the workload's instruction stream;
-// -lockstep=false falls back to scalar simulation (bit-identical results,
-// useful for A/B timing and as the reference in xptrace diff).
+// Every simulation runs as a lockstep group over one shared replay of the
+// workload's instruction stream: cache-missing evaluations submitted
+// together share one group, and a lone miss is a group of one.
 // -neighborhood k with k >= 2 widens each annealing step to a best-of-k
 // proposal evaluated as one batch — a different (often better) search
-// trajectory, so it changes the outcomes, unlike -lockstep.
+// trajectory, so it changes the outcomes.
 //
 // -cache-dir dir persists every evaluation to a content-addressed store in
 // dir; a rerun (same flags, same seed) over the same directory replays
@@ -76,7 +75,6 @@ func run(ctx context.Context) error {
 		obj        = flag.String("objective", "ipt", "exploration objective: ipt|ipt-per-watt|edp|ed2p")
 		save       = flag.String("save", "", "write outcomes to this JSON file")
 		neighbors  = flag.Int("neighborhood", 1, "candidate moves per annealing step; >=2 evaluates each step's neighborhood as one lockstep batch")
-		lockstep   = flag.Bool("lockstep", true, "simulate grouped cache misses in lockstep over a shared instruction stream")
 		evalstats  = flag.Bool("evalstats", false, "print evaluation-engine cache counters after the run")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file")
@@ -102,7 +100,7 @@ func run(ctx context.Context) error {
 		return err
 	}
 	sess := session.New(session.Options{
-		Engine: evalengine.Options{DisableLockstep: !*lockstep, Backend: backend},
+		Engine: evalengine.Options{Backend: backend},
 	})
 	tel, err := cli.StartTelemetry("xpscalar", sess, tcfg)
 	defer func() {

@@ -15,7 +15,7 @@
 //
 //	xpserved [-addr host:port] [-addr-file file] [-cache-dir dir]
 //	         [-cache-peers urls] [-max-jobs n] [-backlog n]
-//	         [-lockstep=false] [-log-level l] [-log-format text|json]
+//	         [-spans file] [-log-level l] [-log-format text|json]
 //
 // API:
 //
@@ -66,7 +66,6 @@ func run(ctx context.Context) error {
 		addrFile  = flag.String("addr-file", "", "write the bound listen address to this file once serving")
 		maxJobs   = flag.Int("max-jobs", 2, "jobs running concurrently")
 		backlog   = flag.Int("backlog", 16, "queued jobs accepted beyond the running ones")
-		lockstep  = flag.Bool("lockstep", true, "simulate grouped cache misses in lockstep over a shared instruction stream")
 		spansPath = flag.String("spans", "", "record execution spans (jobs, cache serves, continued client traces) to this file on shutdown")
 	)
 	var rcfg cli.RunConfig
@@ -95,7 +94,7 @@ func run(ctx context.Context) error {
 		rec = tracing.NewRecorder()
 	}
 	sess := session.New(session.Options{
-		Engine:   evalengine.Options{DisableLockstep: !*lockstep, Backend: backend},
+		Engine:   evalengine.Options{Backend: backend},
 		Recorder: rec,
 	})
 	// Last out: by the time this runs the scheduler has drained, so every

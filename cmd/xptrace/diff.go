@@ -20,16 +20,13 @@ const maxShown = 8
 
 // ignoredFlags are observability and output knobs that change what a run
 // records, never what it computes. They are excluded from manifest drift
-// so a traced run diffs clean against an untraced one. -lockstep belongs
-// here because grouped simulation is bit-identical to scalar simulation —
-// diffing a -lockstep=false run against a default run is exactly how that
-// claim is checked. -neighborhood does NOT belong here: a wider proposal
-// neighborhood changes the search trajectory, so it must surface as drift.
+// so a traced run diffs clean against an untraced one. -neighborhood does
+// NOT belong here: a wider proposal neighborhood changes the search
+// trajectory, so it must surface as drift.
 var ignoredFlags = map[string]bool{
 	"trace": true, "spans": true, "metrics-addr": true, "progress": true,
 	"log-level": true, "log-format": true, "cpuprofile": true, "memprofile": true,
 	"evalstats": true, "save": true, "savematrix": true, "out": true,
-	"lockstep": true,
 	// Introspection attributes and samples; it never changes what the
 	// kernel computes (Result is bit-identical armed or not), so an armed
 	// run must diff clean against a plain one.

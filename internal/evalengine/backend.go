@@ -60,8 +60,15 @@ type backendTelemetry interface {
 
 // backendGetBatch bulk-reads keys from a backend, using its native batch
 // face when it has one (context-aware preferred) and a per-key Get loop
-// otherwise.
+// otherwise. A single key is a plain Get on every backend: one remote
+// GET, never a one-key lookup.
 func backendGetBatch(ctx context.Context, be CacheBackend, keys []Key) map[Key]Eval {
+	if len(keys) == 1 {
+		if v, ok := backendGet(ctx, be, keys[0]); ok {
+			return map[Key]Eval{keys[0]: v}
+		}
+		return nil
+	}
 	if bg, ok := be.(CtxBatchGetter); ok {
 		return bg.GetBatchCtx(ctx, keys)
 	}

@@ -90,7 +90,7 @@ func TestEvaluateBatchMatchesEvaluate(t *testing.T) {
 
 // TestEvaluateBatchPartialMisses pre-warms part of the group: warm members
 // must be served as hits and only the cold remainder grouped — and a lone
-// cold member must run scalar, not as a one-lane group.
+// cold member runs as a group of one.
 func TestEvaluateBatchPartialMisses(t *testing.T) {
 	tp := tech.Default()
 	cs := batchConfigs(t, tp, 5)
@@ -111,18 +111,19 @@ func TestEvaluateBatchPartialMisses(t *testing.T) {
 	if s.Hits != 2 || s.Misses != 5 { // 2 warm-up misses + 3 batch misses
 		t.Fatalf("2 hits and 3 batch misses expected: %+v", s)
 	}
-	if s.LockstepGroups != 1 || s.LockstepLanes != 3 {
+	// The two warm-up Evaluates ran as groups of one.
+	if s.LockstepGroups != 3 || s.LockstepLanes != 5 {
 		t.Fatalf("cold members should form a 3-lane group: %+v", s)
 	}
 
-	// Warm all but one: the lone miss must take the scalar path.
+	// Warm all but one: the lone miss runs as a group of one.
 	cs2 := batchConfigs(t, tp, 5)
 	cs2[4].IQSize = 16
 	if err := eng.EvaluateBatch(context.Background(), dst, cs2, p, budget, tp, power.ObjIPT); err != nil {
 		t.Fatal(err)
 	}
-	if s = eng.Stats(); s.LockstepGroups != 1 || s.LockstepLanes != 3 || s.Misses != 6 {
-		t.Fatalf("lone miss should run scalar: %+v", s)
+	if s = eng.Stats(); s.LockstepGroups != 4 || s.LockstepLanes != 6 || s.Misses != 6 {
+		t.Fatalf("lone miss should run as a group of one: %+v", s)
 	}
 }
 
@@ -148,34 +149,6 @@ func TestEvaluateBatchDuplicates(t *testing.T) {
 	}
 	if s.Requests != s.Hits+s.Deduped+s.Misses {
 		t.Fatalf("counters do not add up: %+v", s)
-	}
-}
-
-// TestEvaluateBatchDisableLockstep: with the escape hatch set, every miss
-// runs scalar and results are unchanged.
-func TestEvaluateBatchDisableLockstep(t *testing.T) {
-	tp := tech.Default()
-	cs := batchConfigs(t, tp, 4)
-	p := testProfile(43)
-
-	off := New(Options{DisableLockstep: true})
-	on := New(Options{})
-	a := make([]Eval, len(cs))
-	b := make([]Eval, len(cs))
-	if err := off.EvaluateBatch(context.Background(), a, cs, p, 3000, tp, power.ObjIPT); err != nil {
-		t.Fatal(err)
-	}
-	if err := on.EvaluateBatch(context.Background(), b, cs, p, 3000, tp, power.ObjIPT); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Error("DisableLockstep changed results")
-	}
-	if s := off.Stats(); s.LockstepGroups != 0 || s.LockstepLanes != 0 {
-		t.Fatalf("lockstep ran despite DisableLockstep: %+v", s)
-	}
-	if s := on.Stats(); s.LockstepGroups != 1 {
-		t.Fatalf("lockstep did not engage: %+v", s)
 	}
 }
 
@@ -216,6 +189,40 @@ func TestEvaluateBatchInvalidMember(t *testing.T) {
 	}
 	if s = eng.Stats(); s.Hits != 4 {
 		t.Fatalf("followup evaluations should all hit: %+v", s)
+	}
+}
+
+// TestEvaluateBatchFailedGroupRetries: a group whose run fails in the
+// kernel layer (here the stream cannot be sourced: the profile is
+// invalid) is retried member by member as groups of one, and every member
+// memoizes its own error — the same error a lone Evaluate returns.
+func TestEvaluateBatchFailedGroupRetries(t *testing.T) {
+	tp := tech.Default()
+	cs := batchConfigs(t, tp, 3)
+	p := testProfile(59)
+	p.LoadFrac = 2 // fractions sum past 1: no generator accepts it
+
+	eng := New(Options{})
+	err := eng.EvaluateBatch(context.Background(), make([]Eval, len(cs)), cs, p, 3000, tp, power.ObjIPT)
+	if err == nil || !strings.Contains(err.Error(), "member 0") {
+		t.Fatalf("failed group not reported against member 0: %v", err)
+	}
+	s := eng.Stats()
+	if s.ScalarFallbacks != 1 || s.LockstepGroups != 0 || s.Misses != 3 {
+		t.Fatalf("one failed group retried as groups of one expected: %+v", s)
+	}
+	_, want := New(Options{}).Evaluate(context.Background(), cs[0], p, 3000, tp, power.ObjIPT)
+	if want == nil {
+		t.Fatal("lone evaluation on an invalid profile succeeded")
+	}
+	for i := range cs {
+		_, err := eng.Evaluate(context.Background(), cs[i], p, 3000, tp, power.ObjIPT)
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("member %d memoized %v, want %v", i, err, want)
+		}
+	}
+	if s = eng.Stats(); s.Hits != 3 || s.ScalarFallbacks != 1 {
+		t.Fatalf("memoized errors should be served as hits: %+v", s)
 	}
 }
 

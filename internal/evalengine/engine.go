@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"xpscalar/internal/introspect"
 	"xpscalar/internal/pipeline"
@@ -29,7 +28,6 @@ import (
 	"xpscalar/internal/sim"
 	"xpscalar/internal/tech"
 	"xpscalar/internal/telemetry"
-	"xpscalar/internal/tracing"
 	"xpscalar/internal/workload"
 )
 
@@ -54,11 +52,6 @@ type Options struct {
 	TraceCapInstr int
 	// Workers bounds the worker pool (default GOMAXPROCS).
 	Workers int
-	// DisableLockstep makes EvaluateBatch run every cache miss as an
-	// independent scalar simulation instead of grouping misses into one
-	// lockstep run. Results are bit-identical either way; the switch exists
-	// for A/B measurement and as an escape hatch.
-	DisableLockstep bool
 	// Backend, when non-nil, is a second cache tier behind the in-memory
 	// LRU (typically internal/evalstore's content-addressed disk store).
 	// Memory-tier misses read through it before simulating, and fresh
@@ -129,16 +122,11 @@ type Engine struct {
 	traces *traceStore
 	pool   *Pool
 
-	// runners pools *sim.Runner scratch state (pipeline arenas, predictor
-	// tables, cache arrays) across uncached simulations, so steady-state
-	// evaluation allocates nothing per run. multis pools the equivalent
-	// lockstep state — per-lane arenas plus the shared delivery block —
-	// across EvaluateBatch calls.
-	runners sync.Pool
-	multis  sync.Pool
-
-	// lockstepOff mirrors Options.DisableLockstep.
-	lockstepOff bool
+	// multis pools *sim.MultiRunner scratch state — per-lane pipeline
+	// arenas, predictor tables and cache arrays plus the shared delivery
+	// block — across simulations, so steady-state evaluation allocates
+	// nothing in the kernel.
+	multis sync.Pool
 
 	// backend is the optional persistent tier (nil when the engine is
 	// memory-only). Held behind an atomic pointer so Close can detach it
@@ -159,8 +147,8 @@ type Engine struct {
 	diskHits   atomic.Uint64
 	diskMisses atomic.Uint64
 
-	// Lockstep accounting: groups run, lanes they carried, and groups that
-	// fell back to scalar simulation after a lockstep error.
+	// Lockstep accounting: groups run (a lone miss is a group of one),
+	// lanes they carried, and failed groups retried member by member.
 	lockstepGroups  atomic.Uint64
 	lockstepLanes   atomic.Uint64
 	scalarFallbacks atomic.Uint64
@@ -254,19 +242,6 @@ func (e *Engine) addCPITotals(s pipeline.CPIStack) {
 	}
 }
 
-// introspection returns the armed configuration (nil when off) and, when
-// sampling is configured, a fresh tap labeled for the simulation about to
-// run on the given lane.
-func (ic *introCfg) introspection(workload, config string, lane int) *pipeline.Introspection {
-	intro := &pipeline.Introspection{Interval: ic.interval}
-	if ic.ring != nil && ic.interval > 0 {
-		tap := &introspect.Tap{}
-		tap.Init(ic.ring, workload, config, lane)
-		intro.Recorder = tap
-	}
-	return intro
-}
-
 // EvalRecord describes one Evaluate call for an observer: how the request
 // was served and, for misses, how long the simulation ran.
 type EvalRecord struct {
@@ -276,7 +251,8 @@ type EvalRecord struct {
 	// "dedup" (joined an in-flight simulation), "disk" (served from the
 	// persistent tier) or "miss" (ran a simulation).
 	Outcome string
-	// WallNs is the simulation wall time; zero except on misses.
+	// WallNs is the simulation wall time; zero except on misses that
+	// simulated.
 	WallNs int64
 	Score  float64
 	IPT    float64
@@ -425,11 +401,11 @@ func (e *Engine) EnableTelemetry(reg *telemetry.Registry) {
 		func() float64 { return float64(e.pool.jobs.Load()) })
 	reg.Func("xpscalar_pool_active_jobs", "jobs currently executing on the worker pool", "gauge",
 		func() float64 { return float64(e.pool.active.Load()) })
-	reg.Func("xpscalar_lockstep_groups_total", "lockstep simulation groups run", "counter",
+	reg.Func("xpscalar_lockstep_groups_total", "lockstep simulation groups run, groups of one included", "counter",
 		func() float64 { return float64(e.lockstepGroups.Load()) })
 	reg.Func("xpscalar_lockstep_lanes_total", "simulations carried by lockstep groups", "counter",
 		func() float64 { return float64(e.lockstepLanes.Load()) })
-	reg.Func("xpscalar_lockstep_scalar_fallbacks_total", "lockstep groups degraded to scalar simulations", "counter",
+	reg.Func("xpscalar_lockstep_scalar_fallbacks_total", "failed lockstep groups retried member by member as groups of one", "counter",
 		func() float64 { return float64(e.scalarFallbacks.Load()) })
 	reg.Func("xpscalar_sim_intervals_dropped_total", "interval records dropped to introspection ring overflow", "counter",
 		func() float64 {
@@ -453,9 +429,10 @@ func (e *Engine) EnableTelemetry(reg *telemetry.Registry) {
 	e.simHist.Store(reg.Histogram("xpscalar_sim_seconds",
 		"wall time of uncached simulations", telemetry.ExpBuckets(1e-4, 2, 15)))
 	// Powers of two from 1 to 128 lanes: annealing neighborhoods and matrix
-	// rows land mid-range; a mass at 1 means grouping is not engaging.
+	// rows land mid-range; lone misses (the classic annealing step) land at
+	// 1, since every simulation rides a group.
 	e.groupHist.Store(reg.Histogram("xpscalar_lockstep_group_size",
-		"lanes per lockstep simulation group", telemetry.ExpBuckets(1, 2, 8)))
+		"lanes per lockstep simulation group, groups of one included", telemetry.ExpBuckets(1, 2, 8)))
 }
 
 // New constructs an engine with the given options.
@@ -473,15 +450,13 @@ func New(o Options) *Engine {
 		o.TraceCapInstr = defaultTraceCapInstr
 	}
 	e := &Engine{
-		shards:      make([]cacheShard, o.Shards),
-		traces:      newTraceStore(o.TraceCapInstr),
-		pool:        NewPool(o.Workers),
-		lockstepOff: o.DisableLockstep,
+		shards: make([]cacheShard, o.Shards),
+		traces: newTraceStore(o.TraceCapInstr),
+		pool:   NewPool(o.Workers),
 	}
 	if o.Backend != nil {
 		e.backend.Store(&backendRef{be: o.Backend})
 	}
-	e.runners.New = func() any { return new(sim.Runner) }
 	e.multis.New = func() any { return new(sim.MultiRunner) }
 	per := o.CacheEntries / o.Shards
 	if per < 1 {
@@ -624,7 +599,11 @@ func (e *Engine) Memoize(key Key, val Eval) {
 // Evaluate returns the simulation result and objective score for the
 // request, serving it from the memo cache when the point has been
 // evaluated before and joining an in-flight computation when another
-// goroutine is already simulating it.
+// goroutine is already simulating it. It is EvaluateBatch's body with a
+// one-member batch: a miss runs as a lockstep group of one. The request
+// emits one span whose kind says how it was served (eval.hit, eval.dedup,
+// eval.disk or eval.miss), and a failure returns the member's own error
+// unwrapped — an invalid configuration's exact Validate error.
 //
 // Cancellation semantics: ctx is checked once on entry (before a memo
 // entry is inserted) and while waiting on an in-flight computation owned
@@ -634,88 +613,9 @@ func (e *Engine) Memoize(key Key, val Eval) {
 // once started, runs to completion: its result is a pure function of the
 // request and stays valid for every future caller.
 func (e *Engine) Evaluate(ctx context.Context, cfg sim.Config, p workload.Profile, budget int, t tech.Params, obj power.Objective) (Eval, error) {
-	if err := ctx.Err(); err != nil {
-		return Eval{}, err
-	}
-	e.requests.Add(1)
-	obs := e.obs.Load()
-	// One span per request; the kind is finalized to hit/dedup/miss once
-	// the outcome is known, so the attribution table separates cache
-	// effectiveness classes. A disabled handle makes every tracing line
-	// here a single branch.
-	h := tracing.FromContext(ctx)
-	sp := h.Begin(tracing.KindEvalMiss, p.Name, int64(budget))
-	key := KeyOf(cfg, p, budget, t, obj)
-	me, outcome := e.claim(key)
-	if outcome != "miss" {
-		if outcome == "hit" {
-			e.hits.Add(1)
-			sp.Kind = tracing.KindEvalHit
-		} else {
-			e.deduped.Add(1)
-			sp.Kind = tracing.KindEvalDedup
-			select {
-			case <-me.ready:
-			case <-ctx.Done():
-				// The simulation we joined keeps running in its owner's
-				// goroutine and will be memoized there; only this waiter
-				// gives up.
-				h.End(sp)
-				return Eval{}, ctx.Err()
-			}
-		}
-		if obs != nil {
-			(*obs).ObserveEval(record(p.Name, budget, outcome, 0, me.val, me.err))
-		}
-		h.End(sp)
-		return me.val, me.err
-	}
-
-	// Memory-tier miss: read through the persistent tier before paying for
-	// a simulation. A disk hit resolves the claimed entry — promoting the
-	// record into the memory LRU, where claim already inserted it — and is
-	// observable as its own outcome class.
-	be := e.tier()
-	if be != nil {
-		if val, ok := backendGet(tracing.ChildContext(ctx, sp), be, key); ok {
-			e.diskHits.Add(1)
-			me.val = val
-			close(me.ready)
-			sp.Kind = tracing.KindEvalDisk
-			if obs != nil {
-				(*obs).ObserveEval(record(p.Name, budget, "disk", 0, me.val, nil))
-			}
-			h.End(sp)
-			return me.val, nil
-		}
-		e.diskMisses.Add(1)
-	}
-
-	e.misses.Add(1)
-	hist := e.simHist.Load()
-	var begin time.Time
-	if hist != nil || obs != nil {
-		begin = time.Now()
-	}
-	me.val, me.err = e.compute(h.WithParent(sp), cfg, p, budget, t, obj)
-	close(me.ready)
-	if me.err == nil && be != nil {
-		// Write-behind: hand the fresh result to the persistent tier.
-		// Errors are never persisted — they are memoized in memory for
-		// this process only, so a transient failure cannot outlive it.
-		be.Put(key, me.val)
-	}
-	if hist != nil || obs != nil {
-		wall := time.Since(begin)
-		if hist != nil {
-			hist.Observe(wall.Seconds())
-		}
-		if obs != nil {
-			(*obs).ObserveEval(record(p.Name, budget, "miss", wall.Nanoseconds(), me.val, me.err))
-		}
-	}
-	h.End(sp)
-	return me.val, me.err
+	var dst [1]Eval
+	_, err := e.evaluate(ctx, dst[:], []sim.Config{cfg}, p, budget, t, obj, false)
+	return dst[0], err
 }
 
 // record builds an observer record, guarding the derived IPT against the
@@ -747,45 +647,6 @@ func (e *Engine) CacheEntries() int {
 		sh.mu.Unlock()
 	}
 	return total
-}
-
-// compute runs one simulation, replaying the profile's cached instruction
-// stream. Bit-identical to sim.Run(cfg, p, budget, t): the pipeline
-// consumes exactly budget instructions and the stream is deterministic.
-// The handle (parented at the enclosing evaluation span) splits the miss
-// into a source-materialization span and the simulation proper.
-func (e *Engine) compute(h tracing.Handle, cfg sim.Config, p workload.Profile, budget int, t tech.Params, obj power.Objective) (Eval, error) {
-	ssp := h.Begin(tracing.KindSource, p.Name, int64(budget))
-	src, err := e.traces.source(p, budget)
-	h.End(ssp)
-	if err != nil {
-		return Eval{}, err
-	}
-	msp := h.Begin(tracing.KindSimulate, p.Name, int64(budget))
-	runner := e.runners.Get().(*sim.Runner)
-	// The introspection setting is re-applied on every run: pooled runners
-	// migrate between armed and disarmed phases, so a stale tap must never
-	// survive the pool.
-	ic := e.intro.Load()
-	if ic != nil {
-		runner.Introspect(ic.introspection(p.Name, cfg.String(), 0))
-	} else {
-		runner.Introspect(nil)
-	}
-	r, err := runner.RunSource(cfg, src, p.Name, budget, t)
-	e.runners.Put(runner)
-	h.End(msp)
-	if err != nil {
-		return Eval{}, err
-	}
-	if ic != nil {
-		e.addCPITotals(r.CPI)
-	}
-	score, err := power.Score(r, obj, t)
-	if err != nil {
-		return Eval{}, err
-	}
-	return Eval{Result: r, Score: score}, nil
 }
 
 // Stats is a snapshot of the engine's counters.
@@ -820,10 +681,12 @@ type Stats struct {
 	// batched fetch path shows BatchInstr/BatchCalls near the pipeline's
 	// slab size and ScalarInstr near zero.
 	TraceBatchCalls, TraceBatchInstr, TraceScalarInstr uint64
-	// LockstepGroups counts lockstep simulation groups EvaluateBatch ran;
-	// LockstepLanes the simulations those groups carried (Misses ≥
-	// LockstepLanes; the rest ran scalar); ScalarFallbacks the groups that
-	// hit a lockstep error and degraded to per-member scalar runs.
+	// LockstepGroups counts the lockstep simulation groups run — every
+	// simulation rides one, a lone miss as a group of one; LockstepLanes
+	// the simulations those groups carried (Misses − LockstepLanes is the
+	// invalid configurations and failed runs); ScalarFallbacks the failed
+	// groups of two or more that were retried member by member as groups
+	// of one.
 	LockstepGroups, LockstepLanes, ScalarFallbacks uint64
 }
 

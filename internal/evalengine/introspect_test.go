@@ -1,7 +1,7 @@
 // Engine-level introspection: arming CPI accounting on the memoized
 // engine must decorate evaluations without changing them — misses carry a
 // stack that sums to their cycle count, hits replay the memoized stack,
-// batch and scalar paths produce identical stacks, and the run-wide
+// batches and single evaluations produce identical stacks, and the run-wide
 // totals surface as scrape-time metrics.
 
 package evalengine

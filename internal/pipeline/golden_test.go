@@ -31,7 +31,9 @@ var goldenResult = Result{
 	LoadsL1:      2668, LoadsL2: 1097, LoadsMem: 1204,
 }
 
-func goldenRun(t *testing.T, core *Core) Result {
+// goldenInputs returns the golden point's fresh inputs: the gcc stream, a
+// default predictor and the golden cache hierarchy.
+func goldenInputs(t *testing.T) (workload.Source, bpred.Predictor, *cache.Hierarchy) {
 	t.Helper()
 	prof, ok := workload.ByName("gcc")
 	if !ok {
@@ -52,7 +54,14 @@ func goldenRun(t *testing.T, core *Core) Result {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return gen, pred, mem
+}
+
+func goldenRun(t *testing.T, core *Core) Result {
+	t.Helper()
+	gen, pred, mem := goldenInputs(t)
 	var res Result
+	var err error
 	if core != nil {
 		res, err = core.Run(goldenParams, gen, pred, mem, 20000)
 	} else {
@@ -62,6 +71,18 @@ func goldenRun(t *testing.T, core *Core) Result {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// goldenLane runs the golden point as a lockstep group of one on m — the
+// shape every lone evaluation takes in production.
+func goldenLane(t *testing.T, m *MultiCore) Result {
+	t.Helper()
+	gen, pred, mem := goldenInputs(t)
+	dst := make([]Result, 1)
+	if err := m.Run(dst, []Params{goldenParams}, gen, []bpred.Predictor{pred}, []*cache.Hierarchy{mem}, 20000); err != nil {
+		t.Fatal(err)
+	}
+	return dst[0]
 }
 
 // TestGoldenResultGCC20k locks the full Result for a fixed (params,
@@ -84,8 +105,7 @@ func TestGoldenResultReusedCore(t *testing.T) {
 	}
 
 	// Perturb the arenas with a differently-shaped run.
-	small := goldenParams
-	small.Width, small.ROBSize, small.IQSize, small.LSQSize = 1, 16, 8, 8
+	small := smallParams()
 	prof, _ := workload.ByName("mcf")
 	gen, _ := workload.NewGenerator(prof)
 	pred, _ := bpred.New(bpred.DefaultConfig())
@@ -100,6 +120,61 @@ func TestGoldenResultReusedCore(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		if got := goldenRun(t, &core); got != goldenResult {
 			t.Errorf("reused core run %d diverged:\n got  %#v\nwant %#v", i, got, goldenResult)
+		}
+	}
+}
+
+// smallParams is a narrow, shallow-window shape far from goldenParams, used
+// to resize every ring of a reused arena before a golden rerun.
+func smallParams() Params {
+	small := goldenParams
+	small.Width, small.ROBSize, small.IQSize, small.LSQSize = 1, 16, 8, 8
+	return small
+}
+
+// TestGoldenResultMultiCore pins the production path: every evaluation
+// runs through MultiCore, a lone one as a group of one. A one-lane run
+// must reproduce the golden result on a fresh MultiCore, and again after
+// the same MultiCore has run a wider group of a different shape — lane 0
+// on the small params — over different lane arenas, caches and stream.
+func TestGoldenResultMultiCore(t *testing.T) {
+	var m MultiCore
+	if got := goldenLane(t, &m); got != goldenResult {
+		t.Fatalf("fresh one-lane MultiCore diverged:\n got  %#v\nwant %#v", got, goldenResult)
+	}
+
+	wide := goldenParams
+	wide.Width, wide.ROBSize, wide.IQSize, wide.LSQSize = 8, 256, 128, 32
+	wide.SchedStages, wide.WakeupExtra = 2, 1
+	ps := []Params{smallParams(), wide, smallParams()}
+	geoms := [][2]timing.CacheGeom{
+		{{Sets: 64, Assoc: 1, BlockBytes: 32}, {Sets: 256, Assoc: 2, BlockBytes: 64}},
+		{{Sets: 1024, Assoc: 4, BlockBytes: 64}, {Sets: 4096, Assoc: 8, BlockBytes: 128}},
+		{{Sets: 128, Assoc: 2, BlockBytes: 16}, {Sets: 512, Assoc: 4, BlockBytes: 32}},
+	}
+	preds := make([]bpred.Predictor, len(ps))
+	mems := make([]*cache.Hierarchy, len(ps))
+	for i := range ps {
+		var err error
+		if preds[i], err = bpred.New(bpred.DefaultConfig()); err != nil {
+			t.Fatal(err)
+		}
+		if mems[i], err = cache.NewHierarchy(geoms[i][0], geoms[i][1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prof, _ := workload.ByName("mcf")
+	gen, err := workload.NewGenerator(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Run(make([]Result, len(ps)), ps, gen, preds, mems, 5000); err != nil {
+		t.Fatal(err)
+	}
+
+	for i := 0; i < 2; i++ {
+		if got := goldenLane(t, &m); got != goldenResult {
+			t.Errorf("reused one-lane MultiCore run %d diverged:\n got  %#v\nwant %#v", i, got, goldenResult)
 		}
 	}
 }

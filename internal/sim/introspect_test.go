@@ -1,10 +1,10 @@
-// Introspection at the sim layer: the Runner/MultiRunner contract over
+// Introspection at the sim layer: the MultiRunner contract over
 // pipeline's CPI accounting and interval sampling. The kernel-level
 // invariants (stack sums, bit-identity, lane equality) are proven in
-// internal/pipeline; here the claims are about the reusable runners —
+// internal/pipeline; here the claims are about the reusable runner —
 // armed runs dump deterministic JSONL, lockstep lanes tap the same
-// records a scalar runner does, and disarming returns a pooled runner to
-// the allocation-free fast path.
+// records the scalar reference does, and disarming returns a pooled
+// runner to the allocation-free fast path.
 
 package sim
 
@@ -19,7 +19,7 @@ import (
 	"xpscalar/internal/workload"
 )
 
-// introspectedRun drives one armed scalar evaluation into a fresh ring.
+// introspectedRun drives one armed one-lane evaluation into a fresh ring.
 func introspectedRun(t *testing.T, cfg Config, name string, n, every int) (Result, []introspect.Record) {
 	t.Helper()
 	tp := tech.Default()
@@ -27,25 +27,21 @@ func introspectedRun(t *testing.T, cfg Config, name string, n, every int) (Resul
 	if !ok {
 		t.Fatalf("profile %s missing", name)
 	}
-	gen, err := workload.NewGenerator(prof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := workload.NewTraceReaderFrom(gen, n)
+	tr := workload.NewTraceReaderFrom(generator(t, prof), n)
 
 	ring := introspect.NewRing(1 << 12)
 	tap := &introspect.Tap{}
 	tap.Init(ring, name, cfg.String(), 0)
-	var r Runner
-	r.Introspect(&pipeline.Introspection{Interval: every, Recorder: tap})
-	res, err := r.RunSource(cfg, tr, name, n, tp)
-	if err != nil {
+	var r MultiRunner
+	r.SetIntrospection(every, []pipeline.IntervalRecorder{tap})
+	dst := make([]Result, 1)
+	if err := r.RunSource(dst, []Config{cfg}, tr, name, n, tp); err != nil {
 		t.Fatal(err)
 	}
 	if ring.Dropped() != 0 {
 		t.Fatalf("ring dropped %d records", ring.Dropped())
 	}
-	return res, ring.Records()
+	return dst[0], ring.Records()
 }
 
 // Two armed runs of the same evaluation must serialize byte-identical
@@ -73,9 +69,9 @@ func TestRunnerIntervalDumpDeterminism(t *testing.T) {
 	}
 }
 
-// A lockstep group's taps must record exactly what per-lane scalar runs
-// record — same labels, same sequence, same counters — and each lane's
-// Result.CPI must match its scalar twin.
+// A lockstep group's taps must record exactly what per-lane scalar
+// reference runs record — same labels, same sequence, same counters — and
+// each lane's Result.CPI must match its scalar twin.
 func TestLockstepIntervalTapsMatchScalar(t *testing.T) {
 	tp := tech.Default()
 	base := InitialConfig(tp)
@@ -92,20 +88,11 @@ func TestLockstepIntervalTapsMatchScalar(t *testing.T) {
 	var want []introspect.Record
 	wantCPI := make([]pipeline.CPIStack, len(cfgs))
 	for j, cfg := range cfgs {
-		gen, err := workload.NewGenerator(prof)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr := workload.NewTraceReaderFrom(gen, n)
+		tr := workload.NewTraceReaderFrom(generator(t, prof), n)
 		ring := introspect.NewRing(1 << 12)
 		tap := &introspect.Tap{}
 		tap.Init(ring, name, cfg.String(), j)
-		var r Runner
-		r.Introspect(&pipeline.Introspection{Interval: every, Recorder: tap})
-		res, err := r.RunSource(cfg, tr, name, n, tp)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := scalarReference(t, cfg, tr, name, n, &pipeline.Introspection{Interval: every, Recorder: tap})
 		wantCPI[j] = res.CPI
 		want = append(want, ring.Records()...)
 	}
@@ -167,47 +154,41 @@ func TestLockstepIntervalTapsMatchScalar(t *testing.T) {
 // evaluation engine arm and disarm pooled runners freely.
 func TestRunnerIntrospectionOffAllocs(t *testing.T) {
 	tp := tech.Default()
-	cfg := InitialConfig(tp)
+	cs := []Config{InitialConfig(tp)}
 	prof, _ := workload.ByName("gzip")
 	const n = 5000
 
-	gen, err := workload.NewGenerator(prof)
-	if err != nil {
+	tr := workload.NewTraceReaderFrom(generator(t, prof), n)
+	dst := make([]Result, 1)
+	var r MultiRunner
+	if err := r.RunSource(dst, cs, tr, "gzip", n, tp); err != nil {
 		t.Fatal(err)
 	}
-	tr := workload.NewTraceReaderFrom(gen, n)
-
-	var r Runner
-	baseline, err := r.RunSource(cfg, tr, "gzip", n, tp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	baseline := dst[0]
 
 	// Arm with sampling for one run, then disarm.
 	ring := introspect.NewRing(64)
 	tap := &introspect.Tap{}
-	tap.Init(ring, "gzip", cfg.String(), 0)
-	r.Introspect(&pipeline.Introspection{Interval: 1000, Recorder: tap})
+	tap.Init(ring, "gzip", cs[0].String(), 0)
+	r.SetIntrospection(1000, []pipeline.IntervalRecorder{tap})
 	tr.Reset()
-	armed, err := r.RunSource(cfg, tr, "gzip", n, tp)
-	if err != nil {
+	if err := r.RunSource(dst, cs, tr, "gzip", n, tp); err != nil {
 		t.Fatal(err)
 	}
-	if armed.Result != baseline.Result {
-		t.Errorf("armed run diverged:\n got  %#v\nwant %#v", armed.Result, baseline.Result)
+	if dst[0].Result != baseline.Result {
+		t.Errorf("armed run diverged:\n got  %#v\nwant %#v", dst[0].Result, baseline.Result)
 	}
-	r.Introspect(nil)
+	r.DisableIntrospection()
 
 	avg := testing.AllocsPerRun(10, func() {
 		tr.Reset()
-		res, err := r.RunSource(cfg, tr, "gzip", n, tp)
-		if err != nil {
+		if err := r.RunSource(dst, cs, tr, "gzip", n, tp); err != nil {
 			t.Fatal(err)
 		}
-		if res.Result != baseline.Result {
+		if dst[0].Result != baseline.Result {
 			t.Fatal("disarmed run diverged from baseline")
 		}
-		if res.CPI != (pipeline.CPIStack{}) {
+		if dst[0].CPI != (pipeline.CPIStack{}) {
 			t.Fatal("disarmed run reported a CPI stack")
 		}
 	})
@@ -216,45 +197,12 @@ func TestRunnerIntrospectionOffAllocs(t *testing.T) {
 	}
 }
 
-// benchIntrospection shares the BenchmarkRunnerSteadyState harness so the
-// off/on pair reads directly against the uninstrumented number.
-func benchIntrospection(b *testing.B, intro *pipeline.Introspection, ring *introspect.Ring) {
-	tp := tech.Default()
-	cfg := InitialConfig(tp)
-	prof, _ := workload.ByName("gzip")
-	const n = 20000
-
-	gen, err := workload.NewGenerator(prof)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr := workload.NewTraceReaderFrom(gen, n)
-	var r Runner
-	r.Introspect(intro)
-	if _, err := r.RunSource(cfg, tr, "gzip", n, tp); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if ring != nil {
-			ring.Reset()
-		}
-		tr.Reset()
-		if _, err := r.RunSource(cfg, tr, "gzip", n, tp); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/instr")
-}
-
 // BenchmarkRunnerIntrospectionOff is BenchmarkRunnerSteadyState with the
 // introspection hook explicitly disarmed — the number that must not move
 // relative to the steady-state baseline, recorded in BENCH_kernel.json so
 // the bench-compare gate holds the line.
 func BenchmarkRunnerIntrospectionOff(b *testing.B) {
-	benchIntrospection(b, nil, nil)
+	benchOneLane(b, (*MultiRunner).DisableIntrospection, nil)
 }
 
 // BenchmarkRunnerIntrospectionOn prices full introspection: every cycle
@@ -264,5 +212,7 @@ func BenchmarkRunnerIntrospectionOn(b *testing.B) {
 	ring := introspect.NewRing(1 << 10)
 	tap := &introspect.Tap{}
 	tap.Init(ring, "gzip", "bench", 0)
-	benchIntrospection(b, &pipeline.Introspection{Interval: 1000, Recorder: tap}, ring)
+	benchOneLane(b, func(r *MultiRunner) {
+		r.SetIntrospection(1000, []pipeline.IntervalRecorder{tap})
+	}, ring)
 }

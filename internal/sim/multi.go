@@ -18,9 +18,8 @@ import (
 )
 
 // coreParams derives the cycle-domain pipeline parameters from an
-// architectural configuration — the single definition both the scalar
-// Runner and the lockstep MultiRunner evaluate through, so the two paths
-// cannot drift apart. Miss latencies include a fill-transfer term
+// architectural configuration — the single definition every simulation
+// evaluates through. Miss latencies include a fill-transfer term
 // proportional to the victim level's block size over a 16-byte-per-cycle
 // fill path, so large blocks trade their spatial-locality benefit against
 // transfer time rather than being free.
@@ -43,10 +42,11 @@ func coreParams(c Config) pipeline.Params {
 	}
 }
 
-// lane is one configuration's reusable scratch state inside a MultiRunner:
-// the same predictor-table and cache-array reuse policy Runner applies,
-// held per lane so consecutive groups with matching shapes reset instead
-// of reallocating.
+// lane is one configuration's reusable scratch state inside a MultiRunner.
+// Predictor tables are reused when consecutive runs on the lane share a
+// predictor configuration (the paper holds it fixed across the whole
+// search), and cache arrays when both geometries match the previous run;
+// otherwise they are reallocated.
 type lane struct {
 	predCfg bpred.Config
 	pred    bpred.Predictor
@@ -56,10 +56,13 @@ type lane struct {
 }
 
 // MultiRunner evaluates groups of configurations against one instruction
-// stream in lockstep. A zero-value MultiRunner is ready to use; like
-// Runner it reuses all scratch state across calls (per-lane predictors and
-// caches, per-lane core arenas, the shared delivery block) and is not safe
-// for concurrent use — pool MultiRunners per worker.
+// stream in lockstep; a single evaluation is a group of one. A zero-value
+// MultiRunner is ready to use. It reuses all scratch state across calls
+// (per-lane predictors and caches, per-lane core arenas, the shared
+// delivery block) instead of reallocating it, which removes the per-run
+// allocation cost on hot paths (design-space search evaluates millions of
+// configurations); results are bit-identical to fresh construction. Not
+// safe for concurrent use — pool MultiRunners per worker.
 type MultiRunner struct {
 	multi pipeline.MultiCore
 	lanes []lane
@@ -74,9 +77,9 @@ type MultiRunner struct {
 // RunSource evaluates n instructions of src on every configuration in cs,
 // writing dst[i] for cs[i]. All lanes observe the same stream — src
 // advances by exactly n instructions, once, however many lanes ride it —
-// and each lane's result is bit-identical to a scalar Runner.RunSource
-// over the same stream. On error no result is valid; errors name the
-// offending lane so a batching caller can fall back to scalar runs.
+// and each lane's result is bit-identical to a scalar pipeline.Core run of
+// the same configuration over the same stream. On error no result is
+// valid; errors name the offending lane.
 func (r *MultiRunner) RunSource(dst []Result, cs []Config, src workload.Source, name string, n int, t tech.Params) error {
 	k := len(cs)
 	if len(dst) != k {

@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"xpscalar/internal/bpred"
+	"xpscalar/internal/cache"
+	"xpscalar/internal/pipeline"
 	"xpscalar/internal/tech"
 	"xpscalar/internal/workload"
 )
@@ -41,10 +44,43 @@ func neighborhood(tb testing.TB, tp tech.Params, k int) []Config {
 	return cs
 }
 
+// generator returns a fresh synthetic stream for the profile.
+func generator(tb testing.TB, p workload.Profile) *workload.Generator {
+	tb.Helper()
+	gen, err := workload.NewGenerator(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return gen
+}
+
+// scalarReference evaluates cfg over n instructions of src on the scalar
+// reference kernel: pipeline.Core.Run over coreParams with a fresh
+// predictor and a fresh cache hierarchy. Every lockstep lane must
+// reproduce it bit for bit; intro, when non-nil, arms introspection.
+func scalarReference(tb testing.TB, cfg Config, src workload.Source, name string, n int, intro *pipeline.Introspection) Result {
+	tb.Helper()
+	pred, err := bpred.New(cfg.Bpred)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mem, err := cache.NewHierarchy(cfg.L1D, cfg.L2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var core pipeline.Core
+	core.SetIntrospection(intro)
+	res, err := core.Run(coreParams(cfg), src, pred, mem, n)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return Result{Config: cfg, Workload: name, Result: res, CPI: core.LastCPI()}
+}
+
 // TestMultiRunnerMatchesScalar is the lockstep contract at the sim layer:
-// each lane of a group must reproduce a scalar Runner evaluation of the
-// same configuration over the same stream, bit for bit, including across
-// MultiRunner reuse.
+// each lane of a group must reproduce the scalar reference evaluation of
+// the same configuration over the same stream, bit for bit, including
+// across MultiRunner reuse.
 func TestMultiRunnerMatchesScalar(t *testing.T) {
 	tp := tech.Default()
 	prof, _ := workload.ByName("gzip")
@@ -57,7 +93,6 @@ func TestMultiRunnerMatchesScalar(t *testing.T) {
 	tr := workload.NewTraceReaderFrom(gen, n)
 
 	var mr MultiRunner
-	var r Runner
 	for round, k := range []int{8, 2, 8} {
 		cs := neighborhood(t, tp, k)
 		dst := make([]Result, k)
@@ -67,10 +102,7 @@ func TestMultiRunnerMatchesScalar(t *testing.T) {
 		}
 		for i := range cs {
 			tr.Reset()
-			want, err := r.RunSource(cs[i], tr, "gzip", n, tp)
-			if err != nil {
-				t.Fatalf("round %d lane %d scalar: %v", round, i, err)
-			}
+			want := scalarReference(t, cs[i], tr, "gzip", n, nil)
 			if dst[i].Result != want.Result {
 				t.Errorf("round %d lane %d: lockstep %+v != scalar %+v",
 					round, i, dst[i].Result, want.Result)

@@ -4,14 +4,16 @@ import (
 	"strings"
 	"testing"
 
+	"xpscalar/internal/introspect"
 	"xpscalar/internal/tech"
 	"xpscalar/internal/timing"
 	"xpscalar/internal/workload"
 )
 
-// TestRunnerMatchesFreshRun proves the arena-reuse contract: one Runner
-// driven across different configurations and workloads must reproduce the
-// package-level Run (fresh state every call) bit for bit, in any order.
+// TestRunnerMatchesFreshRun proves the arena-reuse contract on the
+// production path: one MultiRunner running groups of one across different
+// configurations and workloads must reproduce a fresh scalar reference
+// run bit for bit, in any order.
 func TestRunnerMatchesFreshRun(t *testing.T) {
 	tp := tech.Default()
 	base := InitialConfig(tp)
@@ -33,50 +35,50 @@ func TestRunnerMatchesFreshRun(t *testing.T) {
 		{base, "gzip", 12000}, // revisit after shape changes
 	}
 
-	var r Runner
+	var r MultiRunner
+	dst := make([]Result, 1)
 	for i, pt := range points {
 		prof, ok := workload.ByName(pt.name)
 		if !ok {
 			t.Fatalf("profile %s missing", pt.name)
 		}
+		want := scalarReference(t, pt.cfg, generator(t, prof), pt.name, pt.n, nil)
+		if err := r.RunSource(dst, []Config{pt.cfg}, generator(t, prof), pt.name, pt.n, tp); err != nil {
+			t.Fatalf("point %d reused: %v", i, err)
+		}
+		if dst[0] != want {
+			t.Errorf("point %d (%s on %s): reused runner diverged:\n got  %#v\nwant %#v",
+				i, pt.name, pt.cfg, dst[0].Result, want.Result)
+		}
 		fresh, err := Run(pt.cfg, prof, pt.n, tp)
 		if err != nil {
 			t.Fatalf("point %d fresh: %v", i, err)
 		}
-		reused, err := r.Run(pt.cfg, prof, pt.n, tp)
-		if err != nil {
-			t.Fatalf("point %d reused: %v", i, err)
-		}
-		if fresh.Result != reused.Result {
-			t.Errorf("point %d (%s on %s): reused runner diverged:\n got  %#v\nwant %#v",
-				i, pt.name, pt.cfg, reused.Result, fresh.Result)
+		if fresh != want {
+			t.Errorf("point %d: sim.Run diverged from the scalar reference", i)
 		}
 	}
 }
 
 // TestRunnerSteadyStateAllocs is the allocation-free kernel guard: once a
-// Runner's arenas are warm and the instruction source is replayed in place,
-// an evaluation must not allocate.
+// MultiRunner's arenas are warm and the instruction source is replayed in
+// place, a one-lane evaluation must not allocate.
 func TestRunnerSteadyStateAllocs(t *testing.T) {
 	tp := tech.Default()
-	cfg := InitialConfig(tp)
+	cs := []Config{InitialConfig(tp)}
 	prof, _ := workload.ByName("gzip")
 	const n = 5000
 
-	gen, err := workload.NewGenerator(prof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := workload.NewTraceReaderFrom(gen, n)
-
-	var r Runner
+	tr := workload.NewTraceReaderFrom(generator(t, prof), n)
+	dst := make([]Result, 1)
+	var r MultiRunner
 	// Warm the arenas, predictor and caches.
-	if _, err := r.RunSource(cfg, tr, "gzip", n, tp); err != nil {
+	if err := r.RunSource(dst, cs, tr, "gzip", n, tp); err != nil {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(10, func() {
 		tr.Reset()
-		if _, err := r.RunSource(cfg, tr, "gzip", n, tp); err != nil {
+		if err := r.RunSource(dst, cs, tr, "gzip", n, tp); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -107,28 +109,39 @@ func TestRunValidatesBeforeGeneratorSetup(t *testing.T) {
 	}
 }
 
-// BenchmarkRunnerSteadyState measures the reusable-kernel hot path the
-// evaluation engine rides: warm arenas, trace replay, no per-run setup.
+// BenchmarkRunnerSteadyState measures the reusable-kernel hot path a lone
+// cache miss rides in the evaluation engine: a one-lane MultiRunner with
+// warm arenas, trace replay, no per-run setup.
 func BenchmarkRunnerSteadyState(b *testing.B) {
+	benchOneLane(b, nil, nil)
+}
+
+// benchOneLane times a warm one-lane MultiRunner over a 20k-instruction
+// gzip replay. arm, when non-nil, sets up introspection before warming;
+// ring, when non-nil, is the armed interval ring, emptied before every run.
+func benchOneLane(b *testing.B, arm func(*MultiRunner), ring *introspect.Ring) {
 	tp := tech.Default()
-	cfg := InitialConfig(tp)
+	cs := []Config{InitialConfig(tp)}
 	prof, _ := workload.ByName("gzip")
 	const n = 20000
 
-	gen, err := workload.NewGenerator(prof)
-	if err != nil {
-		b.Fatal(err)
+	tr := workload.NewTraceReaderFrom(generator(b, prof), n)
+	dst := make([]Result, 1)
+	var r MultiRunner
+	if arm != nil {
+		arm(&r)
 	}
-	tr := workload.NewTraceReaderFrom(gen, n)
-	var r Runner
-	if _, err := r.RunSource(cfg, tr, "gzip", n, tp); err != nil {
+	if err := r.RunSource(dst, cs, tr, "gzip", n, tp); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if ring != nil {
+			ring.Reset()
+		}
 		tr.Reset()
-		if _, err := r.RunSource(cfg, tr, "gzip", n, tp); err != nil {
+		if err := r.RunSource(dst, cs, tr, "gzip", n, tp); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,7 +11,6 @@ import (
 	"math"
 
 	"xpscalar/internal/bpred"
-	"xpscalar/internal/cache"
 	"xpscalar/internal/pipeline"
 	"xpscalar/internal/tech"
 	"xpscalar/internal/timing"
@@ -198,44 +197,9 @@ func (r Result) IPT() float64 { return r.IPC() / r.Config.ClockNs }
 // Run evaluates n instructions of the workload on the configuration. Every
 // run constructs fresh predictor, cache and generator state, so results are
 // deterministic functions of (config, profile, n). Invalid configurations
-// are rejected before any generator or structure setup is paid for.
+// are rejected with their validation error before any generator or
+// structure setup is paid for.
 func Run(c Config, p workload.Profile, n int, t tech.Params) (Result, error) {
-	var r Runner
-	return r.Run(c, p, n, t)
-}
-
-// RunSource evaluates n instructions from an arbitrary instruction source —
-// a synthetic generator or a captured trace — on the configuration. The
-// source's state advances; pass a fresh or Reset source for independent
-// runs.
-func RunSource(c Config, src workload.Source, name string, n int, t tech.Params) (Result, error) {
-	var r Runner
-	return r.RunSource(c, src, name, n, t)
-}
-
-// Runner owns the reusable scratch state of a simulation: the pipeline
-// core's arenas, the branch predictor tables, and the cache arrays. A
-// zero-value Runner is ready to use. Reusing one Runner across evaluations
-// resets this state instead of reallocating it, which removes the per-run
-// allocation cost on hot paths (design-space search evaluates millions of
-// configurations); results are bit-identical to fresh construction. A
-// Runner is not safe for concurrent use — pool them per worker.
-type Runner struct {
-	core pipeline.Core
-
-	// Predictor tables are reused when consecutive runs share a predictor
-	// configuration (the paper holds it fixed across the whole search).
-	predCfg bpred.Config
-	pred    bpred.Predictor
-
-	// Cache arrays are reused when both geometries match the previous run.
-	l1Geom, l2Geom timing.CacheGeom
-	mem            *cache.Hierarchy
-}
-
-// Run evaluates n instructions of the workload's synthetic stream, as the
-// package-level Run, but reusing the Runner's scratch state.
-func (r *Runner) Run(c Config, p workload.Profile, n int, t tech.Params) (Result, error) {
 	if err := c.Validate(t); err != nil {
 		return Result{}, err
 	}
@@ -243,41 +207,21 @@ func (r *Runner) Run(c Config, p workload.Profile, n int, t tech.Params) (Result
 	if err != nil {
 		return Result{}, err
 	}
-	return r.RunSource(c, gen, p.Name, n, t)
+	return RunSource(c, gen, p.Name, n, t)
 }
 
-// RunSource evaluates n instructions from src, as the package-level
-// RunSource, but reusing the Runner's scratch state.
-func (r *Runner) RunSource(c Config, src workload.Source, name string, n int, t tech.Params) (Result, error) {
+// RunSource evaluates n instructions from an arbitrary instruction source —
+// a synthetic generator or a captured trace — on the configuration, as a
+// lockstep group of one on a fresh MultiRunner. The source's state
+// advances; pass a fresh or Reset source for independent runs.
+func RunSource(c Config, src workload.Source, name string, n int, t tech.Params) (Result, error) {
 	if err := c.Validate(t); err != nil {
 		return Result{}, err
 	}
-	if r.pred != nil && r.predCfg == c.Bpred {
-		r.pred.Reset()
-	} else {
-		pred, err := bpred.New(c.Bpred)
-		if err != nil {
-			return Result{}, err
-		}
-		r.pred, r.predCfg = pred, c.Bpred
-	}
-	if r.mem != nil && r.l1Geom == c.L1D && r.l2Geom == c.L2 {
-		r.mem.Reset()
-	} else {
-		mem, err := cache.NewHierarchy(c.L1D, c.L2)
-		if err != nil {
-			return Result{}, err
-		}
-		r.mem, r.l1Geom, r.l2Geom = mem, c.L1D, c.L2
-	}
-	res, err := r.core.Run(coreParams(c), src, r.pred, r.mem, n)
-	if err != nil {
+	var r MultiRunner
+	var dst [1]Result
+	if err := r.RunSource(dst[:], []Config{c}, src, name, n, t); err != nil {
 		return Result{}, err
 	}
-	return Result{Config: c, Workload: name, Result: res, CPI: r.core.LastCPI()}, nil
+	return dst[0], nil
 }
-
-// Introspect arms (or, with nil, disarms) CPI-stack accounting and
-// interval sampling on this runner's core; see pipeline.Introspection.
-// Sticky across runs, like the rest of the runner's scratch state.
-func (r *Runner) Introspect(intro *pipeline.Introspection) { r.core.SetIntrospection(intro) }
