@@ -43,11 +43,15 @@ bench-smoke:
 bench-compare:
 	$(GO) run ./cmd/benchjson -compare BENCH_kernel.json -benchtime 20x
 
-# fleet-smoke is the multi-process end-to-end gate: real xpserved peers
-# serving real xpscalar clients over HTTP — the warm/dead-peer cache
-# contract and the cross-process trace-propagation contract (pinned trace
-# ID, byte-identical Table 4, one merged Chrome trace).
+# fleet-smoke is the gate for the remote cache tier. It runs the
+# degraded-network suite (dead, hung and dying peers, corrupt records)
+# ten times under the race detector, then the multi-process end-to-end
+# tests: real xpserved peers serving real xpscalar clients over HTTP — the
+# warm/dead-peer cache contract and the cross-process trace-propagation
+# contract (pinned trace ID, byte-identical Table 4, one merged Chrome
+# trace).
 fleet-smoke:
+	$(GO) test -race -count=10 ./internal/evalremote
 	$(GO) test ./cmd/xpscalar/ -run 'TestFleet' -count=1 -timeout 600s
 
 # e2ebench-check vets and tests the end-to-end benchmark. e2ebench/ is its

@@ -30,7 +30,7 @@
 // (sims drop to zero) or xptrace diff (clean against the cold run).
 // -cache-peers adds a remote tier behind the disk: a comma-separated list
 // of xpserved base URLs forming a fleet cache, each evaluation key owned
-// by one peer (consistent hashing). A run against a warm fleet pulls its
+// by one peer (rendezvous hashing). A run against a warm fleet pulls its
 // evaluations over HTTP instead of simulating — same bit-identity
 // guarantee — and a dead or slow peer only lowers the hit rate, never
 // fails or stalls the run.

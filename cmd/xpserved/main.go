@@ -24,6 +24,8 @@
 //	GET    /v1/jobs/{id}        status (+ result once done)
 //	GET    /v1/jobs/{id}/events tail the job's JSONL telemetry (curl -N)
 //	DELETE /v1/jobs/{id}        cancel
+//	GET    /v1/status           this process's self-report (build, capacity, jobs, cache)
+//	GET    /readyz              readiness: 503 on shutdown, a full backlog or a vanished -cache-dir
 //	GET    /v1/cache/{key}      fleet cache: fetch one evaluation record
 //	PUT    /v1/cache/{key}      fleet cache: store one evaluation record
 //	POST   /v1/cache/lookup     fleet cache: batched multi-get
@@ -40,7 +42,6 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log/slog"
 	"net"
 	"net/http"
@@ -111,32 +112,15 @@ func run(ctx context.Context) error {
 	sched.EnableTelemetry(reg)
 
 	// Readiness: beyond the scheduler's own admission state, a disk tier
-	// whose directory vanished or a fleet whose peers have ALL tripped the
-	// breaker flips /readyz — /healthz (liveness) stays green throughout.
-	var probes []xpserve.ReadyProbe
+	// whose directory vanished flips /readyz — /healthz (liveness) stays
+	// green throughout. Remote cache peers are never a readiness
+	// dependency: the tier fails open to a miss.
 	if ccfg.Dir != "" {
 		dir := ccfg.Dir
-		probes = append(probes, xpserve.ReadyProbe{Name: "disk", Check: func() error {
+		sched.SetReadinessProbes(xpserve.ReadyProbe{Name: "disk", Check: func() error {
 			_, err := os.Stat(dir)
 			return err
 		}})
-	}
-	if rc := ccfg.Remote(); rc != nil {
-		probes = append(probes, xpserve.ReadyProbe{Name: "remote", Check: func() error {
-			down, total := rc.Down()
-			if total > 0 && down == total {
-				return fmt.Errorf("all %d cache peers down", total)
-			}
-			return nil
-		}})
-	}
-	sched.SetReadinessProbes(probes...)
-
-	// The fleet poller watches the same peer set the cache shards over.
-	if peers := ccfg.PeerList(); len(peers) > 0 {
-		fleet := xpserve.NewFleet(sched, peers, xpserve.FleetOptions{})
-		sched.SetFleet(fleet)
-		fleet.EnableTelemetry(reg)
 	}
 
 	ln, err := net.Listen("tcp", *addr)

@@ -5,7 +5,6 @@
 //	xptrace report [-spans file ...] TRACE.jsonl
 //	xptrace diff TRACE_A.jsonl TRACE_B.jsonl
 //	xptrace export [-o out.json] SPANS [SPANS ...]
-//	xptrace fleet URL|FILE
 //	xptrace cpi TRACE.jsonl
 //	xptrace intervals INTERVALS.jsonl
 //
@@ -29,11 +28,6 @@
 // into ONE trace: each process gets its own track group, and spans that
 // continued another process's trace (remote cache serves) are joined to
 // their cross-process parent with flow arrows.
-//
-// fleet renders the merged fleet view of a running xpserved — either live
-// (pass the server's base URL) or from a saved /v1/fleet document (pass a
-// file path): one row per process with health, job census, cache tiers,
-// and build identity.
 //
 // cpi renders the CPI-stack decomposition a -cpi run attached to its
 // evaluation events: one row per (workload, configuration), every
@@ -74,8 +68,6 @@ func main() {
 		drift, err = diffCmd(os.Args[2:])
 	case "export":
 		err = exportCmd(os.Args[2:])
-	case "fleet":
-		err = fleetCmd(os.Args[2:])
 	case "cpi":
 		err = cpiCmd(os.Args[2:])
 	case "intervals":
@@ -102,7 +94,6 @@ func usage() {
   xptrace report [-spans file ...] TRACE.jsonl  digest one run trace
   xptrace diff TRACE_A.jsonl TRACE_B.jsonl      compare two run traces (exit 2 on drift)
   xptrace export [-o out.json] SPANS [SPANS...] span stream(s) -> one Chrome trace JSON
-  xptrace fleet URL|FILE                        fleet status table (live server or saved /v1/fleet)
   xptrace cpi TRACE.jsonl                       CPI-stack breakdown of a -cpi run
   xptrace intervals INTERVALS.jsonl             phase timeline of a -intervals run
 `)

@@ -28,8 +28,7 @@ type CacheConfig struct {
 	// ("" for no remote tier).
 	Peers string
 
-	disk   *evalstore.Store
-	remote *evalremote.Client
+	disk *evalstore.Store
 }
 
 // RegisterFlags registers -cache-dir and -cache-peers on the default
@@ -58,7 +57,7 @@ func (c *CacheConfig) Open() (evalengine.CacheBackend, error) {
 		tiers = append(tiers, s)
 	}
 	if c.Peers != "" {
-		cl, err := evalremote.NewClient(c.PeerList(), evalremote.Options{})
+		cl, err := evalremote.NewClient(c.peerList(), evalremote.Options{})
 		if err != nil {
 			if c.disk != nil {
 				c.disk.Close()
@@ -66,7 +65,6 @@ func (c *CacheConfig) Open() (evalengine.CacheBackend, error) {
 			}
 			return nil, err
 		}
-		c.remote = cl
 		tiers = append(tiers, cl)
 	}
 	return evalengine.Tiered(tiers...), nil
@@ -82,12 +80,8 @@ func (c *CacheConfig) Disk() evalengine.CacheBackend {
 	return c.disk
 }
 
-// Remote returns the remote-tier client Open created, or nil — the seam
-// readiness probes use to ask how much of the fleet is answering.
-func (c *CacheConfig) Remote() *evalremote.Client { return c.remote }
-
-// PeerList splits -cache-peers into its individual peer URLs.
-func (c *CacheConfig) PeerList() []string {
+// peerList splits -cache-peers into its individual peer URLs.
+func (c *CacheConfig) peerList() []string {
 	var peers []string
 	for _, p := range strings.Split(c.Peers, ",") {
 		if p = strings.TrimSpace(p); p != "" {

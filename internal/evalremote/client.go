@@ -19,78 +19,37 @@ import (
 	"xpscalar/internal/tracing"
 )
 
-// Options tunes a Client. The zero value selects defaults sized so that
-// a healthy LAN peer answers well inside a simulation's wall time and an
-// unhealthy one is cut loose fast.
+const (
+	// queueDepth bounds the write-behind queue; a full queue drops the
+	// record.
+	queueDepth = 256
+	// downFor is how long a peer that failed a request is skipped.
+	downFor = 3 * time.Second
+	// maxRecordBytes bounds a record or lookup body, read or written, on
+	// both the client and the server.
+	maxRecordBytes = 16 << 20
+	// maxIdleConnsPerHost keeps enough warm connections per peer for the
+	// engine's concurrent lookups (Go's default keeps two).
+	maxIdleConnsPerHost = 32
+)
+
+// Options tunes a Client. The zero value selects the defaults.
 type Options struct {
-	// Timeout bounds each HTTP request end to end (default 2s).
+	// Timeout bounds each HTTP request end to end (default 2s): long
+	// enough for a healthy LAN peer, short enough that a hung one costs
+	// less than a handful of simulations.
 	Timeout time.Duration
-	// MaxInflight caps concurrent lookups; past the cap a lookup is an
-	// immediate miss, never a queued wait (default 32).
-	MaxInflight int
-	// QueueDepth bounds the write-behind queue; a full queue drops the
-	// record (default 256).
-	QueueDepth int
-	// RetryBudget is the shared pool of transport-error retries,
-	// refilled by successes up to this cap (default 8).
-	RetryBudget int
-	// Backoff is the pause before a retry (default 25ms).
-	Backoff time.Duration
-	// FailThreshold consecutive failures trip a peer's breaker
-	// (default 3).
-	FailThreshold int
-	// Cooldown is how long a tripped peer is skipped (default 3s).
-	Cooldown time.Duration
-	// MaxRecordBytes bounds a response or request body (default 16MB).
-	MaxRecordBytes int64
 }
 
-func (o *Options) fill() {
-	if o.Timeout <= 0 {
-		o.Timeout = 2 * time.Second
-	}
-	if o.MaxInflight <= 0 {
-		o.MaxInflight = 32
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 256
-	}
-	if o.RetryBudget <= 0 {
-		o.RetryBudget = 8
-	}
-	if o.Backoff <= 0 {
-		o.Backoff = 25 * time.Millisecond
-	}
-	if o.FailThreshold <= 0 {
-		o.FailThreshold = 3
-	}
-	if o.Cooldown <= 0 {
-		o.Cooldown = 3 * time.Second
-	}
-	if o.MaxRecordBytes <= 0 {
-		o.MaxRecordBytes = 16 << 20
-	}
-}
-
-// peer is one remote cache server plus its breaker state.
+// peer is one remote cache server.
 type peer struct {
-	base string // normalized base URL, no trailing slash
-
-	fails     atomic.Int32 // consecutive failures since last success
+	base      string       // normalized base URL, no trailing slash
+	seed      uint64       // rendezvous seed, see peerSeed
 	downUntil atomic.Int64 // UnixNano until which the peer is skipped
 }
 
 func (p *peer) available() bool {
 	return time.Now().UnixNano() >= p.downUntil.Load()
-}
-
-func (p *peer) noteSuccess() { p.fails.Store(0) }
-
-func (p *peer) noteFailure(threshold int32, cooldown time.Duration) {
-	if p.fails.Add(1) >= threshold {
-		p.fails.Store(0)
-		p.downUntil.Store(time.Now().Add(cooldown).UnixNano())
-	}
 }
 
 // putReq is one unit of work for the write-behind goroutine.
@@ -100,19 +59,15 @@ type putReq struct {
 	barrier chan struct{} // non-nil: flush marker, close when reached
 }
 
-// Client is the fleet-side face of the remote cache tier: an
-// evalengine.CacheBackend that shards keys over its peers by consistent
+// Client is the client face of the remote cache tier: an
+// evalengine.CacheBackend that shards keys over its peers by rendezvous
 // hash and fails open to a miss on every failure mode. Safe for
 // concurrent use.
 type Client struct {
 	peers     []*peer
-	ring      []ringPoint
-	o         Options
+	timeout   time.Duration
 	transport *http.Transport
 	http      *http.Client
-
-	inflight chan struct{} // lookup concurrency semaphore
-	budget   atomic.Int64  // shared retry tokens
 
 	queue chan putReq
 	wg    sync.WaitGroup
@@ -130,73 +85,45 @@ type Client struct {
 }
 
 // NewClient builds a client over the given peer base URLs (e.g.
-// "http://host:9090"). The peer list order is irrelevant to ownership —
-// the ring hashes the URLs — but every fleet member must be configured
-// with the same set for the sharding to line up.
+// "http://host:9090"). The peer list order is irrelevant to ownership,
+// but every process must be configured with the same set for the
+// sharding to line up.
 func NewClient(peers []string, o Options) (*Client, error) {
 	if len(peers) == 0 {
 		return nil, fmt.Errorf("evalremote: no peers")
 	}
-	o.fill()
-	bases := make([]string, len(peers))
+	if o.Timeout <= 0 {
+		o.Timeout = 2 * time.Second
+	}
+	tr := &http.Transport{
+		MaxIdleConnsPerHost: maxIdleConnsPerHost,
+		IdleConnTimeout:     90 * time.Second,
+	}
+	c := &Client{
+		peers:     make([]*peer, len(peers)),
+		timeout:   o.Timeout,
+		transport: tr,
+		http:      &http.Client{Transport: tr},
+		queue:     make(chan putReq, queueDepth),
+	}
 	for i, raw := range peers {
 		u, err := url.Parse(strings.TrimSpace(raw))
 		if err != nil || u.Scheme == "" || u.Host == "" {
 			return nil, fmt.Errorf("evalremote: peer %q: need a scheme://host base URL", raw)
 		}
-		bases[i] = strings.TrimRight(u.String(), "/")
+		base := strings.TrimRight(u.String(), "/")
+		c.peers[i] = &peer{base: base, seed: peerSeed(base)}
 	}
-	tr := &http.Transport{
-		MaxIdleConnsPerHost: o.MaxInflight,
-		IdleConnTimeout:     90 * time.Second,
-	}
-	c := &Client{
-		ring:      buildRing(bases),
-		o:         o,
-		transport: tr,
-		http:      &http.Client{Transport: tr},
-		inflight:  make(chan struct{}, o.MaxInflight),
-		queue:     make(chan putReq, o.QueueDepth),
-	}
-	c.peers = make([]*peer, len(bases))
-	for i, b := range bases {
-		c.peers[i] = &peer{base: b}
-	}
-	c.budget.Store(int64(o.RetryBudget))
 	c.wg.Add(1)
 	go c.writer()
 	return c, nil
 }
 
-// retryToken takes one retry from the shared budget; refill returns one
-// on success, capped at the configured budget (the cap check is racy by
-// a token or two, which only bounds retries slightly loosely).
-func (c *Client) retryToken() bool {
-	if c.budget.Add(-1) >= 0 {
-		return true
-	}
-	c.budget.Add(1)
-	return false
+// fail counts a failed request and marks its peer down.
+func (c *Client) fail(p *peer) {
+	c.errors.Add(1)
+	p.downUntil.Store(time.Now().Add(downFor).UnixNano())
 }
-
-func (c *Client) refill() {
-	if c.budget.Load() < int64(c.o.RetryBudget) {
-		c.budget.Add(1)
-	}
-}
-
-// acquire takes a lookup slot without blocking; a false return means the
-// tier is saturated and the lookup should miss immediately.
-func (c *Client) acquire() bool {
-	select {
-	case c.inflight <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-func (c *Client) release() { <-c.inflight }
 
 func (c *Client) observe(start time.Time) {
 	if h := c.hist.Load(); h != nil {
@@ -204,9 +131,46 @@ func (c *Client) observe(start time.Time) {
 	}
 }
 
+// newRequest builds one request bounded by the client timeout. The
+// deadline stays detached from the caller's context on purpose — cache
+// lookups must never inherit a nearly expired run deadline and turn it
+// into a peer failure — but the trace context still rides along as
+// headers.
+func (c *Client) newRequest(ctx context.Context, method, url string, body io.Reader) (*http.Request, context.CancelFunc, error) {
+	rctx, cancel := context.WithTimeout(context.Background(), c.timeout)
+	req, err := http.NewRequestWithContext(rctx, method, url, body)
+	if err != nil {
+		cancel()
+		return nil, nil, err
+	}
+	tracing.Inject(ctx, req.Header)
+	return req, cancel, nil
+}
+
+// drain discards what is left of a short response body so the connection
+// can be reused.
+func drain(r io.Reader) { io.Copy(io.Discard, io.LimitReader(r, 4096)) }
+
+// bodyReader reads a record body up to maxRecordBytes and remembers a
+// failed read, so a connection that broke mid-body (a peer failure) is
+// told apart from a body that arrived whole but does not decode (a bad
+// record).
+type bodyReader struct {
+	io.LimitedReader
+	err error
+}
+
+func (b *bodyReader) Read(p []byte) (int, error) {
+	n, err := b.LimitedReader.Read(p)
+	if err != nil && err != io.EOF {
+		b.err = err
+	}
+	return n, err
+}
+
 // Get implements evalengine.CacheBackend: one GET to the key's owning
-// peer. Every failure — breaker open, saturation, transport error past
-// the retry budget, undecodable record — is a miss, never an error.
+// peer. Every failure — peer down, transport error, undecodable record —
+// is a miss, never an error.
 func (c *Client) Get(k evalengine.Key) (evalengine.Eval, bool) {
 	return c.GetCtx(context.Background(), k)
 }
@@ -217,70 +181,58 @@ func (c *Client) Get(k evalengine.Key) (evalengine.Eval, bool) {
 // headers so the owning peer's handler spans join the same trace. With
 // tracing off the context costs one branch and nothing else.
 func (c *Client) GetCtx(ctx context.Context, k evalengine.Key) (evalengine.Eval, bool) {
-	p := c.peers[ownerOf(c.ring, k)]
-	if !p.available() || !c.acquire() {
-		c.misses.Add(1)
-		return evalengine.Eval{}, false
+	if p := c.owner(k); p.available() {
+		th := tracing.FromContext(ctx)
+		sp := th.Begin(tracing.KindRemoteGet, p.base, 1)
+		start := time.Now()
+		val, ok := c.get(tracing.ChildContext(ctx, sp), p, k)
+		c.observe(start)
+		th.End(sp)
+		if ok {
+			c.hits.Add(1)
+			return val, true
+		}
 	}
-	defer c.release()
-	th := tracing.FromContext(ctx)
-	sp := th.Begin(tracing.KindRemoteGet, p.base, 1)
-	defer th.End(sp)
-	ctx = tracing.ChildContext(ctx, sp)
-	start := time.Now()
-	val, found, err := c.getOnce(ctx, p, k)
-	if err != nil && c.retryToken() {
-		time.Sleep(c.o.Backoff)
-		val, found, err = c.getOnce(ctx, p, k)
-	}
-	c.observe(start)
-	if err != nil {
-		p.noteFailure(int32(c.o.FailThreshold), c.o.Cooldown)
-		c.errors.Add(1)
-		c.misses.Add(1)
-		return evalengine.Eval{}, false
-	}
-	p.noteSuccess()
-	c.refill()
-	if !found {
-		c.misses.Add(1)
-		return evalengine.Eval{}, false
-	}
-	c.hits.Add(1)
-	return val, true
+	c.misses.Add(1)
+	return evalengine.Eval{}, false
 }
 
-func (c *Client) getOnce(ctx context.Context, p *peer, k evalengine.Key) (evalengine.Eval, bool, error) {
-	// The HTTP deadline stays detached from the run context on purpose —
-	// cache lookups must never inherit a nearly expired run deadline and
-	// turn it into a peer failure — but the trace context still rides
-	// along as headers.
-	rctx, cancel := context.WithTimeout(context.Background(), c.o.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, p.base+"/v1/cache/"+k.String(), nil)
+// get is one GET of k from p; false is a miss. A request that fails marks
+// p down; a record that arrives whole but does not decode only counts an
+// error.
+func (c *Client) get(ctx context.Context, p *peer, k evalengine.Key) (evalengine.Eval, bool) {
+	req, cancel, err := c.newRequest(ctx, http.MethodGet, p.base+"/v1/cache/"+k.String(), nil)
 	if err != nil {
-		return evalengine.Eval{}, false, err
+		c.fail(p)
+		return evalengine.Eval{}, false
 	}
-	tracing.Inject(ctx, req.Header)
+	defer cancel()
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return evalengine.Eval{}, false, err
+		c.fail(p)
+		return evalengine.Eval{}, false
 	}
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
-		val, err := evalstore.DecodeRecord(io.LimitReader(resp.Body, c.o.MaxRecordBytes))
+		body := &bodyReader{LimitedReader: io.LimitedReader{R: resp.Body, N: maxRecordBytes}}
+		val, err := evalstore.DecodeRecord(body)
 		if err != nil {
-			return evalengine.Eval{}, false, err
+			if body.err != nil {
+				c.fail(p)
+			} else {
+				c.errors.Add(1)
+			}
+			return evalengine.Eval{}, false
 		}
-		return val, true, nil
+		return val, true
 	case http.StatusNotFound:
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return evalengine.Eval{}, false, nil
+		drain(resp.Body)
 	default:
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return evalengine.Eval{}, false, fmt.Errorf("evalremote: %s: status %d", p.base, resp.StatusCode)
+		drain(resp.Body)
+		c.fail(p)
 	}
+	return evalengine.Eval{}, false
 }
 
 // lookupRequest and lookupResponse are the POST /v1/cache/lookup wire
@@ -305,37 +257,27 @@ func (c *Client) GetBatch(keys []evalengine.Key) map[evalengine.Key]evalengine.E
 // span and one set of propagation headers per owning-peer group.
 func (c *Client) GetBatchCtx(ctx context.Context, keys []evalengine.Key) map[evalengine.Key]evalengine.Eval {
 	found := make(map[evalengine.Key]evalengine.Eval)
-	groups := make(map[int][]evalengine.Key)
+	groups := make(map[*peer][]evalengine.Key)
 	for _, k := range keys {
-		pi := ownerOf(c.ring, k)
-		groups[pi] = append(groups[pi], k)
+		p := c.owner(k)
+		groups[p] = append(groups[p], k)
 	}
 	th := tracing.FromContext(ctx)
-	for pi, group := range groups {
-		p := c.peers[pi]
-		if !p.available() || !c.acquire() {
+	for p, group := range groups {
+		if !p.available() {
 			c.misses.Add(uint64(len(group)))
 			continue
 		}
 		sp := th.Begin(tracing.KindRemoteLookup, p.base, int64(len(group)))
-		gctx := tracing.ChildContext(ctx, sp)
 		start := time.Now()
-		hits, err := c.lookupOnce(gctx, p, group)
-		if err != nil && c.retryToken() {
-			time.Sleep(c.o.Backoff)
-			hits, err = c.lookupOnce(gctx, p, group)
-		}
+		hits, err := c.lookup(tracing.ChildContext(ctx, sp), p, group)
 		c.observe(start)
-		c.release()
 		th.End(sp)
 		if err != nil {
-			p.noteFailure(int32(c.o.FailThreshold), c.o.Cooldown)
-			c.errors.Add(1)
+			c.fail(p)
 			c.misses.Add(uint64(len(group)))
 			continue
 		}
-		p.noteSuccess()
-		c.refill()
 		for _, k := range group {
 			body, ok := hits[k.String()]
 			if !ok {
@@ -356,7 +298,7 @@ func (c *Client) GetBatchCtx(ctx context.Context, keys []evalengine.Key) map[eva
 	return found
 }
 
-func (c *Client) lookupOnce(ctx context.Context, p *peer, keys []evalengine.Key) (map[string][]byte, error) {
+func (c *Client) lookup(ctx context.Context, p *peer, keys []evalengine.Key) (map[string][]byte, error) {
 	hexKeys := make([]string, len(keys))
 	for i, k := range keys {
 		hexKeys[i] = k.String()
@@ -365,25 +307,23 @@ func (c *Client) lookupOnce(ctx context.Context, p *peer, keys []evalengine.Key)
 	if err != nil {
 		return nil, err
 	}
-	rctx, cancel := context.WithTimeout(context.Background(), c.o.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodPost, p.base+"/v1/cache/lookup", bytes.NewReader(body))
+	req, cancel, err := c.newRequest(ctx, http.MethodPost, p.base+"/v1/cache/lookup", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
+	defer cancel()
 	req.Header.Set("Content-Type", "application/json")
-	tracing.Inject(ctx, req.Header)
 	resp, err := c.http.Do(req)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+		drain(resp.Body)
 		return nil, fmt.Errorf("evalremote: %s: lookup status %d", p.base, resp.StatusCode)
 	}
 	var lr lookupResponse
-	dec := json.NewDecoder(io.LimitReader(resp.Body, c.o.MaxRecordBytes))
+	dec := json.NewDecoder(io.LimitReader(resp.Body, maxRecordBytes))
 	if err := dec.Decode(&lr); err != nil {
 		return nil, err
 	}
@@ -415,56 +355,46 @@ func (c *Client) writer() {
 			close(req.barrier)
 			continue
 		}
-		c.writeNow(req.key, req.val)
+		if c.put(req.key, req.val) {
+			c.writes.Add(1)
+		} else {
+			c.dropped.Add(1)
+		}
 	}
 }
 
-func (c *Client) writeNow(k evalengine.Key, val evalengine.Eval) {
-	p := c.peers[ownerOf(c.ring, k)]
+// put delivers one record to its owner; false drops it. A peer that is
+// down is not tried, so a hung peer costs the queue one timeout, not one
+// per record.
+func (c *Client) put(k evalengine.Key, val evalengine.Eval) bool {
+	p := c.owner(k)
 	if !p.available() {
-		c.dropped.Add(1)
-		return
+		return false
 	}
 	var buf bytes.Buffer
 	if err := evalstore.EncodeRecord(&buf, val); err != nil {
 		c.errors.Add(1)
-		c.dropped.Add(1)
-		return
+		return false
 	}
-	err := c.putOnce(p, k, buf.Bytes())
-	if err != nil && c.retryToken() {
-		time.Sleep(c.o.Backoff)
-		err = c.putOnce(p, k, buf.Bytes())
-	}
+	req, cancel, err := c.newRequest(context.Background(), http.MethodPut, p.base+"/v1/cache/"+k.String(), &buf)
 	if err != nil {
-		p.noteFailure(int32(c.o.FailThreshold), c.o.Cooldown)
-		c.errors.Add(1)
-		c.dropped.Add(1)
-		return
+		c.fail(p)
+		return false
 	}
-	p.noteSuccess()
-	c.refill()
-	c.writes.Add(1)
-}
-
-func (c *Client) putOnce(p *peer, k evalengine.Key, body []byte) error {
-	ctx, cancel := context.WithTimeout(context.Background(), c.o.Timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, p.base+"/v1/cache/"+k.String(), bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
 	req.Header.Set("Content-Type", "application/octet-stream")
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return err
+		c.fail(p)
+		return false
 	}
 	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+	drain(resp.Body)
 	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("evalremote: %s: put status %d", p.base, resp.StatusCode)
+		c.fail(p)
+		return false
 	}
-	return nil
+	return true
 }
 
 // Flush implements evalengine.CacheBackend: it blocks until every Put
@@ -513,44 +443,10 @@ func (c *Client) Stats() evalengine.BackendStats {
 	}
 }
 
-// Peers returns the configured peer base URLs, in construction order.
-func (c *Client) Peers() []string {
-	out := make([]string, len(c.peers))
-	for i, p := range c.peers {
-		out[i] = p.base
-	}
-	return out
-}
-
-// Down reports how many peers are currently skipped by the failure
-// breaker, alongside the configured total — the readiness probe's view of
-// remote-tier availability.
-func (c *Client) Down() (down, total int) {
-	for _, p := range c.peers {
-		if !p.available() {
-			down++
-		}
-	}
-	return down, len(c.peers)
-}
-
-// EnableTelemetry registers the client's own metrics: the per-request
-// latency histogram and peer-health gauges. The Remote* counters are
-// exported by the engine from BackendStats, so they are not duplicated
-// here.
+// EnableTelemetry registers the client's request latency histogram. The
+// Remote* counters are exported by the engine from BackendStats, so they
+// are not duplicated here.
 func (c *Client) EnableTelemetry(reg *telemetry.Registry) {
 	c.hist.Store(reg.Histogram("xpscalar_eval_remote_seconds",
 		"wall time of remote cache requests", telemetry.ExpBuckets(1e-5, 2, 16)))
-	reg.Func("xpscalar_eval_remote_peers", "configured remote cache peers",
-		"gauge", func() float64 { return float64(len(c.peers)) })
-	reg.Func("xpscalar_eval_remote_peers_down", "peers currently skipped by the failure breaker",
-		"gauge", func() float64 {
-			var n int
-			for _, p := range c.peers {
-				if !p.available() {
-					n++
-				}
-			}
-			return float64(n)
-		})
 }

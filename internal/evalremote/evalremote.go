@@ -15,81 +15,74 @@
 // remote hit costs one HTTP round trip instead of a multi-millisecond
 // simulation, and is promoted onto local disk on the way through.
 //
-// Key ownership is sharded: every evalengine.Key maps onto exactly one
-// peer of the -cache-peers list through a consistent-hash ring (64
-// virtual nodes per peer over the key's leading digest bytes), so N
-// xpserved processes partition the keyspace with no coordination and a
-// fleet member asks exactly one peer per key. The ring is a pure
-// function of the peer list, so every process pointed at the same list
-// computes the same ownership.
+// Key ownership is sharded by rendezvous hashing: every evalengine.Key
+// belongs to the peer of the -cache-peers list whose seed (the SHA-256 of
+// its base URL) mixes with the key's leading digest bytes to the highest
+// weight. Ownership is a pure function of the peer set — list order does
+// not matter — so every process pointed at the same peers asks the same
+// peer for each key, with no coordination.
 //
 // The cache is an optimization, never a dependency — the client fails
 // open to a miss on every failure mode:
 //
-//   - requests are bounded by a per-request timeout and a cap on
-//     concurrent lookups; at the cap a lookup is answered "miss"
-//     immediately rather than queued behind a slow peer
-//   - transport errors draw retries from a shared budget (refilled by
-//     successes) with a short backoff; past the budget they miss
-//   - a peer that fails repeatedly trips a breaker and is skipped for a
-//     cooldown, so a dead peer costs nothing per key
-//   - a corrupt or wrong-version record body is a decode failure and a
-//     miss, exactly like a quarantined disk record
+//   - every request is one attempt bounded by Options.Timeout; the
+//     deadline is the request's own, never the caller's run deadline
+//   - a request that fails — transport error, timeout, a status other
+//     than 200/404, an undecodable lookup response — marks its peer down
+//     for a fixed few seconds, during which its keys miss without touching
+//     the network, so a dead or hung peer costs one timeout, not one per key
+//   - a corrupt or wrong-version record body is a miss and an error count,
+//     exactly like a quarantined disk record; it is that record's problem,
+//     so the peer stays up
 //
 // Writes are write-behind like the disk tier's — Put enqueues and
 // returns, a writer goroutine delivers, Flush is a FIFO barrier — but a
-// full queue or a failed delivery DROPS the record (counted, never
-// retried into the hot path): unlike the disk tier, losing a remote
-// write costs nothing, because the evaluation is already memoized in the
-// faster tiers and any peer can re-derive it. A slow or dead peer can
-// therefore never stall the simulate hot path, only lower the hit rate.
+// full queue, a down peer or a failed delivery DROPS the record (counted,
+// never retried): unlike the disk tier, losing a remote write costs
+// nothing, because the evaluation is already memoized in the faster tiers
+// and any peer can re-derive it. A slow or dead peer can therefore never
+// stall the simulate hot path or a tool's shutdown, only lower the hit
+// rate.
 package evalremote
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
-	"sort"
 
 	"xpscalar/internal/evalengine"
 )
 
-// vnodes is the number of ring points per peer. 64 keeps the ownership
-// split within a few percent of even for small fleets while the ring
-// stays tiny (a few KB).
-const vnodes = 64
-
-// ringPoint is one virtual node: a position on the hash circle owned by
-// one peer.
-type ringPoint struct {
-	point uint64
-	peer  int // index into Client.peers
+// peerSeed is a peer's rendezvous seed: the leading bytes of the SHA-256
+// of its base URL, so every process derives the same seed for the same
+// peer.
+func peerSeed(base string) uint64 {
+	h := sha256.Sum256([]byte(base))
+	return binary.BigEndian.Uint64(h[:8])
 }
 
-// buildRing places vnodes points per peer on the circle, hashed from the
-// peer's base URL — a pure function of the peer list, so every fleet
-// member computes identical ownership.
-func buildRing(peers []string) []ringPoint {
-	ring := make([]ringPoint, 0, len(peers)*vnodes)
-	for i, p := range peers {
-		for v := 0; v < vnodes; v++ {
-			h := sha256.Sum256([]byte(fmt.Sprintf("%s#%d", p, v)))
-			ring = append(ring, ringPoint{point: binary.BigEndian.Uint64(h[:8]), peer: i})
+// weight mixes a peer seed with a key position into the peer's rendezvous
+// weight for that key (the 64-bit murmur3 finalizer over their XOR). The
+// finalizer is a bijection with full avalanche, so distinct peers get
+// distinct, independent-looking weights for every key.
+func weight(seed, pos uint64) uint64 {
+	x := seed ^ pos
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
+}
+
+// owner returns the peer owning k: the one with the highest weight for the
+// key's leading digest bytes, which are already uniform (SHA-256).
+func (c *Client) owner(k evalengine.Key) *peer {
+	pos := binary.BigEndian.Uint64(k[:8])
+	best, bestW := c.peers[0], weight(c.peers[0].seed, pos)
+	for _, p := range c.peers[1:] {
+		if w := weight(p.seed, pos); w > bestW {
+			best, bestW = p, w
 		}
 	}
-	sort.Slice(ring, func(a, b int) bool { return ring[a].point < ring[b].point })
-	return ring
-}
-
-// ownerOf maps a key onto the peer owning it: the first ring point at or
-// after the key's position, wrapping at the top of the circle. The key's
-// leading digest bytes are already uniform (SHA-256), so no second hash
-// is needed.
-func ownerOf(ring []ringPoint, k evalengine.Key) int {
-	p := binary.BigEndian.Uint64(k[:8])
-	i := sort.Search(len(ring), func(i int) bool { return ring[i].point >= p })
-	if i == len(ring) {
-		i = 0
-	}
-	return ring[i].peer
+	return best
 }

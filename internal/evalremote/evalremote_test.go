@@ -1,12 +1,13 @@
 // Failure semantics of the remote tier: whatever the network does — dead
-// peer, slow peer, corrupt or stale-format record bodies, saturation —
-// the client must degrade to a cache miss and a counter, never an error
-// into the evaluation path, and Flush/Close must stay nil so no run's
-// exit code ever depends on fleet health.
+// peer, slow or hung peer, corrupt or stale-format record bodies, a peer
+// dying under concurrent load — the client must degrade to a cache miss
+// and a counter, never an error into the evaluation path, and Flush/Close
+// must stay nil so no run's exit code ever depends on peer health.
 
 package evalremote
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -44,7 +46,7 @@ func newMapSource() *mapSource {
 	return &mapSource{m: make(map[evalengine.Key]evalengine.Eval)}
 }
 
-func (s *mapSource) Lookup(k evalengine.Key) (evalengine.Eval, bool) {
+func (s *mapSource) Lookup(_ context.Context, k evalengine.Key) (evalengine.Eval, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	v, ok := s.m[k]
@@ -78,9 +80,6 @@ func newTestClient(t *testing.T, peers []string, o Options) *Client {
 	if o.Timeout == 0 {
 		o.Timeout = time.Second
 	}
-	if o.Backoff == 0 {
-		o.Backoff = time.Millisecond
-	}
 	c, err := NewClient(peers, o)
 	if err != nil {
 		t.Fatal(err)
@@ -94,21 +93,21 @@ func newTestClient(t *testing.T, peers []string, o Options) *Client {
 // healthy share of a uniform key population.
 func TestRingOwnership(t *testing.T) {
 	peers := []string{"http://a:1", "http://b:2", "http://c:3"}
-	ringA := buildRing(peers)
-	ringB := buildRing([]string{peers[0], peers[1], peers[2]})
-	counts := make([]int, len(peers))
+	a := newTestClient(t, peers, Options{})
+	b := newTestClient(t, []string{peers[2], peers[0], peers[1]}, Options{})
+	counts := make(map[string]int)
 	const n = 4096
 	for i := 0; i < n; i++ {
 		k := synthKey(i)
-		a := ownerOf(ringA, k)
-		if b := ownerOf(ringB, k); peers[a] != peers[b] {
-			t.Fatalf("key %d: owner %q vs %q for identical peer sets", i, peers[a], peers[b])
+		pa, pb := a.owner(k).base, b.owner(k).base
+		if pa != pb {
+			t.Fatalf("key %d: owner %q vs %q for identical peer sets", i, pa, pb)
 		}
-		counts[a]++
+		counts[pa]++
 	}
-	for i, c := range counts {
-		if c < n/10 {
-			t.Fatalf("peer %d owns %d/%d keys — ring badly unbalanced: %v", i, c, n, counts)
+	for _, p := range peers {
+		if c := counts[p]; c < n/10 {
+			t.Fatalf("peer %s owns %d/%d keys — ownership badly unbalanced: %v", p, c, n, counts)
 		}
 	}
 }
@@ -174,14 +173,12 @@ func TestGetBatch(t *testing.T) {
 }
 
 // TestPeerDown: a dead peer yields misses and nil Flush/Close — never an
-// error — and after the breaker trips, lookups stop paying the dial.
+// error — and once its first request fails, lookups stop paying the dial.
 func TestPeerDown(t *testing.T) {
 	srv := httptest.NewServer(http.NotFoundHandler())
 	url := srv.URL
 	srv.Close() // nothing listens here anymore
-	c := newTestClient(t, []string{url}, Options{
-		Timeout: 200 * time.Millisecond, FailThreshold: 2, Cooldown: time.Minute,
-	})
+	c := newTestClient(t, []string{url}, Options{Timeout: 200 * time.Millisecond})
 
 	for i := 0; i < 5; i++ {
 		if _, ok := c.Get(synthKey(i)); ok {
@@ -196,10 +193,14 @@ func TestPeerDown(t *testing.T) {
 	if st.RemoteMisses != 5 || st.RemoteErrors == 0 || st.RemoteDropped == 0 {
 		t.Fatalf("stats %+v, want 5 misses, some errors, the write dropped", st)
 	}
-	// The breaker is open now (threshold 2, cooldown 1m): a batch against
-	// the dead peer must fast-miss without touching the network.
+	// The peer is marked down now: a batch against it must fast-miss
+	// without touching the network.
+	errs := st.RemoteErrors
 	if got := c.GetBatch([]evalengine.Key{synthKey(20), synthKey(21)}); len(got) != 0 {
 		t.Fatalf("batch hit against a dead peer: %v", got)
+	}
+	if st := c.Stats(); st.RemoteErrors != errs {
+		t.Fatalf("batch against a down peer went to the network: errors %d -> %d", errs, st.RemoteErrors)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatalf("Close against a dead peer: %v", err)
@@ -215,7 +216,7 @@ func TestPeerSlow(t *testing.T) {
 		<-release
 	}))
 	t.Cleanup(func() { close(release); srv.Close() })
-	c := newTestClient(t, []string{srv.URL}, Options{Timeout: 50 * time.Millisecond, RetryBudget: 1})
+	c := newTestClient(t, []string{srv.URL}, Options{Timeout: 50 * time.Millisecond})
 
 	start := time.Now()
 	if _, ok := c.Get(synthKey(1)); ok {
@@ -261,39 +262,161 @@ func TestCorruptAndWrongVersionRecords(t *testing.T) {
 	}
 }
 
-// TestSaturationFailsOpen: at the in-flight cap a lookup misses
-// immediately instead of queuing behind the slow requests holding the
-// slots.
-func TestSaturationFailsOpen(t *testing.T) {
-	entered := make(chan struct{}, 1)
-	release := make(chan struct{})
+// TestCorruptRecordKeepsPeer: a record that arrives whole but does not
+// decode is a miss and an error, not a peer failure — the next key from
+// the same peer is still fetched.
+func TestCorruptRecordKeepsPeer(t *testing.T) {
 	src := newMapSource()
-	src.Store(synthKey(2), testEval(2))
+	good := testEval(4)
+	src.Store(synthKey(2), good)
 	mux := http.NewServeMux()
 	Register(mux, src, nil)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case entered <- struct{}{}:
-			<-release // first request parks, holding the only slot
-		default:
+		if r.URL.Path == "/v1/cache/"+synthKey(1).String() {
+			fmt.Fprint(w, "not a record at all")
+			return
 		}
 		mux.ServeHTTP(w, r)
 	}))
-	t.Cleanup(func() { close(release); srv.Close() })
-	c := newTestClient(t, []string{srv.URL}, Options{MaxInflight: 1, Timeout: 5 * time.Second})
+	t.Cleanup(srv.Close)
+	c := newTestClient(t, []string{srv.URL}, Options{})
 
-	done := make(chan struct{})
-	go func() { defer close(done); c.Get(synthKey(1)) }()
-	<-entered
+	if _, ok := c.Get(synthKey(1)); ok {
+		t.Fatal("Get decoded a corrupt record")
+	}
+	got, ok := c.Get(synthKey(2))
+	if !ok {
+		t.Fatal("a corrupt record cut off a healthy peer: the good key missed")
+	}
+	if !reflect.DeepEqual(got, good) {
+		t.Fatalf("good key diverged:\n got %+v\nwant %+v", got, good)
+	}
+	if st := c.Stats(); st.RemoteHits != 1 || st.RemoteMisses != 1 || st.RemoteErrors != 1 {
+		t.Fatalf("stats %+v, want 1 hit, 1 miss, 1 error", st)
+	}
+}
+
+// TestBrokenBodyMarksPeerDown: unlike a whole body that does not decode,
+// a connection that breaks mid-body is a peer failure — the peer is
+// marked down and its next key misses without a request.
+func TestBrokenBodyMarksPeerDown(t *testing.T) {
+	var requests atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		// Promise more bytes than are sent: the server closes the
+		// connection after the short write.
+		w.Header().Set("Content-Length", "4096")
+		fmt.Fprint(w, "xpeval-record-v1\n")
+	}))
+	t.Cleanup(srv.Close)
+	c := newTestClient(t, []string{srv.URL}, Options{})
+
+	for i := 0; i < 2; i++ {
+		if _, ok := c.Get(synthKey(i)); ok {
+			t.Fatal("Get decoded a broken body")
+		}
+	}
+	if n := requests.Load(); n != 1 {
+		t.Fatalf("%d requests, want 1: the broken body should mark the peer down", n)
+	}
+	if st := c.Stats(); st.RemoteMisses != 2 || st.RemoteErrors != 1 {
+		t.Fatalf("stats %+v, want 2 misses, 1 error", st)
+	}
+}
+
+// TestFlushHungPeerBounded: queued Puts to a peer that never answers cost
+// the writer one timeout, not one per record, so Flush — every tool's
+// shutdown path — stays bounded.
+func TestFlushHungPeerBounded(t *testing.T) {
+	release := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-release
+	}))
+	t.Cleanup(func() { close(release); srv.Close() })
+	c := newTestClient(t, []string{srv.URL}, Options{Timeout: 50 * time.Millisecond})
+
+	for i := 0; i < 64; i++ {
+		c.Put(synthKey(i), testEval(1))
+	}
 	start := time.Now()
-	if _, ok := c.Get(synthKey(2)); ok {
-		t.Fatal("saturated Get should fail open to a miss")
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	if wall := time.Since(start); wall > time.Second {
-		t.Fatalf("saturated Get took %v, want immediate", wall)
+		t.Fatalf("Flush of 64 Puts to a hung peer took %v, want under 1s", wall)
 	}
-	release <- struct{}{}
-	<-done
+	if st := c.Stats(); st.RemoteWrites != 0 || st.RemoteDropped != 64 {
+		t.Fatalf("stats %+v, want all 64 writes dropped", st)
+	}
+}
+
+// TestPeerDeathConcurrent: eight goroutines read and write through one
+// client while its only peer dies under them. Every call returns, every
+// hit is the stored value, and Flush/Close stay nil — the shared
+// mark-down and counters under the race detector.
+func TestPeerDeathConcurrent(t *testing.T) {
+	src := newMapSource()
+	want := make(map[evalengine.Key]evalengine.Eval)
+	var keys []evalengine.Key
+	for i := 0; i < 32; i++ {
+		k := synthKey(i)
+		keys = append(keys, k)
+		if i%2 == 0 {
+			want[k] = testEval(float64(i))
+			src.Store(k, want[k])
+		}
+	}
+	mux := http.NewServeMux()
+	Register(mux, src, nil)
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	c := newTestClient(t, []string{srv.URL}, Options{})
+
+	check := func(k evalengine.Key, got evalengine.Eval) {
+		if w, ok := want[k]; !ok || !reflect.DeepEqual(got, w) {
+			t.Errorf("key %s: hit %+v, want stored %+v (stored: %v)", k, got, w, ok)
+		}
+	}
+	const workers, iters = 8, 120
+	mid := make(chan struct{})
+	var once sync.Once
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				if i == iters/4 {
+					once.Do(func() { close(mid) })
+				}
+				k := keys[(w+i)%len(keys)]
+				switch i % 3 {
+				case 0:
+					if got, ok := c.Get(k); ok {
+						check(k, got)
+					}
+				case 1:
+					for k, got := range c.GetBatch(keys[:8]) {
+						check(k, got)
+					}
+				case 2:
+					c.Put(synthKey(1000+w*iters+i), testEval(-1))
+				}
+			}
+		}(w)
+	}
+	<-mid
+	srv.Close()
+	wg.Wait()
+	if err := c.Flush(); err != nil {
+		t.Fatalf("Flush after peer death: %v", err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatalf("Close after peer death: %v", err)
+	}
+	if st := c.Stats(); st.RemoteHits == 0 {
+		t.Fatalf("stats %+v, want hits before the peer died", st)
+	}
 }
 
 // TestQueueOverflowDrops: Puts past the queue bound are dropped and
@@ -304,9 +427,9 @@ func TestQueueOverflowDrops(t *testing.T) {
 		<-release
 	}))
 	t.Cleanup(func() { close(release); srv.Close() })
-	c := newTestClient(t, []string{srv.URL}, Options{QueueDepth: 2, Timeout: 50 * time.Millisecond})
+	c := newTestClient(t, []string{srv.URL}, Options{Timeout: 50 * time.Millisecond})
 
-	for i := 0; i < 32; i++ {
+	for i := 0; i < queueDepth+32; i++ {
 		c.Put(synthKey(i), testEval(1)) // must never block
 	}
 	if st := c.Stats(); st.RemoteDropped == 0 {
@@ -358,7 +481,7 @@ func TestServerRejects(t *testing.T) {
 }
 
 // TestSharding: with two peers, every key's record lands on exactly its
-// ring owner, and a two-peer GetBatch resolves keys from both.
+// owner, and a two-peer GetBatch resolves keys from both.
 func TestSharding(t *testing.T) {
 	srcA, srcB := newMapSource(), newMapSource()
 	srvA, srvB := startPeer(t, srcA), startPeer(t, srcB)
@@ -379,11 +502,11 @@ func TestSharding(t *testing.T) {
 	if total := srcA.len() + srcB.len(); total != 64 {
 		t.Fatalf("peers hold %d records, want 64", total)
 	}
+	byURL := map[string]*mapSource{srvA.URL: srcA, srvB.URL: srcB}
 	for _, k := range keys {
-		owner := ownerOf(c.ring, k)
-		src := []*mapSource{srcA, srcB}[owner]
-		if _, ok := src.Lookup(k); !ok {
-			t.Fatalf("key %s missing from its ring owner (peer %d)", k, owner)
+		owner := c.owner(k).base
+		if _, ok := byURL[owner].Lookup(context.Background(), k); !ok {
+			t.Fatalf("key %s missing from its owner %s", k, owner)
 		}
 	}
 	got := c.GetBatch(keys)

@@ -178,8 +178,10 @@ func TestEngineSourceDiskSpan(t *testing.T) {
 // expects for its disk tier.
 type diskBackend struct{ m *mapSource }
 
-func (d diskBackend) Get(k evalengine.Key) (evalengine.Eval, bool) { return d.m.Lookup(k) }
-func (d diskBackend) Put(k evalengine.Key, v evalengine.Eval)      { d.m.Store(k, v) }
-func (d diskBackend) Flush() error                                 { return nil }
-func (d diskBackend) Close() error                                 { return nil }
-func (d diskBackend) Stats() evalengine.BackendStats               { return evalengine.BackendStats{} }
+func (d diskBackend) Get(k evalengine.Key) (evalengine.Eval, bool) {
+	return d.m.Lookup(context.Background(), k)
+}
+func (d diskBackend) Put(k evalengine.Key, v evalengine.Eval) { d.m.Store(k, v) }
+func (d diskBackend) Flush() error                            { return nil }
+func (d diskBackend) Close() error                            { return nil }
+func (d diskBackend) Stats() evalengine.BackendStats          { return evalengine.BackendStats{} }

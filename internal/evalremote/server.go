@@ -15,23 +15,14 @@ import (
 // group, low enough that a bogus request cannot turn into a disk scan.
 const maxLookupKeys = 4096
 
-// maxBodyBytes bounds a PUT or lookup body accepted by the server.
-const maxBodyBytes = 16 << 20
-
 // Source is what a cache server serves from: the read face returns a
 // completed evaluation when any local tier holds it, the write face
-// stores a record pushed by a fleet member. Implementations must be
-// safe for concurrent use.
+// stores a record pushed by a fleet member. The context carries the
+// handler span, so a source can record child spans (the disk probe)
+// under the request. Implementations must be safe for concurrent use.
 type Source interface {
-	Lookup(key evalengine.Key) (evalengine.Eval, bool)
+	Lookup(ctx context.Context, key evalengine.Key) (evalengine.Eval, bool)
 	Store(key evalengine.Key, val evalengine.Eval)
-}
-
-// CtxSource is the optional context-aware read face of a Source: when a
-// handler span is open, the server routes lookups through it so the
-// source can record child spans (the disk probe) under the request.
-type CtxSource interface {
-	LookupCtx(ctx context.Context, key evalengine.Key) (evalengine.Eval, bool)
 }
 
 // EngineSource serves an engine's memory LRU backed by its local disk
@@ -46,15 +37,10 @@ type EngineSource struct {
 	Disk   evalengine.CacheBackend // optional local persistent tier; nil is fine
 }
 
-// Lookup implements Source.
-func (s EngineSource) Lookup(key evalengine.Key) (evalengine.Eval, bool) {
-	return s.LookupCtx(context.Background(), key)
-}
-
-// LookupCtx implements CtxSource: a disk probe under an open handler span
-// is recorded as an eval.disk child, so a merged trace shows which tier
-// of the owning peer answered.
-func (s EngineSource) LookupCtx(ctx context.Context, key evalengine.Key) (evalengine.Eval, bool) {
+// Lookup implements Source: a disk probe under an open handler span is
+// recorded as an eval.disk child, so a merged trace shows which tier of
+// the owning peer answered.
+func (s EngineSource) Lookup(ctx context.Context, key evalengine.Key) (evalengine.Eval, bool) {
 	if s.Engine != nil {
 		if val, ok := s.Engine.Peek(key); ok {
 			return val, true
@@ -84,15 +70,6 @@ func (s EngineSource) Store(key evalengine.Key, val evalengine.Eval) {
 // across processes without bloating every span line.
 func shortKey(k evalengine.Key) string { return k.String()[:8] }
 
-// lookup routes through the source's context-aware face when both a
-// handler span and the face exist.
-func lookup(ctx context.Context, src Source, key evalengine.Key) (evalengine.Eval, bool) {
-	if cs, ok := src.(CtxSource); ok {
-		return cs.LookupCtx(ctx, key)
-	}
-	return src.Lookup(key)
-}
-
 // Register mounts the cache routes on mux. The record body format is
 // evalstore's exact on-disk encoding (versioned header + gob), written
 // and read through EncodeRecord/DecodeRecord. A record that fails to
@@ -115,7 +92,7 @@ func Register(mux *http.ServeMux, src Source, rec *tracing.Recorder) {
 		sp := h.BeginRemote(tracing.KindServeGet, shortKey(key), 1, tracing.Extract(r.Header))
 		defer h.End(sp)
 		ctx := tracing.ChildContext(tracing.NewContext(r.Context(), rec), sp)
-		val, ok := lookup(ctx, src, key)
+		val, ok := src.Lookup(ctx, key)
 		if !ok {
 			http.Error(w, "miss", http.StatusNotFound)
 			return
@@ -138,7 +115,7 @@ func Register(mux *http.ServeMux, src Source, rec *tracing.Recorder) {
 		h := tracing.Root(rec)
 		sp := h.BeginRemote(tracing.KindServePut, shortKey(key), 1, tracing.Extract(r.Header))
 		defer h.End(sp)
-		val, err := evalstore.DecodeRecord(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		val, err := evalstore.DecodeRecord(http.MaxBytesReader(w, r.Body, maxRecordBytes))
 		if err != nil {
 			http.Error(w, "bad record", http.StatusBadRequest)
 			return
@@ -149,7 +126,7 @@ func Register(mux *http.ServeMux, src Source, rec *tracing.Recorder) {
 
 	mux.HandleFunc("POST /v1/cache/lookup", func(w http.ResponseWriter, r *http.Request) {
 		var lr lookupRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRecordBytes))
 		if err := dec.Decode(&lr); err != nil {
 			http.Error(w, "bad request", http.StatusBadRequest)
 			return
@@ -168,7 +145,7 @@ func Register(mux *http.ServeMux, src Source, rec *tracing.Recorder) {
 			if !ok {
 				continue // a malformed key is that key's miss, not the batch's failure
 			}
-			val, ok := lookup(ctx, src, key)
+			val, ok := src.Lookup(ctx, key)
 			if !ok {
 				continue
 			}

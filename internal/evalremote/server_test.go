@@ -6,6 +6,7 @@
 package evalremote
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -22,8 +23,9 @@ func TestEngineSource(t *testing.T) {
 	}
 	t.Cleanup(func() { disk.Close() })
 	src := EngineSource{Engine: eng, Disk: disk}
+	ctx := context.Background()
 
-	if _, ok := src.Lookup(synthKey(1)); ok {
+	if _, ok := src.Lookup(ctx, synthKey(1)); ok {
 		t.Fatal("lookup hit on an empty source")
 	}
 
@@ -40,7 +42,7 @@ func TestEngineSource(t *testing.T) {
 	if got, ok := disk.Get(synthKey(1)); !ok || !reflect.DeepEqual(got, want) {
 		t.Fatalf("disk tier after Store: got %+v, %v", got, ok)
 	}
-	if got, ok := src.Lookup(synthKey(1)); !ok || !reflect.DeepEqual(got, want) {
+	if got, ok := src.Lookup(ctx, synthKey(1)); !ok || !reflect.DeepEqual(got, want) {
 		t.Fatalf("lookup after Store: got %+v, %v", got, ok)
 	}
 
@@ -50,16 +52,16 @@ func TestEngineSource(t *testing.T) {
 	if err := disk.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := src.Lookup(synthKey(2)); !ok {
+	if _, ok := src.Lookup(ctx, synthKey(2)); !ok {
 		t.Fatal("lookup missed a disk-only record")
 	}
 
 	// Disk-less composition (memory-only server) still works.
 	memOnly := EngineSource{Engine: eng}
-	if _, ok := memOnly.Lookup(synthKey(1)); !ok {
+	if _, ok := memOnly.Lookup(ctx, synthKey(1)); !ok {
 		t.Fatal("memory-only lookup missed a memoized record")
 	}
-	if _, ok := memOnly.Lookup(synthKey(9)); ok {
+	if _, ok := memOnly.Lookup(ctx, synthKey(9)); ok {
 		t.Fatal("memory-only lookup hit an absent key")
 	}
 }

@@ -7,16 +7,16 @@
 //	GET    /v1/jobs/{id}/events tail the job's JSONL telemetry stream
 //	DELETE /v1/jobs/{id}        cancel
 //	GET    /v1/status           this process's self-report
-//	GET    /v1/fleet            merged fleet view (self + polled peers)
 //	GET    /readyz              readiness (503 when saturated or a probe fails)
 //
 // plus the shared observability mount (/metrics, /metrics.json, /healthz,
 // /buildinfo, /debug/pprof) from the telemetry registry. Health is split:
 // /healthz (telemetry mount) is LIVENESS — the process is up, restart it
 // if this fails; /readyz is READINESS — send it new work only on 200. A
-// full backlog or a dead cache tier flips readiness while liveness stays
-// green. Errors are JSON {"error": ...} with conventional status codes:
-// 400 malformed, 404 unknown job, 429 backlog full, 503 shutting down.
+// full backlog or a vanished disk-cache directory flips readiness while
+// liveness stays green. Errors are JSON {"error": ...} with conventional
+// status codes: 400 malformed, 404 unknown job, 429 backlog full, 503
+// shutting down.
 
 package xpserve
 
@@ -39,7 +39,6 @@ func (s *Scheduler) Handler(reg *telemetry.Registry) http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /v1/status", s.handleStatus)
-	mux.HandleFunc("GET /v1/fleet", s.handleFleet)
 	mux.HandleFunc("GET /readyz", s.handleReady)
 	if reg != nil {
 		mux.Handle("/", reg.Handler())
@@ -109,24 +108,9 @@ func (s *Scheduler) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// handleStatus serves this process's self-report — what fleet peers poll.
+// handleStatus serves this process's self-report.
 func (s *Scheduler) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.SelfStatus())
-}
-
-// handleFleet serves the merged fleet view. Without an attached poller
-// the view degrades to self-only, so the route's shape is stable whether
-// or not the process was started with peers.
-func (s *Scheduler) handleFleet(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	f := s.fleet
-	s.mu.Unlock()
-	if f == nil {
-		self := s.SelfStatus()
-		writeJSON(w, http.StatusOK, FleetStatus{Self: self, Jobs: self.Jobs, Cache: self.Cache})
-		return
-	}
-	writeJSON(w, http.StatusOK, f.Status(r.Context()))
 }
 
 // handleReady answers readiness: 200 when the process should receive new

@@ -53,7 +53,6 @@ type Scheduler struct {
 	order    []*Job // submission order, for List
 	nextID   int
 	shutdown bool
-	fleet    *Fleet
 	probes   []ReadyProbe
 
 	baseCtx    context.Context

@@ -1,6 +1,5 @@
-// Fleet aggregation and the liveness/readiness split, exercised over real
-// HTTP: self-reports, merged multi-peer views with a dead peer in the
-// set, fleet gauges, readiness flips, and per-job trace stamping.
+// Self-status and the liveness/readiness split, exercised over real
+// HTTP: self-reports, readiness flips, and per-job trace stamping.
 
 package xpserve
 
@@ -57,58 +56,6 @@ func TestSelfStatus(t *testing.T) {
 	}
 }
 
-// TestFleetAggregation: a two-process fleet plus one dead peer. The
-// merged view marks the dead peer down (fail-open), counts the live one,
-// and sums job and cache totals over self + reachable peers. The same
-// snapshot backs the xpscalar_fleet_* gauges.
-func TestFleetAggregation(t *testing.T) {
-	peerSrv, _ := newTestServer(t, Options{})
-	peerJob := submit(t, peerSrv, tinyExplore())
-	await(t, peerSrv, peerJob.ID)
-
-	reg := telemetry.NewRegistry()
-	sess := session.New(session.Options{})
-	sched := New(sess, Options{})
-	f := NewFleet(sched, []string{
-		strings.TrimPrefix(peerSrv.URL, "http://"), // host:port form, like -cache-peers
-		"127.0.0.1:1",                              // nothing listens here
-	}, FleetOptions{Timeout: 500 * time.Millisecond})
-	sched.SetFleet(f)
-	f.EnableTelemetry(reg)
-	srv := newServerFor(t, sched, reg)
-
-	var fs FleetStatus
-	if code := getJSON(t, srv.URL+"/v1/fleet", &fs); code != http.StatusOK {
-		t.Fatalf("/v1/fleet: %d", code)
-	}
-	if len(fs.Peers) != 2 || fs.Reachable != 1 {
-		t.Fatalf("peers %d reachable %d, want 2/1: %+v", len(fs.Peers), fs.Reachable, fs.Peers)
-	}
-	if !fs.Peers[0].Reachable || fs.Peers[0].Status == nil {
-		t.Errorf("live peer not reported: %+v", fs.Peers[0])
-	}
-	if fs.Peers[1].Reachable || fs.Peers[1].Error == "" {
-		t.Errorf("dead peer not marked down: %+v", fs.Peers[1])
-	}
-	if fs.Jobs.Done != 1 {
-		t.Errorf("fleet job census %+v, want the peer's 1 done job", fs.Jobs)
-	}
-	if fs.Cache.Requests != fs.Self.Cache.Requests+fs.Peers[0].Status.Cache.Requests {
-		t.Errorf("cache totals not summed: %+v", fs.Cache)
-	}
-
-	scrape := httpGetBody(t, srv.URL+"/metrics")
-	for _, want := range []string{
-		"xpscalar_fleet_peers 2",
-		"xpscalar_fleet_peers_reachable 1",
-		"xpscalar_fleet_jobs_running 0",
-	} {
-		if !strings.Contains(scrape, want) {
-			t.Errorf("scrape missing %q", want)
-		}
-	}
-}
-
 // newServerFor wires an already-configured scheduler into a test server.
 func newServerFor(t *testing.T, sched *Scheduler, reg *telemetry.Registry) *httptest.Server {
 	t.Helper()
@@ -118,33 +65,6 @@ func newServerFor(t *testing.T, sched *Scheduler, reg *telemetry.Registry) *http
 		sched.Shutdown()
 	})
 	return srv
-}
-
-func httpGetBody(t *testing.T, url string) string {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
-}
-
-// TestFleetSelfOnly: /v1/fleet without an attached poller degrades to a
-// self-only view with the same shape.
-func TestFleetSelfOnly(t *testing.T) {
-	srv, _ := newTestServer(t, Options{})
-	var fs FleetStatus
-	if code := getJSON(t, srv.URL+"/v1/fleet", &fs); code != http.StatusOK {
-		t.Fatalf("/v1/fleet: %d", code)
-	}
-	if fs.Self.Tool != "xpserved" || len(fs.Peers) != 0 {
-		t.Errorf("self-only view: %+v", fs)
-	}
 }
 
 // TestReadiness: /readyz is 200 on an idle process, 503 with reasons once
