@@ -19,10 +19,11 @@ race:
 # race-hot is the focused race gate for the concurrency-heavy packages:
 # the evaluation engine, the telemetry substrate, the annealer, the
 # kernel packages whose introspection taps feed a shared ring from
-# concurrent workers, the write-behind disk and remote cache tiers, and
-# the multi-tenant job scheduler.
+# concurrent workers, the per-technology delay tables that concurrent
+# annealing chains build and share, the write-behind disk and remote
+# cache tiers, and the multi-tenant job scheduler.
 race-hot:
-	$(GO) test -race ./internal/evalengine ./internal/telemetry ./internal/explore ./internal/pipeline ./internal/sim ./internal/introspect ./internal/evalstore ./internal/evalremote ./internal/xpserve
+	$(GO) test -race ./internal/evalengine ./internal/telemetry ./internal/explore ./internal/pipeline ./internal/sim ./internal/introspect ./internal/timing ./internal/evalstore ./internal/evalremote ./internal/xpserve
 
 # bench reports the headline reproduction metrics plus the evaluation
 # engine's cache hit rate and sim-latency quantiles (cacheHit%, simP50ms,

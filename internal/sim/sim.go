@@ -84,6 +84,9 @@ func InitialConfig(t tech.Params) Config {
 // discipline: each unit's access time must fit within the product of the
 // clock period and the pipeline depth assigned to it, minus latch overhead.
 func (c Config) Validate(t tech.Params) error {
+	if err := t.Validate(); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
 	switch {
 	case c.ClockNs < t.MinClockPeriodNs():
 		return fmt.Errorf("sim: clock %.3fns below technology minimum %.3fns", c.ClockNs, t.MinClockPeriodNs())

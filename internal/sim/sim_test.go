@@ -126,6 +126,14 @@ func TestRunRejectsInvalidConfig(t *testing.T) {
 	}
 }
 
+func TestRunRejectsInvalidTech(t *testing.T) {
+	prof, _ := workload.ByName("gcc")
+	_, err := Run(InitialConfig(tech.Default()), prof, 1000, tech.Params{})
+	if err == nil || !strings.HasPrefix(err.Error(), "sim: tech:") {
+		t.Errorf("Run with the zero technology: err = %v, want a sim: tech: error", err)
+	}
+}
+
 func TestSuiteSpreadsUnderInitialConfig(t *testing.T) {
 	// The whole point of heterogeneity: on one fixed configuration,
 	// workloads must differ widely. mcf (memory-bound by construction)

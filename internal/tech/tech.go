@@ -9,7 +9,10 @@
 // the paper's central argument for configurational characterization.
 package tech
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Params is a full technology parameter set. All latencies are in
 // nanoseconds. The zero value is not useful; start from Default.
@@ -65,25 +68,29 @@ func Default() Params {
 }
 
 // Validate reports whether the parameter set is physically meaningful.
+// Every latency, delay and area must be finite: a NaN would slip past the
+// sign checks and never compare equal to itself.
 func (p Params) Validate() error {
 	switch {
-	case p.MemoryLatencyNs <= 0:
-		return fmt.Errorf("tech: memory latency %vns must be positive", p.MemoryLatencyNs)
-	case p.FrontEndLatencyNs < 0:
-		return fmt.Errorf("tech: front-end latency %vns must be non-negative", p.FrontEndLatencyNs)
+	case !finite(p.MemoryLatencyNs) || p.MemoryLatencyNs <= 0:
+		return fmt.Errorf("tech: memory latency %vns must be positive and finite", p.MemoryLatencyNs)
+	case !finite(p.FrontEndLatencyNs) || p.FrontEndLatencyNs < 0:
+		return fmt.Errorf("tech: front-end latency %vns must be non-negative and finite", p.FrontEndLatencyNs)
 	case p.IQEntryBytes <= 0:
 		return fmt.Errorf("tech: IQ entry width %dB must be positive", p.IQEntryBytes)
-	case p.LatchLatencyNs <= 0:
-		return fmt.Errorf("tech: latch latency %vns must be positive", p.LatchLatencyNs)
-	case p.FO4Ns <= 0:
-		return fmt.Errorf("tech: FO4 delay %vns must be positive", p.FO4Ns)
-	case p.WireNsPerMm <= 0:
-		return fmt.Errorf("tech: wire delay %vns/mm must be positive", p.WireNsPerMm)
-	case p.BitAreaMm2 <= 0:
-		return fmt.Errorf("tech: bit area %vmm² must be positive", p.BitAreaMm2)
+	case !finite(p.LatchLatencyNs) || p.LatchLatencyNs <= 0:
+		return fmt.Errorf("tech: latch latency %vns must be positive and finite", p.LatchLatencyNs)
+	case !finite(p.FO4Ns) || p.FO4Ns <= 0:
+		return fmt.Errorf("tech: FO4 delay %vns must be positive and finite", p.FO4Ns)
+	case !finite(p.WireNsPerMm) || p.WireNsPerMm <= 0:
+		return fmt.Errorf("tech: wire delay %vns/mm must be positive and finite", p.WireNsPerMm)
+	case !finite(p.BitAreaMm2) || p.BitAreaMm2 <= 0:
+		return fmt.Errorf("tech: bit area %vmm² must be positive and finite", p.BitAreaMm2)
 	}
 	return nil
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // MinClockPeriodNs is the smallest clock period at which a stage can do any
 // useful work: one latch overhead plus a handful of gate delays.

@@ -1,6 +1,9 @@
 package tech
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestDefaultMatchesPaperTable2(t *testing.T) {
 	p := Default()
@@ -36,6 +39,13 @@ func TestValidateRejectsBadFields(t *testing.T) {
 		{"zero fo4", func(p *Params) { p.FO4Ns = 0 }},
 		{"zero wire", func(p *Params) { p.WireNsPerMm = 0 }},
 		{"zero bit area", func(p *Params) { p.BitAreaMm2 = 0 }},
+		{"NaN memory latency", func(p *Params) { p.MemoryLatencyNs = math.NaN() }},
+		{"NaN front end", func(p *Params) { p.FrontEndLatencyNs = math.NaN() }},
+		{"Inf front end", func(p *Params) { p.FrontEndLatencyNs = math.Inf(1) }},
+		{"NaN latch", func(p *Params) { p.LatchLatencyNs = math.NaN() }},
+		{"NaN fo4", func(p *Params) { p.FO4Ns = math.NaN() }},
+		{"Inf wire", func(p *Params) { p.WireNsPerMm = math.Inf(1) }},
+		{"Inf bit area", func(p *Params) { p.BitAreaMm2 = math.Inf(1) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 
-	"xpscalar/internal/cacti"
 	"xpscalar/internal/tech"
 )
 
@@ -74,17 +73,7 @@ const (
 // Per Table 1, caches are modelled with 2 read and 2 write ports and the
 // "Access time" output component is used.
 func CacheAccessNs(g CacheGeom, t tech.Params) float64 {
-	r, err := cacti.Access(cacti.Params{
-		LineBytes:  g.BlockBytes,
-		Assoc:      g.Assoc,
-		Sets:       g.Sets,
-		ReadPorts:  2,
-		WritePorts: 2,
-	}, t)
-	if err != nil {
-		panic(err) // geometry validated by callers
-	}
-	return r.AccessNs
+	return tableFor(t).cacheNs(g, t)
 }
 
 // IQDelayNs returns the wakeup+select delay of an issue queue with the given
@@ -93,62 +82,21 @@ func CacheAccessNs(g CacheGeom, t tech.Params) float64 {
 // issue-width read ports, and select is the total data path without output
 // driver of a direct-mapped array with size sets and issue-width read ports.
 func IQDelayNs(size, width int, t tech.Params) float64 {
-	wake, err := cacti.Access(cacti.Params{
-		LineBytes:  t.IQEntryBytes,
-		Sets:       2 * size,
-		ReadPorts:  width,
-		WritePorts: 0,
-		FullyAssoc: true,
-		TagBits:    8, // physical register tags, not address tags
-	}, t)
-	if err != nil {
-		panic(err)
-	}
-	sel, err := cacti.Access(cacti.Params{
-		LineBytes:  t.IQEntryBytes,
-		Assoc:      1,
-		Sets:       size,
-		ReadPorts:  width,
-		WritePorts: 0,
-	}, t)
-	if err != nil {
-		panic(err)
-	}
-	return wake.TagCompareNs + sel.DataPathNoOutputNs
+	return tableFor(t).iqNs(size, width, t)
 }
 
 // ROBDelayNs returns the access time of the register file / ROB with the
 // given entry count and machine width. Per Table 1 it is a direct-mapped
 // array of 8-byte entries with 2×width read ports and width write ports.
 func ROBDelayNs(size, width int, t tech.Params) float64 {
-	r, err := cacti.Access(cacti.Params{
-		LineBytes:  t.IQEntryBytes,
-		Assoc:      1,
-		Sets:       size,
-		ReadPorts:  2 * width,
-		WritePorts: width,
-	}, t)
-	if err != nil {
-		panic(err)
-	}
-	return r.AccessNs
+	return tableFor(t).robNs(size, width, t)
 }
 
 // LSQDelayNs returns the search delay of a load-store queue with the given
 // entry count. Per Table 1 it is the total data path without output driver
 // of a fully-associative array with 2 read and 2 write ports.
 func LSQDelayNs(size int, t tech.Params) float64 {
-	r, err := cacti.Access(cacti.Params{
-		LineBytes:  t.IQEntryBytes,
-		Sets:       size,
-		ReadPorts:  2,
-		WritePorts: 2,
-		FullyAssoc: true,
-	}, t)
-	if err != nil {
-		panic(err)
-	}
-	return r.DataPathNoOutputNs
+	return tableFor(t).lsqNs(size, t)
 }
 
 // BudgetNs returns the usable propagation time for a unit pipelined across
@@ -218,24 +166,27 @@ func MemoryCycles(clockNs float64, t tech.Params) int {
 // [MinIQSize, MaxIQSize] whose wakeup+select delay fits the budget, or 0 if
 // even the minimum does not fit.
 func FitIQ(budgetNs float64, width int, t tech.Params) int {
+	d := tableFor(t)
 	return fitPow2(MinIQSize, MaxIQSize, func(size int) float64 {
-		return IQDelayNs(size, width, t)
+		return d.iqNs(size, width, t)
 	}, budgetNs)
 }
 
 // FitROB returns the largest power-of-two ROB / register-file size in
 // [MinROBSize, MaxROBSize] whose access fits the budget, or 0.
 func FitROB(budgetNs float64, width int, t tech.Params) int {
+	d := tableFor(t)
 	return fitPow2(MinROBSize, MaxROBSize, func(size int) float64 {
-		return ROBDelayNs(size, width, t)
+		return d.robNs(size, width, t)
 	}, budgetNs)
 }
 
 // FitLSQ returns the largest power-of-two LSQ size in
 // [MinLSQSize, MaxLSQSize] whose search fits the budget, or 0.
 func FitLSQ(budgetNs float64, t tech.Params) int {
+	d := tableFor(t)
 	return fitPow2(MinLSQSize, MaxLSQSize, func(size int) float64 {
-		return LSQDelayNs(size, t)
+		return d.lsqNs(size, t)
 	}, budgetNs)
 }
 
@@ -251,95 +202,97 @@ func fitPow2(min, max int, delay func(int) float64, budgetNs float64) int {
 	return best
 }
 
+// levelBytes returns the capacity bounds of cache level 1 or 2; any level
+// other than 2 gets the L1 bounds.
+func levelBytes(level int) (minBytes, maxBytes int) {
+	if level == 2 {
+		return MinL2Bytes, MaxL2Bytes
+	}
+	return MinL1Bytes, MaxL1Bytes
+}
+
 // FitCacheSets returns the largest power-of-two set count within the level's
 // capacity bounds for which a cache with the given block size and
 // associativity fits the budget, or 0 if none fits.
 func FitCacheSets(budgetNs float64, assoc, blockBytes int, level int, t tech.Params) int {
-	minBytes, maxBytes := MinL1Bytes, MaxL1Bytes
-	if level == 2 {
-		minBytes, maxBytes = MinL2Bytes, MaxL2Bytes
-	}
-	best := 0
-	for sets := 16; ; sets <<= 1 {
-		g := CacheGeom{Sets: sets, Assoc: assoc, BlockBytes: blockBytes}
-		size := g.SizeBytes()
-		if size > maxBytes {
-			break
-		}
-		if !Fits(CacheAccessNs(g, t), budgetNs) {
-			break
-		}
-		if size >= minBytes {
-			best = sets
-		}
-	}
-	return best
+	minBytes, maxBytes := levelBytes(level)
+	return tableFor(t).fitSets(budgetNs, assoc, blockBytes, minBytes, maxBytes, t).g.Sets
 }
 
 // cacheAssocs and cacheBlocks bound the geometry alternatives considered by
 // the fitting search; they match the ranges observed in the paper's Table 4.
 var (
-	cacheAssocs = []int{1, 2, 4, 8, 16}
-	cacheBlocks = []int{8, 16, 32, 64, 128, 256, 512}
+	cacheAssocs = [...]int{1, 2, 4, 8, 16}
+	cacheBlocks = [...]int{8, 16, 32, 64, 128, 256, 512}
 )
+
+// cacheCand is a fitting cache geometry and its access time.
+type cacheCand struct {
+	g  CacheGeom
+	ns float64
+}
+
+// fitCaches appends to dst the largest fitting geometry of every
+// associativity × block size pair that has one, in cacheAssocs-major order.
+func fitCaches(dst []cacheCand, budgetNs float64, level int, t tech.Params) []cacheCand {
+	minBytes, maxBytes := levelBytes(level)
+	d := tableFor(t)
+	for _, assoc := range cacheAssocs {
+		for _, block := range cacheBlocks {
+			if c := d.fitSets(budgetNs, assoc, block, minBytes, maxBytes, t); c.g.Sets > 0 {
+				dst = append(dst, c)
+			}
+		}
+	}
+	return dst
+}
 
 // CacheCandidates returns every geometry within the level's capacity bounds
 // whose access time fits the budget. The result is never huge (a few dozen
 // entries) and is ordered by increasing capacity then access time, so the
 // last element is the largest fitting cache.
 func CacheCandidates(budgetNs float64, level int, t tech.Params) []CacheGeom {
-	minBytes, maxBytes := MinL1Bytes, MaxL1Bytes
-	if level == 2 {
-		minBytes, maxBytes = MinL2Bytes, MaxL2Bytes
+	var buf [len(cacheAssocs) * len(cacheBlocks)]cacheCand
+	cands := fitCaches(buf[:0], budgetNs, level, t)
+	if len(cands) == 0 {
+		return nil
 	}
-	var out []CacheGeom
-	for _, assoc := range cacheAssocs {
-		for _, block := range cacheBlocks {
-			// Largest set count fitting both budget and bounds.
-			var best CacheGeom
-			for sets := 16; ; sets <<= 1 {
-				g := CacheGeom{Sets: sets, Assoc: assoc, BlockBytes: block}
-				if g.SizeBytes() > maxBytes {
-					break
-				}
-				if !Fits(CacheAccessNs(g, t), budgetNs) {
-					break
-				}
-				if g.SizeBytes() >= minBytes {
-					best = g
-				}
-			}
-			if best.Sets > 0 {
-				out = append(out, best)
-			}
-		}
+	sortGeoms(cands)
+	out := make([]CacheGeom, len(cands))
+	for i, c := range cands {
+		out[i] = c.g
 	}
-	sortGeoms(out, t)
 	return out
 }
 
-// MaxCache returns the fitting geometry with the greatest capacity (ties
-// broken by lower access time), or a zero geometry if nothing fits.
+// MaxCache returns the fitting geometry with the greatest capacity, or a
+// zero geometry if nothing fits. It is the last element of CacheCandidates,
+// so ties in capacity go to the higher access time, and among equal access
+// times to the later geometry in cacheAssocs-major order.
 func MaxCache(budgetNs float64, level int, t tech.Params) CacheGeom {
-	cands := CacheCandidates(budgetNs, level, t)
-	if len(cands) == 0 {
-		return CacheGeom{}
+	var buf [len(cacheAssocs) * len(cacheBlocks)]cacheCand
+	var best cacheCand
+	for _, c := range fitCaches(buf[:0], budgetNs, level, t) {
+		if !sortsAfter(best, c) {
+			best = c
+		}
 	}
-	return cands[len(cands)-1]
+	return best.g
 }
 
-func sortGeoms(gs []CacheGeom, t tech.Params) {
+// sortsAfter reports whether a belongs after b in CacheCandidates order.
+func sortsAfter(a, b cacheCand) bool {
+	return a.g.SizeBytes() > b.g.SizeBytes() ||
+		(a.g.SizeBytes() == b.g.SizeBytes() && a.ns > b.ns)
+}
+
+func sortGeoms(cs []cacheCand) {
 	// Insertion sort: the slices are tiny and this avoids pulling in sort
-	// for a two-key comparison.
-	for i := 1; i < len(gs); i++ {
-		for j := i; j > 0; j-- {
-			a, b := gs[j-1], gs[j]
-			if a.SizeBytes() > b.SizeBytes() ||
-				(a.SizeBytes() == b.SizeBytes() && CacheAccessNs(a, t) > CacheAccessNs(b, t)) {
-				gs[j-1], gs[j] = gs[j], gs[j-1]
-			} else {
-				break
-			}
+	// for a two-key comparison. It is stable: MaxCache picks the element
+	// it would leave last without sorting.
+	for i := 1; i < len(cs); i++ {
+		for j := i; j > 0 && sortsAfter(cs[j-1], cs[j]); j-- {
+			cs[j-1], cs[j] = cs[j], cs[j-1]
 		}
 	}
 }

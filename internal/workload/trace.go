@@ -85,6 +85,10 @@ func WriteTrace(w io.Writer, src Source, n int) error {
 	return bw.Flush()
 }
 
+// initialTraceCap caps the records ReadTrace allocates room for before
+// any has been read (160 KiB of Instr).
+const initialTraceCap = 4096
+
 // TraceReader replays a captured trace as a Source. When the consumer reads
 // past the end, the trace wraps around to the beginning (the usual
 // discipline when a simulation window exceeds the captured sample).
@@ -110,9 +114,12 @@ func ReadTrace(r io.Reader) (*TraceReader, error) {
 	if n == 0 || n > 1<<30 {
 		return nil, fmt.Errorf("workload: implausible trace length %d", n)
 	}
-	tr := &TraceReader{instrs: make([]Instr, n)}
+	// The slice grows as records arrive instead of trusting the count:
+	// a 16-byte input claiming 1<<30 records must fail on its missing
+	// body, not allocate 40 GiB first.
+	instrs := make([]Instr, 0, min(n, initialTraceCap))
 	var rec traceRecord
-	for i := range tr.instrs {
+	for i := uint64(0); i < n; i++ {
 		if err := binary.Read(br, binary.LittleEndian, &rec); err != nil {
 			return nil, fmt.Errorf("workload: trace record %d: %w", i, err)
 		}
@@ -122,16 +129,16 @@ func ReadTrace(r io.Reader) (*TraceReader, error) {
 		if rec.Src1Dist < 0 || rec.Src2Dist < 0 {
 			return nil, fmt.Errorf("workload: trace record %d has negative dependence distance", i)
 		}
-		tr.instrs[i] = Instr{
+		instrs = append(instrs, Instr{
 			Op:       Op(rec.Op),
 			Taken:    rec.Taken != 0,
 			Src1Dist: rec.Src1Dist,
 			Src2Dist: rec.Src2Dist,
 			PC:       rec.PC,
 			Addr:     rec.Addr,
-		}
+		})
 	}
-	return tr, nil
+	return &TraceReader{instrs: instrs}, nil
 }
 
 // NewTraceReaderFrom captures the next n instructions of src into an

@@ -88,4 +88,12 @@ func TestReadTraceRejectsGarbage(t *testing.T) {
 	if _, err := ReadTrace(&buf); err == nil {
 		t.Error("accepted truncated body")
 	}
+	// A bare 16-byte header claiming 1<<30 records must fail on the
+	// missing body without first allocating room for them.
+	buf.Reset()
+	buf.Write(traceMagic[:])
+	buf.Write([]byte{0, 0, 0, 0x40, 0, 0, 0, 0})
+	if _, err := ReadTrace(&buf); err == nil {
+		t.Error("accepted a header-only trace claiming 1<<30 records")
+	}
 }
