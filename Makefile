@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race race-hot bench bench-smoke bench-compare fleet-smoke e2ebench-check verify clean
+.PHONY: all build test vet race race-hot bench bench-smoke fuzz-smoke bench-compare fleet-smoke e2ebench-check verify clean
 
 all: build
 
@@ -38,6 +38,17 @@ bench:
 # that benchmark code compiles and completes, without measuring anything.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
+
+# fuzz-smoke runs every fuzz target on fresh inputs for 10 s each; a plain
+# go test only replays their seed corpora under testdata/fuzz. -fuzz takes
+# one package and one target per run. A failing input is written to that
+# package's testdata/fuzz directory.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s ./internal/evalstore
+	$(GO) test -run '^$$' -fuzz '^FuzzLookupRequest$$' -fuzztime 10s ./internal/evalremote
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 10s ./internal/workload
+	$(GO) test -run '^$$' -fuzz '^FuzzReadOutcomes$$' -fuzztime 10s ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzReadMatrix$$' -fuzztime 10s ./internal/store
 
 # bench-compare runs the kernel benchmark set fresh and diffs it against
 # the committed recording, failing past a 15% ns/op regression.

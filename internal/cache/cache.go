@@ -3,6 +3,14 @@
 // write-allocate caches with true-LRU replacement, composed into a two-level
 // hierarchy backed by a fixed-latency main memory.
 //
+// A hierarchy is built once and reconfigured between runs. Each line
+// records the generation that filled it and is valid only while that
+// generation is the cache's current one, so emptying a cache is a counter
+// bump rather than a clear, and a new geometry reuses the existing line
+// array whenever its capacity covers it. A short evaluation touches a few
+// thousand lines of an array that can hold a million, so a run pays only
+// for the lines it uses.
+//
 // Latencies live in the configuration, not the cache: the paper's
 // exploration assigns each cache level an access cycle count that its
 // geometry must fit (via the array timing model), so the hierarchy here is
@@ -57,12 +65,14 @@ func (s Stats) MissRate() float64 {
 }
 
 type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
+	tag uint64
 	// lru is a logical timestamp; the smallest value in a set is the
 	// least recently used way.
 	lru uint64
+	// gen is the generation that filled the line: the line is valid iff
+	// gen equals its cache's gen. A uint32 keeps the line at 24 bytes.
+	gen   uint32
+	dirty bool
 }
 
 // Cache is one set-associative, write-back, write-allocate cache level.
@@ -70,11 +80,12 @@ type line struct {
 //
 // The line array is flat (sets*assoc entries, row-major by set) and both
 // geometry dimensions are powers of two, so an access is two shifts and a
-// mask — the index arithmetic is precomputed once at construction, never
-// per probe.
+// mask — the index arithmetic is precomputed once per geometry, never per
+// probe.
 type Cache struct {
 	geom      timing.CacheGeom
-	sets      []line // sets*assoc lines, row-major by set
+	sets      []line // sets*assoc lines, row-major by set; cap may be larger
+	gen       uint32 // current generation; >= 1 once configured, so a zeroed line is invalid
 	blockBits uint   // log2(BlockBytes)
 	setBits   uint   // log2(Sets)
 	tagShift  uint   // blockBits + setBits: address -> tag
@@ -88,17 +99,26 @@ func New(geom timing.CacheGeom) (*Cache, error) {
 	if err := geom.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Cache{
-		geom:    geom,
-		sets:    make([]line, geom.Sets*geom.Assoc),
-		setMask: uint64(geom.Sets - 1),
+	c := new(Cache)
+	c.reconfigure(geom)
+	return c, nil
+}
+
+// reconfigure empties the cache and re-derives its index arithmetic for a
+// validated geometry. The line array is reused whenever its capacity covers
+// the geometry; it is reallocated only to grow.
+func (c *Cache) reconfigure(geom timing.CacheGeom) {
+	if n := geom.Sets * geom.Assoc; n <= cap(c.sets) {
+		c.sets = c.sets[:n]
+	} else {
+		c.sets = make([]line, n)
 	}
-	for b := geom.BlockBytes; b > 1; b >>= 1 {
-		c.blockBits++
-	}
+	c.geom = geom
+	c.blockBits = uint(log2(geom.BlockBytes))
 	c.setBits = uint(log2(geom.Sets))
 	c.tagShift = c.blockBits + c.setBits
-	return c, nil
+	c.setMask = uint64(geom.Sets - 1)
+	c.reset()
 }
 
 // Geom returns the cache geometry.
@@ -107,10 +127,17 @@ func (c *Cache) Geom() timing.CacheGeom { return c.geom }
 // Stats returns cumulative access statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// Reset clears contents and statistics, returning the cache to its
-// just-constructed state without reallocating the line array.
-func (c *Cache) Reset() {
-	clear(c.sets)
+// reset empties the cache and clears its statistics by starting a new
+// generation: every line filled before it reads as invalid. When the
+// counter wraps, the whole backing array — up to cap, not len, so lines a
+// shrink left behind cannot match a later generation after a grow — is
+// zeroed once and the count restarts at 1.
+func (c *Cache) reset() {
+	c.gen++
+	if c.gen == 0 {
+		clear(c.sets[:cap(c.sets)])
+		c.gen = 1
+	}
 	c.tick = 0
 	c.stats = Stats{}
 }
@@ -123,10 +150,11 @@ func (c *Cache) access(addr uint64, write bool) (hit, writeback bool, victimAddr
 	c.tick++
 	set := (addr >> c.blockBits) & c.setMask
 	tag := addr >> c.tagShift
+	gen := c.gen
 	ways := c.sets[set*uint64(c.geom.Assoc) : (set+1)*uint64(c.geom.Assoc)]
 	for i := range ways {
 		w := &ways[i]
-		if w.valid && w.tag == tag {
+		if w.gen == gen && w.tag == tag {
 			w.lru = c.tick
 			if write {
 				w.dirty = true
@@ -138,7 +166,7 @@ func (c *Cache) access(addr uint64, write bool) (hit, writeback bool, victimAddr
 	// Victim: first invalid way, else true-LRU.
 	victim := 0
 	for i := range ways {
-		if !ways[i].valid {
+		if ways[i].gen != gen {
 			victim = i
 			break
 		}
@@ -147,12 +175,12 @@ func (c *Cache) access(addr uint64, write bool) (hit, writeback bool, victimAddr
 		}
 	}
 	v := &ways[victim]
-	if v.valid && v.dirty {
+	if v.gen == gen && v.dirty {
 		writeback = true
 		victimAddr = (v.tag<<c.setBits | set) << c.blockBits
 		c.stats.Writebacks++
 	}
-	*v = line{tag: tag, valid: true, dirty: write, lru: c.tick}
+	*v = line{tag: tag, lru: c.tick, gen: gen, dirty: write}
 	return false, writeback, victimAddr
 }
 
@@ -163,7 +191,7 @@ func (c *Cache) Contains(addr uint64) bool {
 	tag := addr >> c.tagShift
 	ways := c.sets[set*uint64(c.geom.Assoc) : (set+1)*uint64(c.geom.Assoc)]
 	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
+		if ways[i].gen == c.gen && ways[i].tag == tag {
 			return true
 		}
 	}
@@ -179,22 +207,37 @@ func log2(v int) int {
 	return n
 }
 
-// Hierarchy is a two-level data-cache hierarchy over main memory.
+// Hierarchy is a two-level data-cache hierarchy over main memory. The
+// zero value holds no lines; Reconfigure readies it.
 type Hierarchy struct {
-	l1, l2 *Cache
+	l1, l2 Cache
 }
 
-// NewHierarchy composes an L1 and a unified L2.
+// NewHierarchy composes an empty L1 and a unified L2.
 func NewHierarchy(l1Geom, l2Geom timing.CacheGeom) (*Hierarchy, error) {
-	l1, err := New(l1Geom)
-	if err != nil {
-		return nil, fmt.Errorf("cache: L1: %w", err)
+	h := new(Hierarchy)
+	if err := h.Reconfigure(l1Geom, l2Geom); err != nil {
+		return nil, err
 	}
-	l2, err := New(l2Geom)
-	if err != nil {
-		return nil, fmt.Errorf("cache: L2: %w", err)
+	return h, nil
+}
+
+// Reconfigure empties both levels, clears their statistics and gives them
+// new geometries, reusing each level's line array whenever its capacity
+// covers the new geometry: the arrays only grow, so a hierarchy that is
+// reconfigured run after run stops allocating once it has held its
+// largest geometries. With unchanged geometries it simply empties the
+// hierarchy. On error the hierarchy is left as it was.
+func (h *Hierarchy) Reconfigure(l1Geom, l2Geom timing.CacheGeom) error {
+	if err := l1Geom.Validate(); err != nil {
+		return fmt.Errorf("cache: L1: %w", err)
 	}
-	return &Hierarchy{l1: l1, l2: l2}, nil
+	if err := l2Geom.Validate(); err != nil {
+		return fmt.Errorf("cache: L2: %w", err)
+	}
+	h.l1.reconfigure(l1Geom)
+	h.l2.reconfigure(l2Geom)
+	return nil
 }
 
 // Access performs a load (write=false) or store (write=true) and returns
@@ -216,13 +259,7 @@ func (h *Hierarchy) Access(addr uint64, write bool) Level {
 }
 
 // L1 returns the first-level cache.
-func (h *Hierarchy) L1() *Cache { return h.l1 }
+func (h *Hierarchy) L1() *Cache { return &h.l1 }
 
 // L2 returns the second-level cache.
-func (h *Hierarchy) L2() *Cache { return h.l2 }
-
-// Reset clears both levels.
-func (h *Hierarchy) Reset() {
-	h.l1.Reset()
-	h.l2.Reset()
-}
+func (h *Hierarchy) L2() *Cache { return &h.l2 }

@@ -1,9 +1,11 @@
 package cache
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"xpscalar/internal/timing"
 )
@@ -110,12 +112,119 @@ func TestContainsDoesNotPerturb(t *testing.T) {
 func TestReset(t *testing.T) {
 	c := mustCache(t, smallGeom())
 	c.access(0x40, true)
-	c.Reset()
+	c.reset()
 	if c.Stats() != (Stats{}) {
-		t.Error("Reset did not clear stats")
+		t.Error("reset did not clear stats")
 	}
 	if c.Contains(0x40) {
-		t.Error("Reset did not clear contents")
+		t.Error("reset did not clear contents")
+	}
+
+	t.Run("line stays 24 bytes", func(t *testing.T) {
+		if got := unsafe.Sizeof(line{}); got != 24 {
+			t.Errorf("sizeof(line) = %d, want 24", got)
+		}
+	})
+
+	// Block addresses below 16*32 have tag 0 in smallGeom, the tag a
+	// zeroed line holds; filled ones use nonzero tags.
+	filled := []uint64{0x1000, 0x1020, 0x2000, 0x3040}
+
+	t.Run("generation wrap", func(t *testing.T) {
+		c := mustCache(t, smallGeom())
+		c.gen = math.MaxUint32
+		for _, a := range filled {
+			c.access(a, true)
+		}
+		c.reset()
+		if c.gen != 1 {
+			t.Errorf("gen after wrap = %d, want 1", c.gen)
+		}
+		for _, a := range append(filled, 0, 0x20) {
+			if c.Contains(a) {
+				t.Errorf("%#x resident after a wrapping reset", a)
+			}
+		}
+		if hit, wb, _ := c.access(0, false); hit || wb {
+			t.Errorf("access(0) after a wrapping reset: hit=%v writeback=%v, want a clean miss", hit, wb)
+		}
+	})
+
+	t.Run("shrink then grow across a wrap", func(t *testing.T) {
+		big := timing.CacheGeom{Sets: 64, Assoc: 2, BlockBytes: 32}
+		c := mustCache(t, big)
+		// Fill at gen 2, in sets past the small geometry: the regrow
+		// below lands on gen 2 again.
+		c.reset()
+		high := []uint64{48 * 32, 50*32 + 64*32, 63 * 32}
+		for _, a := range high {
+			c.access(a, true)
+		}
+		c.reconfigure(smallGeom()) // shrink: those lines now sit past len
+		c.gen = math.MaxUint32
+		c.reset() // wraps to 1 while len < cap
+		c.reconfigure(big)
+		if c.gen != 2 || cap(c.sets) != 128 {
+			t.Fatalf("after regrow gen=%d cap=%d, want gen 2 in the original 128-line array", c.gen, cap(c.sets))
+		}
+		for _, a := range high {
+			if c.Contains(a) {
+				t.Errorf("%#x, filled before the shrink, is resident after the regrow", a)
+			}
+			if hit, wb, _ := c.access(a, false); hit || wb {
+				t.Errorf("access(%#x) after the regrow: hit=%v writeback=%v, want a clean miss", a, hit, wb)
+			}
+		}
+	})
+}
+
+func TestHierarchyReconfigure(t *testing.T) {
+	l1 := timing.CacheGeom{Sets: 64, Assoc: 2, BlockBytes: 32}
+	l2 := timing.CacheGeom{Sets: 512, Assoc: 4, BlockBytes: 64}
+	h, err := NewHierarchy(l1, l2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Access(0x1000, true)
+
+	small1 := timing.CacheGeom{Sets: 16, Assoc: 1, BlockBytes: 32}
+	small2 := timing.CacheGeom{Sets: 64, Assoc: 2, BlockBytes: 128}
+	if err := h.Reconfigure(small1, small2); err != nil {
+		t.Fatal(err)
+	}
+	if h.L1().Geom() != small1 || h.L2().Geom() != small2 {
+		t.Errorf("geometries = %v, %v; want %v, %v", h.L1().Geom(), h.L2().Geom(), small1, small2)
+	}
+	if h.L1().Stats() != (Stats{}) || h.L2().Stats() != (Stats{}) || h.L1().Contains(0x1000) || h.L2().Contains(0x1000) {
+		t.Error("Reconfigure did not empty the hierarchy")
+	}
+	if c1, c2 := cap(h.l1.sets), cap(h.l2.sets); c1 != 128 || c2 != 2048 {
+		t.Errorf("shrink reallocated: caps %d, %d; want the original 128, 2048", c1, c2)
+	}
+
+	bad := timing.CacheGeom{Sets: 3, Assoc: 1, BlockBytes: 32}
+	if err := h.Reconfigure(l1, bad); err == nil {
+		t.Error("Reconfigure accepted a non-power-of-two L2")
+	}
+	if h.L1().Geom() != small1 {
+		t.Error("a failed Reconfigure changed the L1")
+	}
+
+	// Every access sequence must see the hierarchy a fresh NewHierarchy
+	// would build, whatever geometries it held before.
+	if err := h.Reconfigure(l1, l2); err != nil {
+		t.Fatal(err)
+	}
+	fresh, _ := NewHierarchy(l1, l2)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 5000; i++ {
+		addr, write := uint64(rng.Intn(1<<16)), rng.Intn(4) == 0
+		if got, want := h.Access(addr, write), fresh.Access(addr, write); got != want {
+			t.Fatalf("access %d (%#x): reconfigured hierarchy served %v, fresh %v", i, addr, got, want)
+		}
+	}
+	if h.L1().Stats() != fresh.L1().Stats() || h.L2().Stats() != fresh.L2().Stats() {
+		t.Errorf("stats diverged: %+v/%+v vs %+v/%+v", h.L1().Stats(), h.L2().Stats(), fresh.L1().Stats(), fresh.L2().Stats())
 	}
 }
 

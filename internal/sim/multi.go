@@ -13,7 +13,6 @@ import (
 	"xpscalar/internal/cache"
 	"xpscalar/internal/pipeline"
 	"xpscalar/internal/tech"
-	"xpscalar/internal/timing"
 	"xpscalar/internal/workload"
 )
 
@@ -45,14 +44,14 @@ func coreParams(c Config) pipeline.Params {
 // lane is one configuration's reusable scratch state inside a MultiRunner.
 // Predictor tables are reused when consecutive runs on the lane share a
 // predictor configuration (the paper holds it fixed across the whole
-// search), and cache arrays when both geometries match the previous run;
-// otherwise they are reallocated.
+// search), and are reallocated otherwise. The cache hierarchy is
+// reconfigured in place for every run, so its line arrays are reused
+// whatever geometry the run brings and grow only to the largest one the
+// lane has held.
 type lane struct {
 	predCfg bpred.Config
 	pred    bpred.Predictor
-
-	l1Geom, l2Geom timing.CacheGeom
-	mem            *cache.Hierarchy
+	mem     cache.Hierarchy
 }
 
 // MultiRunner evaluates groups of configurations against one instruction
@@ -115,18 +114,12 @@ func (r *MultiRunner) RunSource(dst []Result, cs []Config, src workload.Source, 
 			}
 			ln.pred, ln.predCfg = pred, c.Bpred
 		}
-		if ln.mem != nil && ln.l1Geom == c.L1D && ln.l2Geom == c.L2 {
-			ln.mem.Reset()
-		} else {
-			mem, err := cache.NewHierarchy(c.L1D, c.L2)
-			if err != nil {
-				return fmt.Errorf("sim: lockstep lane %d: %w", i, err)
-			}
-			ln.mem, ln.l1Geom, ln.l2Geom = mem, c.L1D, c.L2
+		if err := ln.mem.Reconfigure(c.L1D, c.L2); err != nil {
+			return fmt.Errorf("sim: lockstep lane %d: %w", i, err)
 		}
 		params[i] = coreParams(*c)
 		preds[i] = ln.pred
-		mems[i] = ln.mem
+		mems[i] = &ln.mem
 	}
 	if err := r.multi.Run(out, params, src, preds, mems, n); err != nil {
 		return fmt.Errorf("sim: lockstep: %w", err)

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"xpscalar/internal/pipeline"
 	"xpscalar/internal/tech"
 	"xpscalar/internal/timing"
 	"xpscalar/internal/workload"
@@ -153,10 +155,17 @@ func TestQuickLockstepMatchesReference(t *testing.T) {
 // over random valid configurations and budgets: a core commits at most
 // Width instructions per cycle; every load is served by exactly one level;
 // every load and store accesses L1 once; a load served below L1 missed
-// L1; and a load served by memory missed L2.
+// L1; a load served by memory missed L2; L1 misses at least once per
+// distinct block the stream touches (compulsory misses); and no run is
+// shorter than the stream's critical path, the longest dependence chain
+// weighted by each instruction's minimum execution latency. Each draw runs
+// twice: fresh, and on one MultiRunner reused across all draws, so its lane
+// meets cache geometry changes in both directions and a line left over
+// from an earlier geometry shows up as a missing compulsory miss.
 func TestQuickKernelBounds(t *testing.T) {
 	tp := tech.Default()
 	suite := workload.Suite()
+	var mr MultiRunner
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		cfg, ok := randomValidConfig(rng, tp)
@@ -165,39 +174,79 @@ func TestQuickKernelBounds(t *testing.T) {
 		}
 		prof := suite[rng.Intn(len(suite))]
 		n := 1000 + rng.Intn(4001)
-		var loads, stores uint64
+
+		// Each op's minimum execution latency, issue to result, mirroring
+		// pipeline.Core's aluLatency and memLatency (a load at best hits
+		// L1).
+		p := coreParams(cfg)
+		s := uint64(p.SchedStages - 1)
+		weight := [...]uint64{
+			workload.OpIALU:   1,
+			workload.OpBranch: s + 1,
+			workload.OpIMul:   s + uint64(p.MulLat),
+			workload.OpIDiv:   s + uint64(p.DivLat),
+			workload.OpStore:  s + uint64(p.LSQStages),
+			workload.OpLoad:   s + uint64(p.LSQStages) + uint64(p.LatL1),
+		}
+		blockShift := bits.TrailingZeros(uint(cfg.L1D.BlockBytes))
+		var loads, stores, critPath uint64
+		blocks := map[uint64]bool{}
+		depth := make([]uint64, n) // longest weighted chain ending at each instruction
 		gen := generator(t, prof)
-		for i := 0; i < n; i++ {
+		for i := range depth {
 			var ins workload.Instr
 			gen.Next(&ins)
 			switch ins.Op {
 			case workload.OpLoad:
 				loads++
+				blocks[ins.Addr>>blockShift] = true
 			case workload.OpStore:
 				stores++
+				blocks[ins.Addr>>blockShift] = true
 			}
+			var ready uint64
+			for _, d := range [2]int32{ins.Src1Dist, ins.Src2Dist} {
+				if d > 0 && int(d) <= i {
+					ready = max(ready, depth[i-int(d)])
+				}
+			}
+			depth[i] = ready + weight[ins.Op]
+			critPath = max(critPath, depth[i])
 		}
-		r, err := Run(cfg, prof, n, tp)
+
+		fresh, err := Run(cfg, prof, n, tp)
 		if err != nil {
 			t.Logf("%v on %s: %v", cfg, prof.Name, err)
 			return false
 		}
-		res := r.Result
-		bounds := []struct {
-			name string
-			ok   bool
-		}{
-			{"Cycles*Width >= Instructions", res.Cycles*uint64(cfg.Width) >= res.Instructions},
-			{"LoadsL1+LoadsL2+LoadsMem == loads", res.LoadsL1+res.LoadsL2+res.LoadsMem == loads},
-			{"L1.Accesses == loads+stores", res.L1.Accesses == loads+stores},
-			{"LoadsL2+LoadsMem <= L1.Misses", res.LoadsL2+res.LoadsMem <= res.L1.Misses},
-			{"LoadsMem <= L2.Misses", res.LoadsMem <= res.L2.Misses},
+		reused := make([]Result, 1)
+		if err := mr.RunSource(reused, []Config{cfg}, generator(t, prof), prof.Name, n, tp); err != nil {
+			t.Logf("%v on %s, reused runner: %v", cfg, prof.Name, err)
+			return false
 		}
-		for _, b := range bounds {
-			if !b.ok {
-				t.Logf("%s violated by %v on %s (n=%d, %d loads, %d stores): %+v",
-					b.name, cfg, prof.Name, n, loads, stores, res)
-				return false
+		for _, run := range []struct {
+			name string
+			res  pipeline.Result
+		}{{"fresh", fresh.Result}, {"reused runner", reused[0].Result}} {
+			res := run.res
+			bounds := []struct {
+				name string
+				ok   bool
+			}{
+				{"Cycles*Width >= Instructions", res.Cycles*uint64(cfg.Width) >= res.Instructions},
+				{"LoadsL1+LoadsL2+LoadsMem == loads", res.LoadsL1+res.LoadsL2+res.LoadsMem == loads},
+				{"L1.Accesses == loads+stores", res.L1.Accesses == loads+stores},
+				{"LoadsL2+LoadsMem <= L1.Misses", res.LoadsL2+res.LoadsMem <= res.L1.Misses},
+				{"LoadsMem <= L2.Misses", res.LoadsMem <= res.L2.Misses},
+				{"L1.Misses >= distinct L1D blocks", res.L1.Misses >= uint64(len(blocks))},
+				{"Cycles >= critical path", res.Cycles >= critPath},
+			}
+			for _, b := range bounds {
+				if !b.ok {
+					t.Logf("%s violated (%s) by %v on %s (n=%d, %d loads, %d stores, %d blocks, critical path %d): %+v",
+						b.name, run.name, cfg, prof.Name, n, loads, stores, len(blocks), critPath, res)
+					return false
+				}
 			}
 		}
 		return true

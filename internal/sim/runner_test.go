@@ -62,30 +62,48 @@ func TestRunnerMatchesFreshRun(t *testing.T) {
 
 // TestRunnerSteadyStateAllocs is the allocation-free kernel guard: once a
 // MultiRunner's arenas are warm and the instruction source is replayed in
-// place, a one-lane evaluation must not allocate.
+// place, a one-lane evaluation must not allocate — also when consecutive
+// runs change the cache geometries, as annealing moves do.
 func TestRunnerSteadyStateAllocs(t *testing.T) {
 	tp := tech.Default()
-	cs := []Config{InitialConfig(tp)}
+	base := InitialConfig(tp)
+	smaller := base
+	smaller.L1D = timing.CacheGeom{Sets: 128, Assoc: 2, BlockBytes: 32} // 8K
+	smaller.L2 = timing.CacheGeom{Sets: 1024, Assoc: 4, BlockBytes: 64} // 256K
 	prof, _ := workload.ByName("gzip")
 	const n = 5000
 
-	tr := workload.NewTraceReaderFrom(generator(t, prof), n)
-	dst := make([]Result, 1)
-	var r MultiRunner
-	// Warm the arenas, predictor and caches.
-	if err := r.RunSource(dst, cs, tr, "gzip", n, tp); err != nil {
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(10, func() {
-		tr.Reset()
-		if err := r.RunSource(dst, cs, tr, "gzip", n, tp); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// ~0 with a little slack for runtime noise; the seed kernel sat at
-	// ~21k allocations per run here.
-	if avg > 2 {
-		t.Errorf("steady-state evaluation allocates %.1f times per run, want ~0", avg)
+	for _, tc := range []struct {
+		name string
+		cfgs []Config // run in turn, one per evaluation
+	}{
+		{"same config", []Config{base}},
+		{"alternating cache geometries, larger first", []Config{base, smaller}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := workload.NewTraceReaderFrom(generator(t, prof), n)
+			dst := make([]Result, 1)
+			var r MultiRunner
+			run := 0
+			next := func() {
+				tr.Reset()
+				cs := tc.cfgs[run%len(tc.cfgs) : run%len(tc.cfgs)+1]
+				run++
+				if err := r.RunSource(dst, cs, tr, "gzip", n, tp); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Warm the arenas, predictor and caches.
+			for range tc.cfgs {
+				next()
+			}
+			avg := testing.AllocsPerRun(10, next)
+			// ~0 with a little slack for runtime noise; the seed kernel sat
+			// at ~21k allocations per run here.
+			if avg > 2 {
+				t.Errorf("steady-state evaluation allocates %.1f times per run, want ~0", avg)
+			}
+		})
 	}
 }
 

@@ -80,7 +80,9 @@ func InitialConfig(t tech.Params) Config {
 	}
 }
 
-// Validate checks structural sanity and, crucially, the paper's fit
+// Validate checks structural sanity — including a finite clock and cache
+// capacities within timing.MaxL1Bytes and timing.MaxL2Bytes, which bound
+// what a simulation allocates — and, crucially, the paper's fit
 // discipline: each unit's access time must fit within the product of the
 // clock period and the pipeline depth assigned to it, minus latch overhead.
 func (c Config) Validate(t tech.Params) error {
@@ -88,6 +90,9 @@ func (c Config) Validate(t tech.Params) error {
 		return fmt.Errorf("sim: %w", err)
 	}
 	switch {
+	case math.IsNaN(c.ClockNs) || math.IsInf(c.ClockNs, 0):
+		// At an infinite period every delay fits every budget.
+		return fmt.Errorf("sim: clock %vns is not finite", c.ClockNs)
 	case c.ClockNs < t.MinClockPeriodNs():
 		return fmt.Errorf("sim: clock %.3fns below technology minimum %.3fns", c.ClockNs, t.MinClockPeriodNs())
 	case c.Width < 1 || c.Width > 16:
@@ -119,6 +124,16 @@ func (c Config) Validate(t tech.Params) error {
 	if err := c.L2.Validate(); err != nil {
 		return fmt.Errorf("sim: L2: %w", err)
 	}
+	// The fit ranges' own upper bounds cap what a simulation allocates:
+	// at a slow enough clock any geometry fits its latency budget.
+	if !withinBytes(c.L1D, timing.MaxL1Bytes) {
+		return fmt.Errorf("sim: L1D of %d sets x %d ways x %dB above the %dB limit",
+			c.L1D.Sets, c.L1D.Assoc, c.L1D.BlockBytes, timing.MaxL1Bytes)
+	}
+	if !withinBytes(c.L2, timing.MaxL2Bytes) {
+		return fmt.Errorf("sim: L2 of %d sets x %d ways x %dB above the %dB limit",
+			c.L2.Sets, c.L2.Assoc, c.L2.BlockBytes, timing.MaxL2Bytes)
+	}
 	if err := c.Bpred.Validate(); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
@@ -141,6 +156,13 @@ func (c Config) Validate(t tech.Params) error {
 		return fmt.Errorf("sim: L2 %v access %.3fns exceeds %d-cycle budget %.3fns", c.L2, d, c.L2Lat, b)
 	}
 	return nil
+}
+
+// withinBytes reports whether a validated geometry holds at most limit
+// bytes. It bounds each factor before multiplying, so a huge geometry
+// cannot overflow into a small capacity.
+func withinBytes(g timing.CacheGeom, limit int) bool {
+	return g.Sets <= limit && g.Assoc <= limit/g.Sets && g.BlockBytes <= limit/(g.Sets*g.Assoc)
 }
 
 // FrequencyGHz returns the clock frequency of the configuration.

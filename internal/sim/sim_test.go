@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -57,13 +58,30 @@ func TestValidateEnforcesFitDiscipline(t *testing.T) {
 		{"ROB cannot fit budget", func(c *Config) { c.ROBSize = 2048; c.ClockNs = 0.33 }, "ROB"},
 		{"LSQ cannot fit budget", func(c *Config) { c.LSQSize = 512; c.LSQDepth = 1 }, "LSQ"},
 		{"L1 too big for latency", func(c *Config) {
-			c.L1D = timing.CacheGeom{Sets: 16384, Assoc: 8, BlockBytes: 64}
+			c.L1D = timing.CacheGeom{Sets: 1024, Assoc: 8, BlockBytes: 64} // 512K, within MaxL1Bytes
 			c.L1DLat = 1
 		}, "L1D"},
 		{"L2 too big for latency", func(c *Config) {
-			c.L2 = timing.CacheGeom{Sets: 8192, Assoc: 16, BlockBytes: 512}
+			c.L2 = timing.CacheGeom{Sets: 8192, Assoc: 16, BlockBytes: 64} // 8M, within MaxL2Bytes
 			c.L2Lat = 4
 		}, "L2"},
+		// At a slow enough clock every budget fits, so only the size
+		// limits stop a geometry no simulation could allocate.
+		{"infinite clock", func(c *Config) { c.ClockNs = math.Inf(1) }, "not finite"},
+		{"NaN clock", func(c *Config) { c.ClockNs = math.NaN() }, "not finite"},
+		{"huge L2 at a slow clock", func(c *Config) {
+			c.ClockNs = 1e6
+			c.L2 = timing.CacheGeom{Sets: 1 << 34, Assoc: 1, BlockBytes: 8} // 128 GiB
+		}, "L2 of 17179869184 sets"},
+		{"L1 above its limit at a slow clock", func(c *Config) {
+			c.ClockNs = 1e6
+			c.L1D = timing.CacheGeom{Sets: 2048, Assoc: 8, BlockBytes: 64} // 1M
+		}, "above the 524288B limit"},
+		{"geometry whose capacity overflows", func(c *Config) {
+			c.ClockNs = 1e6
+			// 2 x (2^60+1) x 8 bytes wraps to 16 in an int.
+			c.L1D = timing.CacheGeom{Sets: 2, Assoc: 1<<60 + 1, BlockBytes: 8}
+		}, "L1D of 2 sets"},
 		{"wakeup below sched depth", func(c *Config) { c.SchedDepth = 3; c.WakeupMinLat = 0 }, "wakeup"},
 		{"unordered latencies", func(c *Config) { c.L2Lat = 2 }, "ordered"},
 	}
