@@ -12,8 +12,9 @@
 //	          [-cpuprofile file] [-memprofile file]
 //
 // Matrices go to stdout; diagnostics go to stderr. With -source sim, -trace
-// records the regeneration pipeline (annealing steps, evaluations, matrix
-// cells) and -metrics-addr serves live Prometheus metrics. Each matrix row
+// records the regeneration pipeline as one span stream (annealing steps,
+// evaluations, matrix rows) and -metrics-addr serves live Prometheus
+// metrics. Each matrix row
 // — every customized configuration against one workload — is simulated as
 // one lockstep group over a single replay of that workload's stream.
 package main
@@ -95,7 +96,7 @@ func run(ctx context.Context) error {
 	ctx = tel.Context(ctx)
 
 	m, err := cli.LoadMatrix(ctx, *source, cli.MatrixOptions{
-		Instructions: *n, Iterations: *iters, Seed: *seed, Telemetry: tel, Session: sess,
+		Instructions: *n, Iterations: *iters, Seed: *seed, Session: sess,
 	})
 	if err != nil {
 		return err

@@ -67,7 +67,6 @@ func run(ctx context.Context) error {
 	ctx = tel.Context(ctx)
 
 	mo := cli.DefaultMatrixOptions()
-	mo.Telemetry = tel
 	mo.Session = sess
 	m, err := cli.LoadMatrix(ctx, *source, mo)
 	if err != nil {

@@ -20,7 +20,6 @@ import (
 	"testing"
 	"time"
 
-	"xpscalar/internal/telemetry"
 	"xpscalar/internal/tracing"
 )
 
@@ -37,7 +36,7 @@ func buildServer(t *testing.T) string {
 
 // startPeerCmd launches xpserved on an ephemeral port with extra flags
 // and waits until it serves. The caller owns the process: kill it hard,
-// or SIGTERM it when the test needs the graceful path (span flush).
+// or SIGTERM it when the test needs the graceful path (trace close).
 func startPeerCmd(t *testing.T, bin, cacheDir string, extra ...string) (base string, cmd *exec.Cmd) {
 	t.Helper()
 	addrFile := filepath.Join(t.TempDir(), "addr")
@@ -144,25 +143,15 @@ func runExplore(t *testing.T, bin, dir, trace string, extra ...string) string {
 	return stdout.String()
 }
 
-// readSummary parses the trace's closing run summary.
-func readSummary(t *testing.T, dir, trace string) *telemetry.RunSummary {
+// readSummary parses the engine counters the trace's closing run span
+// carries.
+func readSummary(t *testing.T, dir, trace string) *tracing.RunAttrs {
 	t.Helper()
-	f, err := os.Open(filepath.Join(dir, trace))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	events, err := telemetry.ReadEvents(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	last, err := events[len(events)-1].Decode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, ok := last.(*telemetry.RunSummary)
-	if !ok {
-		t.Fatalf("trace %s does not end in a summary", trace)
+	_, spans := readSpanFile(t, filepath.Join(dir, trace))
+	last := spans[len(spans)-1]
+	s, ok := last.Attrs.(*tracing.RunAttrs)
+	if last.Kind != tracing.KindRun || !ok {
+		t.Fatalf("trace %s does not end in the run span", trace)
 	}
 	return s
 }
@@ -232,7 +221,7 @@ func buildXptrace(t *testing.T) string {
 	return bin
 }
 
-// readSpanFile loads one span stream from disk.
+// readSpanFile loads one trace from disk.
 func readSpanFile(t *testing.T, path string) (tracing.Meta, []tracing.Span) {
 	t.Helper()
 	f, err := os.Open(path)
@@ -249,13 +238,13 @@ func readSpanFile(t *testing.T, path string) (tracing.Meta, []tracing.Span) {
 
 // TestFleetTracePropagation is the distributed-tracing contract over two
 // real processes: a cold client with a pinned trace ID explores against a
-// warm xpserved peer, both record span streams, and the two streams stitch
-// into ONE trace — the peer's serve.* handler spans carry the client's
-// trace ID and point (via remote parents) at the client's remote-tier
-// spans, which chain up through an eval span to the client's root run
-// span. Along the way the observability plumbing must stay inert: Table 4
-// stdout byte-identical to the untraced reference, and xptrace diff exit 0
-// across the propagation flags.
+// warm xpserved peer, both write -trace files, and the two stitch into ONE
+// trace — the peer's serve.* handler spans carry the client's trace ID and
+// point (via remote parents) at the client's remote-tier spans, which
+// chain up through an eval span to the client's root run span. The peer's
+// file grows while it serves, not only at shutdown. Along the way the
+// observability plumbing must stay inert: Table 4 stdout byte-identical to
+// the reference, and xptrace diff exit 0 across the propagation flags.
 func TestFleetTracePropagation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs three real binaries")
@@ -268,8 +257,8 @@ func TestFleetTracePropagation(t *testing.T) {
 	// Reference: a plain local run — the byte-identity baseline.
 	reference := runExplore(t, bin, dir, "ref.jsonl")
 
-	peerSpans := filepath.Join(dir, "peer.spans")
-	base, cmd := startPeerCmd(t, srvBin, filepath.Join(dir, "peer-cache"), "-spans", peerSpans)
+	peerSpans := filepath.Join(dir, "peer.trace")
+	base, cmd := startPeerCmd(t, srvBin, filepath.Join(dir, "peer-cache"), "-trace", peerSpans)
 	stopped := false
 	defer func() {
 		if !stopped {
@@ -282,9 +271,9 @@ func TestFleetTracePropagation(t *testing.T) {
 	// Cold client against the warm peer, joining a pinned trace ID so the
 	// assertion below needs no plumbing to learn it.
 	const traceID = "c0ffee0123456789"
-	clientSpans := filepath.Join(dir, "client.spans")
+	clientSpans := filepath.Join(dir, "traced.jsonl")
 	traced := runExplore(t, bin, dir, "traced.jsonl",
-		"-cache-peers", base, "-spans", clientSpans, "-trace-id", traceID)
+		"-cache-peers", base, "-trace-id", traceID)
 	if traced != reference {
 		t.Fatalf("propagation changed Table 4:\n%s\nvs\n%s", traced, reference)
 	}
@@ -300,7 +289,13 @@ func TestFleetTracePropagation(t *testing.T) {
 		t.Fatalf("diff flagged a propagating run as drift: %v\n%s", err, out)
 	}
 
-	// Graceful stop: SIGTERM makes the peer drain and flush its span stream.
+	// The peer's file is written as it serves: the client's cache requests
+	// are already in it while the peer is still up.
+	if _, live := readSpanFile(t, peerSpans); len(live) == 0 {
+		t.Fatal("peer trace holds no spans while serving")
+	}
+
+	// Graceful stop: SIGTERM makes the peer drain and close its trace.
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}

@@ -8,13 +8,14 @@
 //
 //	xpscalar [-workload name] [-iterations n] [-chains n] [-short n] [-long n] [-seed n]
 //	         [-neighborhood k] [-timeout d] [-evalstats]
-//	         [-cache-dir dir] [-cache-peers urls] [-trace file] [-spans file]
+//	         [-cache-dir dir] [-cache-peers urls] [-trace file]
 //	         [-metrics-addr addr] [-progress] [-log-level l] [-log-format text|json]
 //	         [-cpuprofile file] [-memprofile file]
 //
 // The Table 4 analogue goes to stdout; diagnostics (wall time, -evalstats,
-// -progress) go to stderr. -trace writes a structured JSONL run trace,
-// -spans records hierarchical execution spans for cmd/xptrace, and
+// -progress) go to stderr. -trace writes the run's span stream for
+// cmd/xptrace — every annealing step, evaluation and chain as it ends,
+// framed by the run manifest and the engine's counters — and
 // -metrics-addr serves live Prometheus metrics while the search runs.
 //
 // Every simulation runs as a lockstep group over one shared replay of the
@@ -124,7 +125,6 @@ func run(ctx context.Context) error {
 	}()
 
 	opt := explore.DefaultOptions(*seed)
-	opt.Observer = tel.ExploreObserver()
 	opt.Iterations = *iters
 	opt.Chains = *chains
 	opt.ShortBudget = *short

@@ -1,7 +1,8 @@
 // End-to-end interruption tests: build the real binary, interrupt a real
 // run, and verify the contract of the graceful-shutdown path — a distinct
-// exit status, a parseable (complete, summary-terminated) JSONL trace, and
-// a valid saved-outcomes file holding exactly the workloads that finished.
+// exit status, a parseable span stream (manifest first, run span with the
+// summary last), and a valid saved-outcomes file holding exactly the
+// workloads that finished.
 
 package main
 
@@ -16,7 +17,7 @@ import (
 
 	"xpscalar/internal/store"
 	"xpscalar/internal/tech"
-	"xpscalar/internal/telemetry"
+	"xpscalar/internal/tracing"
 )
 
 // buildBinary compiles cmd/xpscalar into a temporary directory once per
@@ -59,7 +60,7 @@ func TestInterruptGracefulShutdown(t *testing.T) {
 	savePath := filepath.Join(dir, "outs.json")
 
 	// GOMAXPROCS=2 staggers workload completion: two at a time across the
-	// eleven-workload suite, so an interrupt after the first chain_result
+	// eleven-workload suite, so an interrupt after the first chain span
 	// lands mid-suite deterministically — some workloads done, most not.
 	cmd := exec.Command(bin,
 		"-iterations", "2000", "-chains", "1", "-short", "2000", "-long", "4000",
@@ -72,8 +73,8 @@ func TestInterruptGracefulShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Wait until at least one workload's chain has completed (its
-	// chain_result flushed through the sink's buffer), then interrupt.
+	// Wait until at least one workload's chain has completed (its chain
+	// span flushed through the stream's buffer), then interrupt.
 	deadline := time.Now().Add(3 * time.Minute)
 	for {
 		if time.Now().After(deadline) {
@@ -82,7 +83,7 @@ func TestInterruptGracefulShutdown(t *testing.T) {
 			t.Fatalf("no chain completed before the deadline\nstderr: %s", stderr.Bytes())
 		}
 		data, _ := os.ReadFile(tracePath)
-		if bytes.Contains(data, []byte(`"event":"chain_result"`)) {
+		if bytes.Contains(data, []byte(`"kind":"chain"`)) {
 			break
 		}
 		time.Sleep(50 * time.Millisecond)
@@ -104,26 +105,25 @@ func TestInterruptGracefulShutdown(t *testing.T) {
 
 	// The trace was flushed on the way out: every line parses, the run
 	// manifest opens it and the summary closes it.
+	// Every line parses, the header (with the manifest) comes first, and
+	// the run span (with the engine's counters) comes last.
 	f, ferr := os.Open(tracePath)
 	if ferr != nil {
 		t.Fatal(ferr)
 	}
 	defer f.Close()
-	events, ferr := telemetry.ReadEvents(f)
+	meta, spans, ferr := tracing.ReadSpans(f)
 	if ferr != nil {
 		t.Fatalf("interrupted trace unparseable: %v", ferr)
 	}
-	if len(events) < 2 {
-		t.Fatalf("trace holds %d events", len(events))
+	if meta.Manifest == nil || meta.Tool != "xpscalar" {
+		t.Fatalf("trace header %+v lacks the manifest", meta)
 	}
-	if events[0].Event != "manifest" || events[len(events)-1].Event != "summary" {
-		t.Fatalf("trace not properly framed: first %q, last %q",
-			events[0].Event, events[len(events)-1].Event)
+	if len(spans) < 2 {
+		t.Fatalf("trace holds %d spans", len(spans))
 	}
-	for i, e := range events {
-		if _, derr := e.Decode(); derr != nil {
-			t.Fatalf("trace event %d undecodable: %v", i, derr)
-		}
+	if last := spans[len(spans)-1]; last.Kind != tracing.KindRun || last.Attrs == nil {
+		t.Fatalf("trace not properly framed: last span %+v, want the run span with its summary", last)
 	}
 
 	// The completed workloads were persisted, and only those: the file is
@@ -167,26 +167,7 @@ func TestWarmStartFromCacheDir(t *testing.T) {
 		}
 		return stdout.String()
 	}
-	summary := func(trace string) *telemetry.RunSummary {
-		f, err := os.Open(filepath.Join(dir, trace))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		events, err := telemetry.ReadEvents(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		last, err := events[len(events)-1].Decode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, ok := last.(*telemetry.RunSummary)
-		if !ok {
-			t.Fatalf("trace %s does not end in a summary", trace)
-		}
-		return s
-	}
+	summary := func(trace string) *tracing.RunAttrs { return readSummary(t, dir, trace) }
 
 	cold := run("cold.jsonl")
 	warm := run("warm.jsonl")

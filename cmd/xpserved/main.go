@@ -15,14 +15,14 @@
 //
 //	xpserved [-addr host:port] [-addr-file file] [-cache-dir dir]
 //	         [-cache-peers urls] [-max-jobs n] [-backlog n]
-//	         [-spans file] [-log-level l] [-log-format text|json]
+//	         [-trace file] [-log-level l] [-log-format text|json]
 //
 // API:
 //
 //	POST   /v1/jobs             submit a job: {"kind": "explore"|"matrix"|"subsetting", ...}
 //	GET    /v1/jobs             list jobs
 //	GET    /v1/jobs/{id}        status (+ result once done)
-//	GET    /v1/jobs/{id}/events tail the job's JSONL telemetry (curl -N)
+//	GET    /v1/jobs/{id}/events tail the job's span stream (curl -N)
 //	DELETE /v1/jobs/{id}        cancel
 //	GET    /v1/status           this process's self-report (build, capacity, jobs, cache)
 //	GET    /readyz              readiness: 503 on shutdown, a full backlog or a vanished -cache-dir
@@ -31,6 +31,11 @@
 //	POST   /v1/cache/lookup     fleet cache: batched multi-get
 //	GET    /metrics             Prometheus metrics (engine + cache tiers + job gauges)
 //	GET    /healthz, /buildinfo, /debug/pprof/...
+//
+// Each job's spans stream to its own event stream. -trace records the
+// server's own spans — the cache handlers, which continue their callers'
+// traces — as a span stream in the same format as every other tool's
+// -trace file, written as each request completes.
 //
 // SIGINT/SIGTERM shuts down gracefully: in-flight jobs are cancelled,
 // their clients' event streams end, and the persistent tiers are flushed
@@ -67,7 +72,7 @@ func run(ctx context.Context) error {
 		addrFile  = flag.String("addr-file", "", "write the bound listen address to this file once serving")
 		maxJobs   = flag.Int("max-jobs", 2, "jobs running concurrently")
 		backlog   = flag.Int("backlog", 16, "queued jobs accepted beyond the running ones")
-		spansPath = flag.String("spans", "", "record execution spans (jobs, cache serves, continued client traces) to this file on shutdown")
+		tracePath = flag.String("trace", "", "write the server's span stream (cache serves, continued client traces) to this file")
 	)
 	var rcfg cli.RunConfig
 	rcfg.RegisterFlags()
@@ -87,12 +92,35 @@ func run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	// With -spans, every handler and job records into one process-wide
-	// recorder; its stream (written on shutdown) carries this server's
-	// trace ID plus the trace IDs of every client whose requests it served.
+	// With -trace, every cache handler records into one process-wide
+	// recorder whose stream carries this server's trace ID plus the trace
+	// IDs of every client whose requests it served. A handler's span is a
+	// root, so the file is flushed as each request completes.
 	var rec *tracing.Recorder
-	if *spansPath != "" {
-		rec = tracing.NewRecorder()
+	if *tracePath != "" {
+		f, err := os.Create(*tracePath)
+		if err != nil {
+			return err
+		}
+		var stream *tracing.StreamWriter
+		rec = tracing.NewRecorderFunc(func(s tracing.Span) {
+			stream.Write(s)
+			if s.Parent == 0 {
+				stream.Flush()
+			}
+		})
+		stream = tracing.NewStreamWriter(f, tracing.Meta{Tool: "xpserved", TraceID: rec.TraceID(), OriginUnixNs: rec.Origin()})
+		defer func() {
+			n := stream.Len()
+			if err := stream.Close(); err != nil {
+				slog.Error("trace close", "err", err)
+				return
+			}
+			slog.Info("trace written", "spans", n, "path", *tracePath)
+		}()
+		// The header goes out at once, so the file is a valid stream from
+		// the start; a write error is sticky and reported by Close.
+		stream.Flush()
 	}
 	sess := session.New(session.Options{
 		Engine:   evalengine.Options{Backend: backend},
@@ -156,11 +184,6 @@ func run(ctx context.Context) error {
 		if err := srv.Shutdown(shCtx); err != nil {
 			return err
 		}
-		if rec != nil {
-			if err := writeSpans(*spansPath, rec); err != nil {
-				return err
-			}
-		}
 		slog.Info("drained", "stats", sess.Stats().String())
 		return nil
 	case err := <-errc:
@@ -169,24 +192,4 @@ func run(ctx context.Context) error {
 		}
 		return err
 	}
-}
-
-// writeSpans flushes the server's span stream, headed by its trace ID and
-// time origin so multi-process exports can stitch it with client streams.
-func writeSpans(path string, rec *tracing.Recorder) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	spans := rec.Spans()
-	meta := tracing.Meta{Tool: "xpserved", TraceID: rec.TraceID(), OriginUnixNs: rec.Origin()}
-	if err := tracing.WriteSpansMeta(f, meta, spans); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	slog.Info("spans written", "spans", len(spans), "path", path)
-	return nil
 }

@@ -1,5 +1,5 @@
 // The cpi subcommand: render the CPI stacks a -cpi run recorded on its
-// evaluation events. Every simulated cycle was attributed to exactly one
+// evaluation spans. Every simulated cycle was attributed to exactly one
 // bucket inside the kernel (base, front-end starvation, branch recovery,
 // the three load-miss levels, the three back-pressure walls, the store
 // port), so each evaluation's stack is a complete decomposition of its
@@ -50,15 +50,15 @@ func writeCPIStacks(w io.Writer, t *trace) error {
 	type key struct{ workload, config string }
 	rows := map[key]cpiRow{}
 	for _, e := range t.evals {
-		if len(e.CPI) == 0 {
+		if e.CPI == nil || e.Config == nil {
 			continue
 		}
-		k := key{e.Workload, e.Config}
+		k := key{e.workload, e.Config.String()}
 		rows[k] = cpiRow{
-			workload: e.Workload,
-			config:   e.Config,
-			budget:   e.Budget,
-			stack:    pipeline.StackFromMap(e.CPI),
+			workload: k.workload,
+			config:   k.config,
+			budget:   e.budget,
+			stack:    pipeline.StackFromMap(e.CPI.Map()),
 		}
 	}
 	if len(rows) == 0 {

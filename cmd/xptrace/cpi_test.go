@@ -13,22 +13,22 @@ import (
 	"xpscalar/internal/cache"
 	"xpscalar/internal/introspect"
 	"xpscalar/internal/pipeline"
-	"xpscalar/internal/telemetry"
+	"xpscalar/internal/tracing"
 )
 
 func cpiFixture() *trace {
-	mk := func(workload, config string, budget int, cpi map[string]uint64) timedEval {
-		return timedEval{Evaluation: telemetry.Evaluation{
-			Workload: workload, Budget: budget, Outcome: "miss", Config: config, CPI: cpi,
+	mk := func(workload, config string, budget int, cpi map[string]uint64) eval {
+		return eval{workload: workload, budget: budget, EvalMember: tracing.EvalMember{
+			Outcome: "miss", Config: tracing.Text(config), CPI: tracing.CPIMap(cpi),
 		}}
 	}
-	return &trace{path: "t.jsonl", evals: []timedEval{
+	return &trace{path: "t.jsonl", evals: []eval{
 		mk("mcf", "w=2 rob=16", 2000, map[string]uint64{"base": 1400, "rob_full": 900, "load_mem": 700}),
 		mk("gzip", "w=4 rob=64", 1000, map[string]uint64{"base": 600, "mispredict": 100, "load_l2": 300}),
 		// A cache hit replaying the same memoized stack must not add a row.
 		mk("gzip", "w=4 rob=64", 1000, map[string]uint64{"base": 600, "mispredict": 100, "load_l2": 300}),
 		// No CPI map (introspection was off for this one): skipped.
-		{Evaluation: telemetry.Evaluation{Workload: "gzip", Budget: 1000, Outcome: "hit"}},
+		{workload: "gzip", budget: 1000, EvalMember: tracing.EvalMember{Outcome: "hit"}},
 	}}
 }
 
@@ -127,21 +127,21 @@ func TestWriteIntervalTimelineEmpty(t *testing.T) {
 // Introspection flags are observability-only: two manifests differing
 // solely in -cpi/-intervals/-interval-size must show no manifest drift.
 func TestDiffIgnoresIntrospectionFlags(t *testing.T) {
-	a := &trace{path: "a", manifest: &telemetry.RunManifest{
-		Tool: "xpscalar", Seed: 42,
+	a := &trace{path: "a", meta: tracing.Meta{Tool: "xpscalar", Manifest: &tracing.Manifest{
+		Seed:  42,
 		Flags: map[string]string{"workload": "gzip"},
-	}}
-	b := &trace{path: "b", manifest: &telemetry.RunManifest{
-		Tool: "xpscalar", Seed: 42,
+	}}}
+	b := &trace{path: "b", meta: tracing.Meta{Tool: "xpscalar", Manifest: &tracing.Manifest{
+		Seed: 42,
 		Flags: map[string]string{
 			"workload": "gzip",
 			"cpi":      "true", "intervals": "i.jsonl", "interval-size": "500",
 		},
-	}}
+	}}}
 	if diffManifests(a, b) {
 		t.Error("introspection flags counted as manifest drift")
 	}
-	b.manifest.Flags["workload"] = "mcf"
+	b.meta.Manifest.Flags["workload"] = "mcf"
 	if !diffManifests(a, b) {
 		t.Error("a real flag difference went undetected")
 	}

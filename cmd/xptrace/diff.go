@@ -1,4 +1,4 @@
-// The diff subcommand: compare two run traces and report three kinds of
+// The diff subcommand: compare two runs' traces and report three kinds of
 // divergence. Manifest drift is configuration that differed between the
 // runs; outcome drift is any search or matrix number that differed —
 // the search is deterministic for a given seed, so two runs of the same
@@ -24,7 +24,7 @@ const maxShown = 8
 // NOT belong here: a wider proposal neighborhood changes the search
 // trajectory, so it must surface as drift.
 var ignoredFlags = map[string]bool{
-	"trace": true, "spans": true, "metrics-addr": true, "progress": true,
+	"trace": true, "metrics-addr": true, "progress": true,
 	"log-level": true, "log-format": true, "cpuprofile": true, "memprofile": true,
 	"evalstats": true, "save": true, "savematrix": true, "out": true,
 	// Introspection attributes and samples; it never changes what the
@@ -72,18 +72,18 @@ func diffCmd(args []string) (bool, error) {
 // diffManifests compares run configuration, ignoring observability flags.
 func diffManifests(a, b *trace) bool {
 	fmt.Printf("manifest: %s vs %s\n", a.path, b.path)
-	if a.manifest == nil || b.manifest == nil {
+	ma, mb := a.meta.Manifest, b.meta.Manifest
+	if ma == nil || mb == nil {
 		fmt.Println("  a trace lacks its manifest; skipping manifest comparison")
 		return false
 	}
-	ma, mb := a.manifest, b.manifest
 	drift := false
 	report := func(what, va, vb string) {
 		fmt.Printf("  %-12s %s -> %s\n", what, va, vb)
 		drift = true
 	}
-	if ma.Tool != mb.Tool {
-		report("tool", ma.Tool, mb.Tool)
+	if a.meta.Tool != b.meta.Tool {
+		report("tool", a.meta.Tool, b.meta.Tool)
 	}
 	if ma.Seed != mb.Seed {
 		report("seed", fmt.Sprint(ma.Seed), fmt.Sprint(mb.Seed))
@@ -126,50 +126,40 @@ func orMissing(v string, ok bool) string {
 }
 
 // diffOutcomes compares every deterministic number the runs produced:
-// annealing steps, chain results, and matrix cells. Cache outcomes and
-// timing are scheduling-dependent and deliberately not compared.
+// annealing steps, chain results, and matrix cells (each matrix row's span
+// expanded into its cells). Cache outcomes and timing are
+// scheduling-dependent and deliberately not compared.
 func diffOutcomes(a, b *trace) bool {
-	drift := false
-
 	// Annealing steps: keyed by (workload, chain, iteration).
-	sa := map[string]string{}
-	for _, s := range a.steps {
-		sa[fmt.Sprintf("%s/%d/%d", s.Workload, s.Chain, s.Iteration)] =
-			fmt.Sprintf("move=%s score=%.9g cur=%.9g best=%.9g feas=%t acc=%t",
-				s.Move, s.Score, s.CurrentScore, s.BestScore, s.Feasible, s.Accepted)
+	steps := func(t *trace) map[string]string {
+		m := map[string]string{}
+		for _, s := range t.steps {
+			m[fmt.Sprintf("%s/%d/%d", s.workload, s.Chain, s.iteration)] =
+				fmt.Sprintf("move=%s score=%.9g cur=%.9g best=%.9g feas=%t acc=%t",
+					s.Move, s.Score, s.CurrentScore, s.BestScore, s.Feasible, s.Accepted)
+		}
+		return m
 	}
-	sb := map[string]string{}
-	for _, s := range b.steps {
-		sb[fmt.Sprintf("%s/%d/%d", s.Workload, s.Chain, s.Iteration)] =
-			fmt.Sprintf("move=%s score=%.9g cur=%.9g best=%.9g feas=%t acc=%t",
-				s.Move, s.Score, s.CurrentScore, s.BestScore, s.Feasible, s.Accepted)
-	}
-	drift = diffMaps("anneal steps", sa, sb) || drift
-
 	// Chain results: keyed by (workload, chain).
-	ca := map[string]string{}
-	for _, c := range a.chains {
-		ca[fmt.Sprintf("%s/%d", c.Workload, c.Chain)] =
-			fmt.Sprintf("best=%.9g ipt=%.9g evals=%d", c.BestScore, c.BestIPT, c.Evaluations)
+	chains := func(t *trace) map[string]string {
+		m := map[string]string{}
+		for _, c := range t.chains {
+			m[fmt.Sprintf("%s/%d", c.workload, c.index)] =
+				fmt.Sprintf("best=%.9g ipt=%.9g evals=%d", c.BestScore, c.BestIPT, c.Evaluations)
+		}
+		return m
 	}
-	cb := map[string]string{}
-	for _, c := range b.chains {
-		cb[fmt.Sprintf("%s/%d", c.Workload, c.Chain)] =
-			fmt.Sprintf("best=%.9g ipt=%.9g evals=%d", c.BestScore, c.BestIPT, c.Evaluations)
-	}
-	drift = diffMaps("chain results", ca, cb) || drift
-
 	// Matrix cells: keyed by (workload, arch, budget).
-	xa := map[string]string{}
-	for _, c := range a.cells {
-		xa[fmt.Sprintf("%s on %s @%d", c.Workload, c.Arch, c.Budget)] = fmt.Sprintf("ipt=%.9g", c.IPT)
+	cells := func(t *trace) map[string]string {
+		m := map[string]string{}
+		for _, c := range t.cells {
+			m[fmt.Sprintf("%s on %s @%d", c.workload, c.Arch, c.budget)] = fmt.Sprintf("ipt=%.9g", c.IPT)
+		}
+		return m
 	}
-	xb := map[string]string{}
-	for _, c := range b.cells {
-		xb[fmt.Sprintf("%s on %s @%d", c.Workload, c.Arch, c.Budget)] = fmt.Sprintf("ipt=%.9g", c.IPT)
-	}
-	drift = diffMaps("matrix cells", xa, xb) || drift
-	return drift
+	drift := diffMaps("anneal steps", steps(a), steps(b))
+	drift = diffMaps("chain results", chains(a), chains(b)) || drift
+	return diffMaps("matrix cells", cells(a), cells(b)) || drift
 }
 
 // diffMaps compares two keyed event sets and prints the divergence.
@@ -213,8 +203,7 @@ func diffTimes(a, b *trace) {
 	fmt.Println("time delta (informational)")
 	if a.summary != nil && b.summary != nil {
 		fmt.Printf("  run wall:  %.2fs -> %.2fs (%+.1f%%)\n",
-			float64(a.summary.WallNs)/1e9, float64(b.summary.WallNs)/1e9,
-			pctDelta(a.summary.WallNs, b.summary.WallNs))
+			float64(a.wallNs)/1e9, float64(b.wallNs)/1e9, pctDelta(a.wallNs, b.wallNs))
 		fmt.Printf("  misses:    %d -> %d (cache outcomes are scheduling-dependent, not drift)\n",
 			a.summary.Misses, b.summary.Misses)
 	}

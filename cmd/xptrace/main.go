@@ -1,36 +1,39 @@
-// Command xptrace analyzes the observability artifacts a run leaves
-// behind: the JSONL run trace written by -trace and the hierarchical span
-// stream written by -spans.
+// Command xptrace analyzes the artifacts a run leaves behind: the span
+// stream written by -trace — one file holding the run's manifest, every
+// annealing step, chain, evaluation and matrix row as a span with its
+// results, and the engine's counters — and the interval dump written by
+// -intervals.
 //
-//	xptrace report [-spans file ...] TRACE.jsonl
-//	xptrace diff TRACE_A.jsonl TRACE_B.jsonl
-//	xptrace export [-o out.json] SPANS [SPANS ...]
-//	xptrace cpi TRACE.jsonl
+//	xptrace report TRACE [TRACE ...]
+//	xptrace diff TRACE_A TRACE_B
+//	xptrace export [-o out.json] TRACE [TRACE ...]
+//	xptrace cpi TRACE
 //	xptrace intervals INTERVALS.jsonl
 //
 // report digests one run: annealing convergence per chain, the
 // acceptance-rate curve over the search, the cache-effectiveness timeline,
-// and — when a span stream is supplied — the per-phase self/total time
-// breakdown.
+// the run summary, and the per-phase self/total time breakdown — of the
+// first trace and of every further one given (say, the -trace files of the
+// xpserved peers that served the run).
 //
-// diff compares two runs event by event: manifest drift (differing
+// diff compares two runs span by span: manifest drift (differing
 // configuration, ignoring observability-only flags), outcome drift (any
 // annealing step, chain result, or matrix cell whose numbers differ), and
-// the per-phase wall-time delta. Two runs of the same tool with the same
-// seed must show zero outcome drift regardless of tracing flags — diff is
-// the executable form of that claim. Exit status: 0 no drift, 2 drift,
-// 1 error.
+// the wall-time delta. Two runs of the same tool with the same seed must
+// show zero outcome drift regardless of tracing flags — diff is the
+// executable form of that claim. Exit status: 0 no drift, 2 drift, 1
+// error.
 //
-// export converts one or more span streams to Chrome trace-event JSON
-// loadable in chrome://tracing or Perfetto, one named thread per worker
-// track. Given several streams — say a client's -spans file and the
-// -spans file of the xpserved peer that served it — export stitches them
-// into ONE trace: each process gets its own track group, and spans that
-// continued another process's trace (remote cache serves) are joined to
-// their cross-process parent with flow arrows.
+// export converts one or more traces to Chrome trace-event JSON loadable
+// in chrome://tracing or Perfetto, one named thread per worker track.
+// Given several — say a client's -trace file and the -trace file of the
+// xpserved peer that served it — export stitches them into ONE trace:
+// each process gets its own track group, and spans that continued another
+// process's trace (remote cache serves) are joined to their cross-process
+// parent with flow arrows.
 //
 // cpi renders the CPI-stack decomposition a -cpi run attached to its
-// evaluation events: one row per (workload, configuration), every
+// evaluation spans: one row per (workload, configuration), every
 // simulated cycle attributed to exactly one stall bucket.
 //
 // intervals renders the phase timeline a -intervals run collected: the
@@ -91,16 +94,15 @@ func main() {
 
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
-  xptrace report [-spans file ...] TRACE.jsonl  digest one run trace
-  xptrace diff TRACE_A.jsonl TRACE_B.jsonl      compare two run traces (exit 2 on drift)
-  xptrace export [-o out.json] SPANS [SPANS...] span stream(s) -> one Chrome trace JSON
-  xptrace cpi TRACE.jsonl                       CPI-stack breakdown of a -cpi run
-  xptrace intervals INTERVALS.jsonl             phase timeline of a -intervals run
+  xptrace report TRACE [TRACE...]            digest one run, time breakdown per trace
+  xptrace diff TRACE_A TRACE_B               compare two runs (exit 2 on drift)
+  xptrace export [-o out.json] TRACE [...]   trace(s) -> one Chrome trace JSON
+  xptrace cpi TRACE                          CPI-stack breakdown of a -cpi run
+  xptrace intervals INTERVALS.jsonl          phase timeline of a -intervals run
 `)
 }
 
-// exportCmd converts one or more span streams to Chrome trace-event
-// JSON. One stream takes the single-process path unchanged; several are
+// exportCmd converts one or more traces to Chrome trace-event JSON. One stream takes the single-process path unchanged; several are
 // stitched by trace ID into one multi-process trace, a track group per
 // stream in argument order.
 func exportCmd(args []string) error {
@@ -110,7 +112,7 @@ func exportCmd(args []string) error {
 		return err
 	}
 	if fs.NArg() < 1 {
-		return fmt.Errorf("export: want one or more span-stream files")
+		return fmt.Errorf("export: want one or more trace files")
 	}
 	streams, err := loadStreams(fs.Args())
 	if err != nil {
@@ -144,7 +146,7 @@ func exportCmd(args []string) error {
 	return nil
 }
 
-// loadStreams reads span-stream files in argument order.
+// loadStreams reads trace files in argument order.
 func loadStreams(paths []string) ([]tracing.Stream, error) {
 	streams := make([]tracing.Stream, 0, len(paths))
 	for _, path := range paths {

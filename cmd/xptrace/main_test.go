@@ -2,7 +2,8 @@
 // run a tiny traced exploration, and verify the analysis contract —
 // report digests the trace, diff finds zero drift between identical runs
 // (and drift between different ones, exit 2), export produces loadable
-// Chrome JSON, and tracing never perturbs the run's stdout.
+// Chrome JSON from the same file, and tracing never perturbs the run's
+// stdout.
 
 package main
 
@@ -34,16 +35,13 @@ func buildTools(t *testing.T) (xpscalar, xptrace string) {
 }
 
 // explore runs one tiny traced exploration and returns its stdout.
-func explore(t *testing.T, bin, trace, spans string, seed string, extra ...string) []byte {
+func explore(t *testing.T, bin, trace string, seed string, extra ...string) []byte {
 	t.Helper()
 	args := []string{"-workload", "gzip", "-iterations", "30", "-chains", "2",
 		"-short", "2000", "-long", "4000", "-seed", seed}
 	args = append(args, extra...)
 	if trace != "" {
 		args = append(args, "-trace", trace)
-	}
-	if spans != "" {
-		args = append(args, "-spans", spans)
 	}
 	cmd := exec.Command(bin, args...)
 	var stdout, stderr bytes.Buffer
@@ -64,15 +62,14 @@ func TestEndToEnd(t *testing.T) {
 	traceA := filepath.Join(dir, "a.jsonl")
 	traceB := filepath.Join(dir, "b.jsonl")
 	traceC := filepath.Join(dir, "c.jsonl")
-	spansA := filepath.Join(dir, "a.spans")
 
-	outTraced := explore(t, xpscalarBin, traceA, spansA, "42")
-	outPlain := explore(t, xpscalarBin, "", "", "42")
-	explore(t, xpscalarBin, traceB, "", "42")
-	explore(t, xpscalarBin, traceC, "", "7")
+	outTraced := explore(t, xpscalarBin, traceA, "42", "-progress")
+	outPlain := explore(t, xpscalarBin, "", "42")
+	explore(t, xpscalarBin, traceB, "42")
+	explore(t, xpscalarBin, traceC, "7")
 	traceCPI := filepath.Join(dir, "cpi.jsonl")
 	intervalsFile := filepath.Join(dir, "a.intervals")
-	outCPI := explore(t, xpscalarBin, traceCPI, "", "42",
+	outCPI := explore(t, xpscalarBin, traceCPI, "42",
 		"-cpi", "-intervals", intervalsFile, "-interval-size", "500")
 
 	// Introspection observes the kernel, never steers it: stdout (Table 4)
@@ -82,13 +79,13 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	// Tracing must not perturb the run: stdout (the Table 4 analogue) is
-	// byte-identical with and without -trace/-spans.
+	// byte-identical with and without -trace/-progress.
 	if !bytes.Equal(outTraced, outPlain) {
 		t.Errorf("stdout differs with tracing enabled:\n--- traced\n%s--- plain\n%s", outTraced, outPlain)
 	}
 
 	t.Run("report", func(t *testing.T) {
-		cmd := exec.Command(xptraceBin, "report", "-spans", spansA, traceA)
+		cmd := exec.Command(xptraceBin, "report", traceA, traceB)
 		out, err := cmd.CombinedOutput()
 		if err != nil {
 			t.Fatalf("report: %v\n%s", err, out)
@@ -104,6 +101,10 @@ func TestEndToEnd(t *testing.T) {
 			if !strings.Contains(string(out), want) {
 				t.Errorf("report missing %q:\n%s", want, out)
 			}
+		}
+		// One breakdown per trace given.
+		if n := strings.Count(string(out), "Phase time breakdown"); n != 2 {
+			t.Errorf("report printed %d phase breakdowns for two traces:\n%s", n, out)
 		}
 	})
 
@@ -197,7 +198,7 @@ func TestEndToEnd(t *testing.T) {
 
 	t.Run("export", func(t *testing.T) {
 		chrome := filepath.Join(dir, "a.chrome.json")
-		cmd := exec.Command(xptraceBin, "export", "-o", chrome, spansA)
+		cmd := exec.Command(xptraceBin, "export", "-o", chrome, traceA)
 		if out, err := cmd.CombinedOutput(); err != nil {
 			t.Fatalf("export: %v\n%s", err, out)
 		}
@@ -228,12 +229,21 @@ func TestEndToEnd(t *testing.T) {
 		}
 	})
 
-	t.Run("diff-rejects-spans-file", func(t *testing.T) {
-		cmd := exec.Command(xptraceBin, "diff", spansA, traceA)
+	t.Run("diff-rejects-envelope-trace", func(t *testing.T) {
+		// A JSONL event trace of the old envelope format is not a span
+		// stream: diff fails with an error naming the header it expects.
+		old := filepath.Join(dir, "old.jsonl")
+		if err := os.WriteFile(old, []byte(`{"event":"manifest","seq":0,"t_ns":1,"data":{"tool":"xpscalar"}}`+"\n"), 0o666); err != nil {
+			t.Fatal(err)
+		}
+		cmd := exec.Command(xptraceBin, "diff", old, traceA)
 		out, err := cmd.CombinedOutput()
 		ee, ok := err.(*exec.ExitError)
 		if !ok || ee.ExitCode() != 1 {
-			t.Fatalf("diff on a span stream: err=%v\n%s", err, out)
+			t.Fatalf("diff on an envelope trace: err=%v\n%s", err, out)
+		}
+		if !strings.Contains(string(out), "xptrace-spans") {
+			t.Errorf("error does not name the expected header:\n%s", out)
 		}
 	})
 }

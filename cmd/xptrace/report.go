@@ -1,16 +1,15 @@
-// The report subcommand: digest one run trace into the views that answer
-// "how did the search behave" — per-chain convergence, the acceptance-rate
-// curve, the cache-effectiveness timeline, and (with a span stream) the
-// per-phase time breakdown.
+// The report subcommand: digest one run into the views that answer "how
+// did the search behave" — per-chain convergence, the acceptance-rate
+// curve, the cache-effectiveness timeline, the run summary — and "where
+// did the time go": the per-phase time breakdown of its stream and of any
+// further streams given (one per process of a fleet run).
 
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 
 	"xpscalar/internal/report"
 	"xpscalar/internal/tracing"
@@ -20,30 +19,20 @@ import (
 // cut into this many equal slices.
 const buckets = 10
 
-// multiFlag collects a repeatable string flag.
-type multiFlag []string
-
-func (m *multiFlag) String() string { return strings.Join(*m, ",") }
-func (m *multiFlag) Set(v string) error {
-	*m = append(*m, v)
-	return nil
-}
-
 func reportCmd(args []string) error {
-	fs := flag.NewFlagSet("report", flag.ExitOnError)
-	var spansPaths multiFlag
-	fs.Var(&spansPaths, "spans", "span-stream file for the phase time breakdown (repeatable: one per process)")
-	if err := fs.Parse(args); err != nil {
-		return err
+	if len(args) < 1 {
+		return fmt.Errorf("report: want one or more trace files")
 	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("report: want exactly one trace file, got %d args", fs.NArg())
-	}
-	t, err := loadTrace(fs.Arg(0))
-	if err != nil {
-		return err
+	traces := make([]*trace, len(args))
+	for i, path := range args {
+		t, err := loadTrace(path)
+		if err != nil {
+			return err
+		}
+		traces[i] = t
 	}
 
+	t := traces[0]
 	printManifest(t)
 	if err := printChains(t); err != nil {
 		return err
@@ -52,25 +41,16 @@ func reportCmd(args []string) error {
 	printCacheTimeline(t)
 	printSummary(t)
 
-	for _, path := range spansPaths {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		meta, spans, err := tracing.ReadSpans(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		label := meta.Tool
+	for _, t := range traces {
+		label := t.meta.Tool
 		if label == "" {
-			label = path
+			label = t.path
 		}
-		if len(spansPaths) > 1 && meta.TraceID != "" {
-			label += " trace " + meta.TraceID
+		if len(traces) > 1 && t.meta.TraceID != "" {
+			label += " trace " + t.meta.TraceID
 		}
-		fmt.Printf("\nPhase time breakdown: %s (%d spans)\n", label, len(spans))
-		if err := tracing.WriteAttribution(os.Stdout, spans); err != nil {
+		fmt.Printf("\nPhase time breakdown: %s (%d spans)\n", label, len(t.spans))
+		if err := tracing.WriteAttribution(os.Stdout, t.spans); err != nil {
 			return err
 		}
 	}
@@ -79,9 +59,9 @@ func reportCmd(args []string) error {
 
 func printManifest(t *trace) {
 	fmt.Printf("run trace %s\n", t.path)
-	if m := t.manifest; m != nil {
+	if m := t.meta.Manifest; m != nil {
 		fmt.Printf("  tool %s  seed %d  %s %s/%s  GOMAXPROCS %d\n",
-			m.Tool, m.Seed, m.GoVersion, m.OS, m.Arch, m.MaxProcs)
+			t.meta.Tool, m.Seed, m.GoVersion, m.OS, m.Arch, m.MaxProcs)
 	}
 }
 
@@ -103,7 +83,7 @@ func printChains(t *trace) error {
 	byChain := map[key]*agg{}
 	var order []key
 	for _, s := range t.steps {
-		k := key{s.Workload, s.Chain}
+		k := key{s.workload, s.Chain}
 		a := byChain[k]
 		if a == nil {
 			a = &agg{}
@@ -117,7 +97,7 @@ func printChains(t *trace) error {
 		if s.Feasible {
 			a.feasible++
 		}
-		if s.Iteration*buckets <= s.TotalIterations {
+		if s.iteration*buckets <= s.TotalIterations {
 			a.earlyBest = s.BestScore
 		}
 		a.finalBest = s.BestScore
@@ -125,7 +105,7 @@ func printChains(t *trace) error {
 	results := map[key]float64{}
 	evals := map[key]int{}
 	for _, c := range t.chains {
-		k := key{c.Workload, c.Chain}
+		k := key{c.workload, c.index}
 		results[k] = c.BestScore
 		evals[k] = c.Evaluations
 		if byChain[k] == nil {
@@ -176,7 +156,7 @@ func printAcceptanceCurve(t *trace) {
 		if s.TotalIterations <= 0 {
 			continue
 		}
-		b := (s.Iteration - 1) * buckets / s.TotalIterations
+		b := (s.iteration - 1) * buckets / s.TotalIterations
 		if b < 0 {
 			b = 0
 		}
@@ -204,21 +184,19 @@ func printAcceptanceCurve(t *trace) {
 	fmt.Println()
 }
 
-// printCacheTimeline buckets evaluation events by run time and prints how
-// the engine served them — the cache warming up over the run.
+// printCacheTimeline buckets evaluations by run time and prints how the
+// engine served them — the cache warming up over the run.
 func printCacheTimeline(t *trace) {
 	if len(t.evals) == 0 {
 		return
 	}
 	maxT := int64(1)
 	for _, e := range t.evals {
-		if e.TNs > maxT {
-			maxT = e.TNs
-		}
+		maxT = max(maxT, e.endNs)
 	}
 	var total, served [buckets]int
 	for _, e := range t.evals {
-		b := int(e.TNs * buckets / (maxT + 1))
+		b := int(e.endNs * buckets / (maxT + 1))
 		if b >= buckets {
 			b = buckets - 1
 		}
@@ -250,7 +228,7 @@ func printSummary(t *trace) {
 		return
 	}
 	fmt.Printf("\nRun summary: wall %.2fs, %d evaluations (%d hits, %d deduped, %d misses), %d cache entries\n",
-		float64(s.WallNs)/1e9, s.Requests, s.Hits, s.Deduped, s.Misses, s.CacheEntries)
+		float64(t.wallNs)/1e9, s.Requests, s.Hits, s.Deduped, s.Misses, s.CacheEntries)
 	if s.DiskHits > 0 || s.DiskMisses > 0 {
 		fmt.Printf("Disk tier: %d hits, %d misses\n", s.DiskHits, s.DiskMisses)
 	}

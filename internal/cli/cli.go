@@ -28,10 +28,6 @@ type MatrixOptions struct {
 	Iterations int
 	// Seed for the whole pipeline.
 	Seed int64
-	// Telemetry, when non-nil, observes the regeneration pipeline: the
-	// annealing chains and each completed matrix cell. It never affects
-	// the matrix produced.
-	Telemetry *Telemetry
 	// Session is the evaluation session the simulation paths run on; nil
 	// selects the process-default session.
 	Session *session.Session
@@ -82,7 +78,7 @@ func LoadMatrix(ctx context.Context, source string, o MatrixOptions) (*core.Matr
 		if n <= 0 {
 			n = 60000
 		}
-		return sess.CrossMatrixObserved(ctx, profiles, configs, n, tech.Default(), o.Telemetry.CellFunc())
+		return sess.CrossMatrix(ctx, profiles, configs, n, tech.Default())
 	}
 	switch source {
 	case "paper":
@@ -92,7 +88,6 @@ func LoadMatrix(ctx context.Context, source string, o MatrixOptions) (*core.Matr
 		if o.Iterations > 0 {
 			opt.Iterations = o.Iterations
 		}
-		opt.Observer = o.Telemetry.ExploreObserver()
 		profiles := workload.Suite()
 		outs, err := sess.ExploreSuite(ctx, profiles, opt)
 		if err != nil {
@@ -106,7 +101,7 @@ func LoadMatrix(ctx context.Context, source string, o MatrixOptions) (*core.Matr
 		if n <= 0 {
 			n = 60000
 		}
-		return sess.CrossMatrixObserved(ctx, profiles, configs, n, tech.Default(), o.Telemetry.CellFunc())
+		return sess.CrossMatrix(ctx, profiles, configs, n, tech.Default())
 	default:
 		return nil, fmt.Errorf("cli: unknown matrix source %q (want paper or sim)", source)
 	}

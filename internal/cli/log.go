@@ -3,7 +3,7 @@
 // lifecycle messages — go through log/slog to stderr, behind two shared
 // flags: -log-level picks the floor and -log-format picks human-readable
 // text or machine-parseable JSON (one object per line, ingestible by the
-// same tooling that reads the JSONL run traces). Result tables stay on
+// same tooling that reads the JSONL span streams). Result tables stay on
 // stdout, untouched: stdout is data, stderr is commentary.
 
 package cli

@@ -1,10 +1,11 @@
-// The -progress renderer. On an interactive terminal it repaints a single
-// status line in place (carriage return + erase-line), so a long run shows
-// a live ticker instead of scrolling history; when stderr is redirected to
-// a file or a pipe it falls back to a plain line per update, so captured
-// logs stay readable and diffable. Chains run in parallel, so updates
-// interleave; each is self-identifying (workload/chain). Output goes to
-// stderr so tables on stdout stay machine-parseable.
+// The -progress renderer, a consumer of the run's step and chain spans.
+// On an interactive terminal it repaints a single status line in place
+// (carriage return + erase-line), so a long run shows a live ticker
+// instead of scrolling history; when stderr is redirected to a file or a
+// pipe it falls back to a plain line per update, so captured logs stay
+// readable and diffable. Chains run in parallel, so updates interleave;
+// each is self-identifying (workload/chain). Output goes to stderr so
+// tables on stdout stay machine-parseable.
 
 package cli
 
@@ -14,12 +15,11 @@ import (
 	"os"
 	"sync"
 
-	"xpscalar/internal/explore"
+	"xpscalar/internal/tracing"
 )
 
-// progressObserver implements explore.Observer by printing throttled
-// progress updates.
-type progressObserver struct {
+// progressRenderer prints throttled progress updates from ended spans.
+type progressRenderer struct {
 	mu  sync.Mutex
 	w   io.Writer
 	tty bool
@@ -28,8 +28,18 @@ type progressObserver struct {
 	live bool
 }
 
-func newProgressObserver(w io.Writer) *progressObserver {
-	return &progressObserver{w: w, tty: isTerminal(w)}
+func newProgressRenderer(w io.Writer) *progressRenderer {
+	return &progressRenderer{w: w, tty: isTerminal(w)}
+}
+
+// render reports step and chain spans and ignores every other kind.
+func (p *progressRenderer) render(s tracing.Span) {
+	switch a := s.Attrs.(type) {
+	case *tracing.StepAttrs:
+		p.step(s.Name, int(s.Arg), a)
+	case *tracing.ChainAttrs:
+		p.chain(s.Name, int(s.Arg), a)
+	}
 }
 
 // isTerminal reports whether w is an interactive character device. Only
@@ -47,19 +57,15 @@ func isTerminal(w io.Writer) bool {
 	return info.Mode()&os.ModeCharDevice != 0
 }
 
-// ObserveStep implements explore.Observer. It reports every stride-th
-// iteration (iterations are 1-based), where the stride is a tenth of the
-// chain's budget.
-func (p *progressObserver) ObserveStep(e explore.StepEvent) {
-	stride := e.TotalIterations / 10
-	if stride < 1 {
-		stride = 1
-	}
-	if e.Iteration%stride != 0 && e.Iteration != e.TotalIterations {
+// step reports every stride-th iteration (iterations are 1-based), where
+// the stride is a tenth of the chain's budget.
+func (p *progressRenderer) step(workload string, iteration int, a *tracing.StepAttrs) {
+	stride := max(a.TotalIterations/10, 1)
+	if iteration%stride != 0 && iteration != a.TotalIterations {
 		return
 	}
 	line := fmt.Sprintf("progress: %s chain %d %d/%d T=%.3g best=%.4f",
-		e.Workload, e.Chain, e.Iteration, e.TotalIterations, e.Temperature, e.BestScore)
+		workload, a.Chain, iteration, a.TotalIterations, a.Temperature, a.BestScore)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.tty {
@@ -70,11 +76,11 @@ func (p *progressObserver) ObserveStep(e explore.StepEvent) {
 	fmt.Fprintln(p.w, line)
 }
 
-// ObserveChain implements explore.Observer. Chain completions always get a
-// persistent line, even on a terminal.
-func (p *progressObserver) ObserveChain(e explore.ChainEvent) {
+// chain reports a chain completion. It always gets a persistent line,
+// even on a terminal.
+func (p *progressRenderer) chain(workload string, chain int, a *tracing.ChainAttrs) {
 	line := fmt.Sprintf("progress: %s chain %d done best=%.4f ipt=%.4f evals=%d",
-		e.Workload, e.Chain, e.BestScore, e.BestIPT, e.Evaluations)
+		workload, chain, a.BestScore, a.BestIPT, a.Evaluations)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.tty && p.live {

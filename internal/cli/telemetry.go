@@ -1,10 +1,11 @@
 // Telemetry wiring shared by the command-line tools. Every tool registers
-// the same flags — -trace for a structured JSONL run trace, -spans for a
-// hierarchical execution-span stream (the xptrace input), -metrics-addr
-// for a live Prometheus/expvar endpoint, and -progress for per-workload
-// search progress on stderr — and funnels them through StartTelemetry,
-// which connects the telemetry substrate to the evaluation engine and
-// hands back adapters for the layers that emit events. All of it is
+// the same flags — -trace for the run's span stream (the xptrace input),
+// -metrics-addr for a live Prometheus/expvar endpoint, -progress for
+// per-workload search progress on stderr, and the introspection and
+// trace-identity knobs — and funnels them through StartTelemetry, which
+// connects them to the session. The span stream is the run's one record:
+// the header carries the manifest, every span is written as it ends, and
+// the run span, ending last, carries the engine's counters. All of it is
 // opt-in: with no flags set, StartTelemetry returns a *Telemetry whose
 // every method is a cheap no-op and the instrumented hot paths stay at
 // their uninstrumented cost.
@@ -20,11 +21,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strconv"
-	"time"
 
-	"xpscalar/internal/core"
-	"xpscalar/internal/evalengine"
-	"xpscalar/internal/explore"
 	"xpscalar/internal/introspect"
 	"xpscalar/internal/session"
 	"xpscalar/internal/tech"
@@ -34,19 +31,17 @@ import (
 
 // TelemetryConfig carries the observability flags.
 type TelemetryConfig struct {
-	// TracePath is the JSONL trace file ("" for none).
+	// TracePath is the span-stream file ("" for none); analyze or export
+	// it with cmd/xptrace.
 	TracePath string
-	// SpansPath is the hierarchical span-stream file ("" for none);
-	// analyze or export it with cmd/xptrace.
-	SpansPath string
 	// MetricsAddr is the listen address for the /metrics endpoint ("" for
 	// none).
 	MetricsAddr string
 	// Progress renders search progress to stderr.
 	Progress bool
 	// CPI arms CPI-stack cycle accounting on every uncached simulation;
-	// evaluation trace events then carry per-bucket cycle breakdowns and
-	// the CPI-share metrics go live.
+	// evaluation spans then carry per-bucket cycle breakdowns and the
+	// CPI-share metrics go live.
 	CPI bool
 	// IntervalsPath is the JSONL interval-snapshot dump ("" for none;
 	// implies CPI accounting); analyze with xptrace intervals.
@@ -54,43 +49,38 @@ type TelemetryConfig struct {
 	// IntervalSize is the sampling period in committed instructions.
 	IntervalSize int
 	// TraceID joins this run to an existing trace instead of generating a
-	// fresh ID — the cross-process correlation seam: spans, trace events
-	// and remote-cache requests all carry it, so a fleet of processes
-	// started with the same ID merges into one causally-linked view.
+	// fresh ID — the cross-process correlation seam: the stream and
+	// remote-cache requests carry it, so a fleet of processes started with
+	// the same ID merges into one causally-linked view.
 	TraceID string
 }
 
-// RegisterFlags registers -trace, -spans, -metrics-addr, -progress, -cpi,
-// -intervals and -interval-size on the default flag set, pointing at this
-// config.
+// RegisterFlags registers -trace, -metrics-addr, -progress, -cpi,
+// -intervals, -interval-size and -trace-id on the default flag set,
+// pointing at this config.
 func (c *TelemetryConfig) RegisterFlags() {
-	flag.StringVar(&c.TracePath, "trace", "", "write a structured JSONL run trace to this file")
-	flag.StringVar(&c.SpansPath, "spans", "", "record hierarchical execution spans to this file (analyze with xptrace)")
+	flag.StringVar(&c.TracePath, "trace", "", "write the run's span stream to this file (analyze with xptrace)")
 	flag.StringVar(&c.MetricsAddr, "metrics-addr", "", "serve Prometheus /metrics on this address (e.g. 127.0.0.1:9090)")
 	flag.BoolVar(&c.Progress, "progress", false, "report search progress to stderr")
 	flag.BoolVar(&c.CPI, "cpi", false, "attribute every simulated cycle to a CPI-stack bucket (analyze with xptrace cpi)")
 	flag.StringVar(&c.IntervalsPath, "intervals", "", "write JSONL interval snapshots to this file (implies -cpi; analyze with xptrace intervals)")
 	flag.IntVar(&c.IntervalSize, "interval-size", 1000, "interval sampling period in committed instructions (with -intervals)")
-	flag.StringVar(&c.TraceID, "trace-id", "", "join an existing trace ID (16 hex chars) instead of generating one")
+	flag.StringVar(&c.TraceID, "trace-id", "", "join an existing trace ID (16 hex chars) instead of generating one (with -trace)")
 }
 
-// Telemetry is one run's observability session: the trace sink, the
-// metrics server, and the adapters that translate layer-specific events
-// into trace events. A nil *Telemetry is valid and inert, as is one
-// started with an all-zero config.
+// Telemetry is one run's observability session: the span recorder and
+// its consumers (the -trace stream, the -progress renderer), and the
+// metrics server. A nil *Telemetry is valid and inert, as is one started
+// with an all-zero config.
 type Telemetry struct {
 	sess     *session.Session
-	sink     *telemetry.Sink
 	server   *telemetry.Server
-	progress *progressObserver
-	start    time.Time
-
-	tool      string
-	spansPath string
-	traceID   string
-	rec       *tracing.Recorder
-	root      tracing.Handle
-	runSpan   tracing.Span
+	tool     string
+	rec      *tracing.Recorder
+	stream   *tracing.StreamWriter
+	progress *progressRenderer
+	root     tracing.Handle
+	runSpan  tracing.Span
 
 	introOn       bool
 	intervalsPath string
@@ -102,47 +92,43 @@ type Telemetry struct {
 // sim_intervals_dropped_total metric.
 const intervalsRingCap = 1 << 16
 
-// StartTelemetry opens the sink and metrics endpoint requested by cfg,
-// wires sess's evaluation engine into both, and emits the run manifest.
-// A nil sess selects the process-default session. The caller must Close
-// the returned Telemetry when the run ends; it is never nil, even on
-// error.
+// StartTelemetry opens the trace stream and metrics endpoint requested by
+// cfg and wires sess's evaluation engine into them. A nil sess selects
+// the process-default session. The caller must Close the returned
+// Telemetry when the run ends; it is never nil, even on error.
 func StartTelemetry(tool string, sess *session.Session, cfg TelemetryConfig) (*Telemetry, error) {
 	if sess == nil {
 		sess = session.Default()
 	}
-	t := &Telemetry{sess: sess, start: time.Now(), tool: tool}
-	if cfg.TracePath == "" && cfg.SpansPath == "" && cfg.MetricsAddr == "" && !cfg.Progress &&
-		!cfg.CPI && cfg.IntervalsPath == "" {
-		return t, nil
-	}
-	if cfg.Progress {
-		t.progress = newProgressObserver(os.Stderr)
-	}
+	t := &Telemetry{sess: sess, tool: tool}
 	if cfg.CPI || cfg.IntervalsPath != "" {
 		interval := 0
 		if cfg.IntervalsPath != "" {
 			t.intervalsPath = cfg.IntervalsPath
 			t.ring = introspect.NewRing(intervalsRingCap)
-			interval = cfg.IntervalSize
-			if interval < 1 {
-				interval = 1
-			}
+			interval = max(cfg.IntervalSize, 1)
 		}
 		t.introOn = true
 		sess.EnableIntrospection(interval, t.ring)
 	}
-	if cfg.SpansPath != "" {
-		t.spansPath = cfg.SpansPath
-		t.rec = tracing.NewRecorder()
-		if cfg.TraceID != "" {
-			t.rec.SetTraceID(cfg.TraceID)
+	if cfg.TracePath != "" || cfg.Progress {
+		// Spans are recorded only for consumers that want them, and handed
+		// to them as they end: nothing is buffered for the run's length.
+		t.rec = tracing.NewRecorderFunc(t.consume)
+		t.rec.SetTraceID(cfg.TraceID)
+		if cfg.Progress {
+			t.progress = newProgressRenderer(os.Stderr)
 		}
-		t.traceID = t.rec.TraceID()
-	} else if cfg.TraceID != "" {
-		// No span file, but the run still joins the trace: events and
-		// outbound cache requests carry the ID.
-		t.traceID = cfg.TraceID
+	}
+	if cfg.TracePath != "" {
+		f, err := os.Create(cfg.TracePath)
+		if err != nil {
+			t.Close()
+			return t, fmt.Errorf("trace: %w", err)
+		}
+		t.stream = tracing.NewStreamWriter(f, tracing.Meta{
+			Tool: tool, TraceID: t.rec.TraceID(), OriginUnixNs: t.rec.Origin(), Manifest: manifest(),
+		})
 	}
 	if cfg.MetricsAddr != "" {
 		reg := telemetry.Default()
@@ -154,25 +140,24 @@ func StartTelemetry(tool string, sess *session.Session, cfg TelemetryConfig) (*T
 		t.server = srv
 		slog.Info("serving metrics", "url", fmt.Sprintf("http://%s/metrics", srv.Addr()))
 	}
-	if cfg.TracePath != "" {
-		sink, err := telemetry.OpenSink(cfg.TracePath)
-		if err != nil {
-			t.Close()
-			return t, err
-		}
-		t.sink = sink
-		sink.SetTraceID(t.traceID)
-		sink.Emit(manifest(tool))
-		obs := evalObserver{sink}
-		sess.SetEvalObserver(obs)
-	}
 	return t, nil
+}
+
+// consume hands one ended span to the run's consumers.
+func (t *Telemetry) consume(s tracing.Span) {
+	if t.stream != nil {
+		t.stream.Write(s)
+	}
+	if t.progress != nil {
+		t.progress.render(s)
+	}
 }
 
 // Context attaches the run's span recorder to ctx and opens the root run
 // span, under which every span the instrumented layers emit will nest.
-// With -spans unset it returns ctx unchanged. Call it once, right after
-// StartTelemetry, and pass the returned context to the run.
+// With neither -trace nor -progress set it returns ctx unchanged. Call it
+// once, right after StartTelemetry, and pass the returned context to the
+// run.
 func (t *Telemetry) Context(ctx context.Context) context.Context {
 	if t == nil || t.rec == nil {
 		return ctx
@@ -183,11 +168,10 @@ func (t *Telemetry) Context(ctx context.Context) context.Context {
 	return tracing.ChildContext(ctx, t.runSpan)
 }
 
-// manifest captures what this run is: the tool, its effective flag values,
-// the build, and the technology parameters every simulation shares.
-func manifest(tool string) telemetry.RunManifest {
-	m := telemetry.RunManifest{
-		Tool:      tool,
+// manifest captures what this run is: its effective flag values, the
+// build, and the technology parameters every simulation shares.
+func manifest() *tracing.Manifest {
+	m := &tracing.Manifest{
 		GoVersion: runtime.Version(),
 		OS:        runtime.GOOS,
 		Arch:      runtime.GOARCH,
@@ -218,114 +202,13 @@ func manifest(tool string) telemetry.RunManifest {
 	return m
 }
 
-// evalObserver forwards engine evaluation records to the trace.
-type evalObserver struct{ sink *telemetry.Sink }
-
-func (o evalObserver) ObserveEval(r evalengine.EvalRecord) {
-	e := telemetry.Evaluation{
-		Workload: r.Workload,
-		Budget:   r.Budget,
-		Outcome:  r.Outcome,
-		WallNs:   r.WallNs,
-		Score:    r.Score,
-		IPT:      r.IPT,
-		Config:   r.Config,
-	}
-	if r.CPI != nil {
-		e.CPI = r.CPI.Map()
-	}
-	if r.Err != nil {
-		e.Error = r.Err.Error()
-	}
-	o.sink.Emit(e)
-}
-
-// sinkExploreObserver forwards annealing events to the trace.
-type sinkExploreObserver struct{ sink *telemetry.Sink }
-
-func (o sinkExploreObserver) ObserveStep(e explore.StepEvent) {
-	o.sink.Emit(telemetry.AnnealStep{
-		Workload:        e.Workload,
-		Chain:           e.Chain,
-		Iteration:       e.Iteration,
-		TotalIterations: e.TotalIterations,
-		Move:            e.Move,
-		Temperature:     e.Temperature,
-		Budget:          e.Budget,
-		Score:           e.Score,
-		CurrentScore:    e.CurrentScore,
-		BestScore:       e.BestScore,
-		Feasible:        e.Feasible,
-		Accepted:        e.Accepted,
-		RolledBack:      e.RolledBack,
-	})
-}
-
-func (o sinkExploreObserver) ObserveChain(e explore.ChainEvent) {
-	o.sink.Emit(telemetry.ChainResult{
-		Workload:    e.Workload,
-		Chain:       e.Chain,
-		BestScore:   e.BestScore,
-		BestIPT:     e.BestIPT,
-		Evaluations: e.Evaluations,
-	})
-}
-
-// SinkExploreObserver adapts a trace sink into an explore.Observer: every
-// annealing step and chain completion is emitted as a trace event. This is
-// the per-call seam services use to give each job its own event stream —
-// unlike the engine-level eval observer, it is scoped to one exploration,
-// not shared session-wide.
-func SinkExploreObserver(s *telemetry.Sink) explore.Observer {
-	return sinkExploreObserver{s}
-}
-
-// SinkCellFunc adapts a trace sink into a matrix-cell callback for
-// core.BuildMatrixObserved, the per-call analogue of SinkExploreObserver
-// for matrix jobs.
-func SinkCellFunc(s *telemetry.Sink) core.CellFunc {
-	return func(workload, arch string, budget int, ipt float64) {
-		s.Emit(telemetry.MatrixCell{Workload: workload, Arch: arch, Budget: budget, IPT: ipt})
-	}
-}
-
-// ExploreObserver returns the observer to install on explore.Options, or
-// nil when neither tracing nor progress is on.
-func (t *Telemetry) ExploreObserver() explore.Observer {
-	if t == nil {
-		return nil
-	}
-	var obs explore.MultiObserver
-	if t.sink != nil {
-		obs = append(obs, sinkExploreObserver{t.sink})
-	}
-	if t.progress != nil {
-		obs = append(obs, t.progress)
-	}
-	if len(obs) == 0 {
-		return nil
-	}
-	return obs
-}
-
-// CellFunc returns the matrix-cell callback for core.BuildMatrixObserved,
-// or nil when tracing is off.
-func (t *Telemetry) CellFunc() core.CellFunc {
-	if t == nil || t.sink == nil {
-		return nil
-	}
-	sink := t.sink
-	return func(workload, arch string, budget int, ipt float64) {
-		sink.Emit(telemetry.MatrixCell{Workload: workload, Arch: arch, Budget: budget, IPT: ipt})
-	}
-}
-
-// Close emits the run summary, detaches the engine observer, shuts the
-// sink and metrics server down, and closes the session — flushing its
-// persistent cache tier, when one is configured, so every evaluation the
-// run paid for is durable before the process exits. Safe on a nil or
-// inert Telemetry, and safe to call on the interrupt path: everything
-// buffered is flushed before the process decides its exit code.
+// Close ends the run span with the engine's counters — the stream's last
+// line — closes the stream, shuts the metrics server down, and closes the
+// session, flushing its persistent cache tier, when one is configured, so
+// every evaluation the run paid for is durable before the process exits.
+// Safe on a nil or inert Telemetry, and safe to call on the interrupt
+// path: everything buffered is flushed before the process decides its
+// exit code.
 func (t *Telemetry) Close() (firstErr error) {
 	if t == nil {
 		return nil
@@ -337,39 +220,35 @@ func (t *Telemetry) Close() (firstErr error) {
 			}
 		}()
 	}
-	if t.sink != nil {
-		t.sess.SetEvalObserver(nil)
-		s := t.sess.Stats()
-		t.sink.Emit(telemetry.RunSummary{
-			WallNs:          time.Since(t.start).Nanoseconds(),
-			Requests:        s.Requests,
-			Hits:            s.Hits,
-			Deduped:         s.Deduped,
-			Misses:          s.Misses,
-			Evictions:       s.Evictions,
-			CacheEntries:    s.CacheEntries,
-			LockstepGroups:  s.LockstepGroups,
-			LockstepLanes:   s.LockstepLanes,
-			ScalarFallbacks: s.ScalarFallbacks,
-			DiskHits:        s.DiskHits,
-			DiskMisses:      s.DiskMisses,
-			RemoteHits:      s.Disk.RemoteHits,
-			RemoteMisses:    s.Disk.RemoteMisses,
-		})
-		n := t.sink.Events()
-		if err := t.sink.Close(); err != nil {
-			firstErr = fmt.Errorf("trace: %w", err)
-		} else {
-			slog.Info("trace written", "events", n)
-		}
-		t.sink = nil
-	}
 	if t.rec != nil {
-		t.root.End(t.runSpan)
-		if err := t.writeSpans(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("spans: %w", err)
+		if t.runSpan.ID != 0 {
+			s := t.sess.Stats()
+			t.runSpan.Attrs = &tracing.RunAttrs{
+				Requests:        s.Requests,
+				Hits:            s.Hits,
+				Deduped:         s.Deduped,
+				Misses:          s.Misses,
+				Evictions:       s.Evictions,
+				CacheEntries:    s.CacheEntries,
+				LockstepGroups:  s.LockstepGroups,
+				LockstepLanes:   s.LockstepLanes,
+				ScalarFallbacks: s.ScalarFallbacks,
+				DiskHits:        s.DiskHits,
+				DiskMisses:      s.DiskMisses,
+				RemoteHits:      s.Disk.RemoteHits,
+				RemoteMisses:    s.Disk.RemoteMisses,
+			}
+			t.root.End(t.runSpan)
 		}
-		t.rec = nil
+		if t.stream != nil {
+			n := t.stream.Len()
+			if err := t.stream.Close(); err != nil {
+				firstErr = fmt.Errorf("trace: %w", err)
+			} else {
+				slog.Info("trace written", "spans", n)
+			}
+		}
+		t.rec, t.stream = nil, nil
 	}
 	if t.introOn {
 		t.sess.DisableIntrospection()
@@ -405,26 +284,5 @@ func (t *Telemetry) writeIntervals() error {
 		return err
 	}
 	slog.Info("intervals written", "records", len(recs), "dropped", t.ring.Dropped(), "path", t.intervalsPath)
-	return nil
-}
-
-// writeSpans flushes the recorded span stream to the -spans file. The
-// stream header carries the trace ID and time origin, which is what lets
-// a multi-file export stitch this process's spans into a fleet view.
-func (t *Telemetry) writeSpans() error {
-	f, err := os.Create(t.spansPath)
-	if err != nil {
-		return err
-	}
-	spans := t.rec.Spans()
-	meta := tracing.Meta{Tool: t.tool, TraceID: t.rec.TraceID(), OriginUnixNs: t.rec.Origin()}
-	if err := tracing.WriteSpansMeta(f, meta, spans); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	slog.Info("spans written", "spans", len(spans), "path", t.spansPath)
 	return nil
 }

@@ -16,12 +16,6 @@ import (
 	"xpscalar/internal/workload"
 )
 
-// CellFunc observes one completed matrix cell: the workload simulated, the
-// name of the workload whose customized architecture it ran on, the
-// instruction budget, and the achieved IPT. Cells complete in parallel, so
-// implementations must be safe for concurrent use.
-type CellFunc func(workload, arch string, budget int, ipt float64)
-
 // BuildMatrix evaluates every profile on every configuration for n
 // instructions each on eng and returns the resulting cross-configuration
 // IPT matrix. configs[i] must be the customized architecture of
@@ -29,18 +23,13 @@ type CellFunc func(workload, arch string, budget int, ipt float64)
 // single batch evaluation: cells that miss the engine's cache run as one
 // lockstep group over one shared replay of the workload's stream, and
 // cells already simulated by the exploration phase are served from cache.
-// Rows run in parallel on the engine's pool. Cancelling ctx stops
-// dispatching between rows and returns the context's error; completed
-// cells are observable through the engine's cache and any CellFunc, but
-// no partial Matrix is returned (a Matrix with holes would silently
-// corrupt every downstream figure of merit).
+// Rows run in parallel on the engine's pool, each under a cell span that
+// ends with the row's cells. Cancelling ctx stops dispatching between rows
+// and returns the context's error; completed rows are observable through
+// the engine's cache and their spans, but no partial Matrix is returned (a
+// Matrix with holes would silently corrupt every downstream figure of
+// merit).
 func BuildMatrix(ctx context.Context, eng *evalengine.Engine, profiles []workload.Profile, configs []sim.Config, n int, t tech.Params) (*Matrix, error) {
-	return BuildMatrixObserved(ctx, eng, profiles, configs, n, t, nil)
-}
-
-// BuildMatrixObserved is BuildMatrix with a per-cell completion callback
-// (nil for none). The callback never affects the matrix.
-func BuildMatrixObserved(ctx context.Context, eng *evalengine.Engine, profiles []workload.Profile, configs []sim.Config, n int, t tech.Params, cell CellFunc) (*Matrix, error) {
 	if len(profiles) == 0 || len(profiles) != len(configs) {
 		return nil, fmt.Errorf("core: %d profiles for %d configs", len(profiles), len(configs))
 	}
@@ -62,17 +51,21 @@ func BuildMatrixObserved(ctx context.Context, eng *evalengine.Engine, profiles [
 			cctx = tracing.ChildContext(cctx, sp)
 		}
 		row := make([]evalengine.Eval, len(configs))
-		err := eng.EvaluateBatch(cctx, row, configs, profiles[w], n, t, power.ObjIPT)
-		h.End(sp)
-		if err != nil {
+		if err := eng.EvaluateBatch(cctx, row, configs, profiles[w], n, t, power.ObjIPT); err != nil {
+			h.End(sp)
 			return fmt.Errorf("core: %s row: %w", profiles[w].Name, err)
 		}
 		for a := range configs {
 			ipt[w][a] = row[a].Result.IPT()
-			if cell != nil {
-				cell(profiles[w].Name, names[a], n, ipt[w][a])
-			}
 		}
+		if sp.ID != 0 {
+			cells := make([]tracing.Cell, len(configs))
+			for a := range cells {
+				cells[a] = tracing.Cell{Arch: names[a], IPT: ipt[w][a]}
+			}
+			sp.Attrs = &tracing.CellAttrs{Budget: n, Cells: cells}
+		}
+		h.End(sp)
 		return nil
 	}); err != nil {
 		return nil, err

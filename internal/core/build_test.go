@@ -8,6 +8,7 @@ import (
 	"xpscalar/internal/sim"
 	"xpscalar/internal/tech"
 	"xpscalar/internal/timing"
+	"xpscalar/internal/tracing"
 	"xpscalar/internal/workload"
 )
 
@@ -100,5 +101,42 @@ func TestBuildMatrixDeterministic(t *testing.T) {
 				t.Errorf("BuildMatrix not deterministic at [%d][%d]", i, j)
 			}
 		}
+	}
+}
+
+// Each matrix row's cell span ends with the row's cells: one (arch, IPT)
+// pair per configuration, equal to the matrix the build returns.
+func TestBuildMatrixRowSpans(t *testing.T) {
+	tp := tech.Default()
+	gzip, _ := workload.ByName("gzip")
+	vpr, _ := workload.ByName("vpr")
+	slow := sim.InitialConfig(tp)
+	slow.L2Lat += 4
+	profs := []workload.Profile{gzip, vpr}
+	rec := tracing.NewRecorder()
+	m, err := BuildMatrix(tracing.NewContext(context.Background(), rec), eng, profs,
+		[]sim.Config{sim.InitialConfig(tp), slow}, 8000, tp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	for _, s := range rec.Spans() {
+		if s.Kind != tracing.KindCell {
+			continue
+		}
+		rows++
+		a := s.Attrs.(*tracing.CellAttrs)
+		w := m.Index(s.Name)
+		if w < 0 || a.Budget != 8000 || len(a.Cells) != 2 {
+			t.Fatalf("cell span %+v with attrs %+v", s, a)
+		}
+		for j, c := range a.Cells {
+			if c.Arch != m.Names[j] || c.IPT != m.IPT[w][j] {
+				t.Errorf("%s row cell %d = %+v, want %s at %v", s.Name, j, c, m.Names[j], m.IPT[w][j])
+			}
+		}
+	}
+	if rows != len(profs) {
+		t.Errorf("%d cell spans, want one per row (%d)", rows, len(profs))
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"xpscalar/internal/evalengine"
 	"xpscalar/internal/sim"
 	"xpscalar/internal/tech"
+	"xpscalar/internal/tracing"
 	"xpscalar/internal/workload"
 )
 
@@ -34,19 +35,19 @@ func TestBuildMatrixCancellationLeavesCacheConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Cancel after the first completed cell: the build must report the
+	// Cancel after the first completed row: the build must report the
 	// context's error and withhold the matrix (a partial one would corrupt
 	// every downstream figure of merit).
 	e2 := evalengine.New(evalengine.Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var cells atomic.Int32
-	m, err := BuildMatrixObserved(ctx, e2, profiles, configs, 6000, tp,
-		func(string, string, int, float64) {
-			if cells.Add(1) == 1 {
-				cancel()
-			}
-		})
+	var rows atomic.Int32
+	rec := tracing.NewRecorderFunc(func(s tracing.Span) {
+		if s.Kind == tracing.KindCell && rows.Add(1) == 1 {
+			cancel()
+		}
+	})
+	m, err := BuildMatrix(tracing.NewContext(ctx, rec), e2, profiles, configs, 6000, tp)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled build returned %v, want context.Canceled", err)
 	}

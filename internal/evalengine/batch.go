@@ -33,6 +33,9 @@ type batchClaim struct {
 	entry   *memoEntry
 	key     Key
 	outcome string // "hit", "dedup", "disk", or "miss" (this call owns the entry)
+	// wallNs is the member's share of its lockstep group's wall time,
+	// measured only when a histogram or a span wants it.
+	wallNs int64
 }
 
 // outcomeKinds maps a one-member request's outcome to its span kind.
@@ -78,13 +81,12 @@ func (e *Engine) EvaluateBatch(ctx context.Context, dst []Eval, cfgs []sim.Confi
 // lowest failing member's index with that member's own error, or -1 with
 // nil on success or the context error on cancellation. The request span
 // is eval.batch for a batch; a single request's span is finalized to the
-// kind of its outcome.
+// kind of its outcome. A completed span ends with every member's result.
 func (e *Engine) evaluate(ctx context.Context, dst []Eval, cfgs []sim.Config, p workload.Profile, budget int, t tech.Params, obj power.Objective, batch bool) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return -1, err
 	}
 	k := len(cfgs)
-	obs := e.obs.Load()
 	h := tracing.FromContext(ctx)
 	kind, arg := tracing.KindEvalMiss, int64(budget)
 	if batch {
@@ -148,9 +150,6 @@ func (e *Engine) evaluate(ctx context.Context, dst []Eval, cfgs []sim.Config, p 
 			// validation error is the member's memoized result.
 			me.err = err
 			close(me.ready)
-			if obs != nil {
-				(*obs).ObserveEval(record(p.Name, budget, "miss", 0, me.val, me.err))
-			}
 			continue
 		}
 		lanes = append(lanes, i)
@@ -159,7 +158,7 @@ func (e *Engine) evaluate(ctx context.Context, dst []Eval, cfgs []sim.Config, p 
 		sp.Kind = outcomeKinds[claims[0].outcome]
 	}
 	if len(lanes) > 0 {
-		e.runGroup(hb, lanes, claims, cfgs, p, budget, t, obj, obs)
+		e.runGroup(hb, lanes, claims, cfgs, p, budget, t, obj)
 	}
 
 	// Write-behind: every successful simulation this call owned goes to
@@ -191,9 +190,6 @@ func (e *Engine) evaluate(ctx context.Context, dst []Eval, cfgs []sim.Config, p 
 				return -1, ctx.Err()
 			}
 		}
-		if claims[i].outcome != "miss" && obs != nil {
-			(*obs).ObserveEval(record(p.Name, budget, claims[i].outcome, 0, me.val, me.err))
-		}
 		if me.err != nil {
 			if failed < 0 {
 				failed, firstErr = i, me.err
@@ -202,18 +198,44 @@ func (e *Engine) evaluate(ctx context.Context, dst []Eval, cfgs []sim.Config, p 
 		}
 		dst[i] = me.val
 	}
+	if sp.ID != 0 {
+		sp.Attrs = evalAttrs(budget, claims)
+	}
 	h.End(sp)
 	return failed, firstErr
+}
+
+// evalAttrs captures every member's result for the request span. Each
+// entry is resolved and immutable by now, so the configuration and CPI
+// stack are held by reference into it and rendered only if the span is
+// written out.
+func evalAttrs(budget int, claims []batchClaim) *tracing.EvalAttrs {
+	a := &tracing.EvalAttrs{Budget: budget, Members: make([]tracing.EvalMember, len(claims))}
+	for i := range claims {
+		me, m := claims[i].entry, &a.Members[i]
+		m.Outcome, m.WallNs = claims[i].outcome, claims[i].wallNs
+		if me.err != nil {
+			m.Err = me.err
+			continue
+		}
+		res := &me.val.Result
+		m.Score, m.IPT, m.Config = me.val.Score, res.IPT(), &res.Config
+		if res.CPI != (pipeline.CPIStack{}) {
+			m.CPI = &res.CPI
+		}
+	}
+	return a
 }
 
 // runGroup simulates the valid owned misses in lanes as one lockstep group
 // and memoizes each member's result. A group of two or more whose run
 // fails is retried member by member as groups of one, so a failure stays
 // with the member that caused it and each member memoizes its own error.
-func (e *Engine) runGroup(h tracing.Handle, lanes []int, claims []batchClaim, cfgs []sim.Config, p workload.Profile, budget int, t tech.Params, obj power.Objective, obs *EvalObserver) {
+func (e *Engine) runGroup(h tracing.Handle, lanes []int, claims []batchClaim, cfgs []sim.Config, p workload.Profile, budget int, t tech.Params, obj power.Objective) {
 	hist := e.simHist.Load()
+	timed := hist != nil || h.Enabled()
 	var begin time.Time
-	if hist != nil || obs != nil {
+	if timed {
 		begin = time.Now()
 	}
 	// Loaded once per group and re-applied to the pooled runner every run:
@@ -227,7 +249,7 @@ func (e *Engine) runGroup(h tracing.Handle, lanes []int, claims []batchClaim, cf
 		// its member from the trace store, so nothing depends on it.
 		e.scalarFallbacks.Add(1)
 		for j := range lanes {
-			e.runGroup(h, lanes[j:j+1], claims, cfgs, p, budget, t, obj, obs)
+			e.runGroup(h, lanes[j:j+1], claims, cfgs, p, budget, t, obj)
 		}
 		return
 	}
@@ -242,7 +264,7 @@ func (e *Engine) runGroup(h tracing.Handle, lanes []int, claims []batchClaim, cf
 	// lane's observation answers "what did this evaluation cost?", and
 	// under lockstep that is the shared run divided by the lanes riding it.
 	var wallPer time.Duration
-	if hist != nil || obs != nil {
+	if timed {
 		wallPer = time.Since(begin) / time.Duration(len(lanes))
 	}
 	for j, i := range lanes {
@@ -261,11 +283,9 @@ func (e *Engine) runGroup(h tracing.Handle, lanes []int, claims []batchClaim, cf
 			}
 		}
 		close(me.ready)
+		claims[i].wallNs = wallPer.Nanoseconds()
 		if hist != nil {
 			hist.Observe(wallPer.Seconds())
-		}
-		if obs != nil {
-			(*obs).ObserveEval(record(p.Name, budget, "miss", wallPer.Nanoseconds(), me.val, me.err))
 		}
 	}
 }

@@ -153,13 +153,11 @@ type Engine struct {
 	lockstepLanes   atomic.Uint64
 	scalarFallbacks atomic.Uint64
 
-	// Telemetry hooks, both nil by default: a latency histogram fed the
-	// wall time of every uncached simulation, and a per-request observer.
-	// Loaded once per Evaluate; the nil fast path costs two atomic loads
-	// and zero allocations.
+	// Telemetry hooks, both nil by default: latency and group-size
+	// histograms fed by every lockstep group. Loaded once per group; the
+	// nil fast path costs an atomic load and zero allocations.
 	simHist   atomic.Pointer[telemetry.Histogram]
 	groupHist atomic.Pointer[telemetry.Histogram]
-	obs       atomic.Pointer[EvalObserver]
 
 	// Introspection: nil by default (kernel runs with accounting off, the
 	// zero-alloc fast path). When armed, every miss runs with CPI-stack
@@ -240,47 +238,6 @@ func (e *Engine) addCPITotals(s pipeline.CPIStack) {
 			e.cpiTotals[b].Add(v)
 		}
 	}
-}
-
-// EvalRecord describes one Evaluate call for an observer: how the request
-// was served and, for misses, how long the simulation ran.
-type EvalRecord struct {
-	Workload string
-	Budget   int
-	// Outcome is "hit" (served from a completed memory-tier entry),
-	// "dedup" (joined an in-flight simulation), "disk" (served from the
-	// persistent tier) or "miss" (ran a simulation).
-	Outcome string
-	// WallNs is the simulation wall time; zero except on misses that
-	// simulated.
-	WallNs int64
-	Score  float64
-	IPT    float64
-	// Config is the evaluated configuration's canonical string form
-	// (empty on error).
-	Config string
-	// CPI is the evaluation's CPI-stack decomposition, present when the
-	// result carries one (the simulation — or the cached simulation the
-	// hit was served from — ran with introspection armed).
-	CPI *pipeline.CPIStack
-	Err error
-}
-
-// EvalObserver receives one record per Evaluate call. Implementations must
-// be safe for concurrent use: every simulation fan-out calls into the
-// engine from pool workers.
-type EvalObserver interface {
-	ObserveEval(EvalRecord)
-}
-
-// SetEvalObserver installs (or, with nil, removes) the engine's per-request
-// observer.
-func (e *Engine) SetEvalObserver(o EvalObserver) {
-	if o == nil {
-		e.obs.Store(nil)
-		return
-	}
-	e.obs.Store(&o)
 }
 
 // EnableTelemetry registers the engine's counters, the cache-occupancy
@@ -602,8 +559,9 @@ func (e *Engine) Memoize(key Key, val Eval) {
 // goroutine is already simulating it. It is EvaluateBatch's body with a
 // one-member batch: a miss runs as a lockstep group of one. The request
 // emits one span whose kind says how it was served (eval.hit, eval.dedup,
-// eval.disk or eval.miss), and a failure returns the member's own error
-// unwrapped — an invalid configuration's exact Validate error.
+// eval.disk or eval.miss) and which ends with the member's result, and a
+// failure returns the member's own error unwrapped — an invalid
+// configuration's exact Validate error.
 //
 // Cancellation semantics: ctx is checked once on entry (before a memo
 // entry is inserted) and while waiting on an in-flight computation owned
@@ -616,24 +574,6 @@ func (e *Engine) Evaluate(ctx context.Context, cfg sim.Config, p workload.Profil
 	var dst [1]Eval
 	_, err := e.evaluate(ctx, dst[:], []sim.Config{cfg}, p, budget, t, obj, false)
 	return dst[0], err
-}
-
-// record builds an observer record, guarding the derived IPT against the
-// zero Result an errored evaluation carries. A result that carries a CPI
-// stack (its simulation ran introspected — possibly on an earlier call,
-// for hits) is passed through by pointer copy.
-func record(workload string, budget int, outcome string, wallNs int64, val Eval, err error) EvalRecord {
-	r := EvalRecord{Workload: workload, Budget: budget, Outcome: outcome, WallNs: wallNs, Err: err}
-	if err == nil {
-		r.Score = val.Score
-		r.IPT = val.Result.IPT()
-		r.Config = val.Result.Config.String()
-		if val.Result.CPI != (pipeline.CPIStack{}) {
-			cp := val.Result.CPI
-			r.CPI = &cp
-		}
-	}
-	return r
 }
 
 // CacheEntries reports how many memoized evaluations the cache currently

@@ -8,6 +8,7 @@ package evalengine
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -17,6 +18,7 @@ import (
 	"xpscalar/internal/sim"
 	"xpscalar/internal/tech"
 	"xpscalar/internal/telemetry"
+	"xpscalar/internal/tracing"
 )
 
 // An armed engine's evaluations carry a complete CPI decomposition; the
@@ -35,7 +37,9 @@ func TestEngineIntrospectionDecoratesEvaluations(t *testing.T) {
 
 	eng := New(Options{})
 	eng.EnableIntrospection(0, nil) // CPI stacks alone, no sampling
-	miss, err := eng.Evaluate(context.Background(), cfg, p, 5000, tp, power.ObjIPT)
+	rec := tracing.NewRecorder()
+	ctx := tracing.NewContext(context.Background(), rec)
+	miss, err := eng.Evaluate(ctx, cfg, p, 5000, tp, power.ObjIPT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,12 +54,23 @@ func TestEngineIntrospectionDecoratesEvaluations(t *testing.T) {
 		t.Error("CPI stack has no base cycles")
 	}
 
-	hit, err := eng.Evaluate(context.Background(), cfg, p, 5000, tp, power.ObjIPT)
+	hit, err := eng.Evaluate(ctx, cfg, p, 5000, tp, power.ObjIPT)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hit.Result.CPI != miss.Result.CPI {
 		t.Errorf("hit replayed a different stack:\n got  %v\nwant %v", hit.Result.CPI, miss.Result.CPI)
+	}
+	// Both requests' spans carry the stack: the miss its own, the hit the
+	// memoized one.
+	members, _ := evalMembers(t, rec)
+	if len(members) != 2 || members[0].Outcome != "miss" || members[1].Outcome != "hit" {
+		t.Fatalf("recorded members %+v, want a miss then a hit", members)
+	}
+	for _, m := range members {
+		if m.CPI == nil || !reflect.DeepEqual(m.CPI.Map(), miss.Result.CPI.Map()) {
+			t.Errorf("%s member CPI %v, want %v", m.Outcome, m.CPI, miss.Result.CPI.Map())
+		}
 	}
 	if got := eng.CPITotals(); got != miss.Result.CPI {
 		t.Errorf("CPITotals after one miss = %v, want that miss's stack %v", got, miss.Result.CPI)
@@ -63,12 +78,15 @@ func TestEngineIntrospectionDecoratesEvaluations(t *testing.T) {
 
 	// Disarming returns subsequent misses to the undecorated fast path.
 	eng.DisableIntrospection()
-	off, err := eng.Evaluate(context.Background(), cfg, p, 6000, tp, power.ObjIPT)
+	off, err := eng.Evaluate(ctx, cfg, p, 6000, tp, power.ObjIPT)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if off.Result.CPI != (pipeline.CPIStack{}) {
 		t.Errorf("disarmed miss carries a CPI stack: %v", off.Result.CPI)
+	}
+	if members, _ = evalMembers(t, rec); len(members) != 3 || members[2].CPI != nil {
+		t.Errorf("disarmed miss's member carries a CPI stack: %+v", members[len(members)-1])
 	}
 }
 

@@ -3,107 +3,113 @@ package evalengine
 import (
 	"context"
 	"strings"
-	"sync"
 	"testing"
 
 	"xpscalar/internal/power"
 	"xpscalar/internal/sim"
 	"xpscalar/internal/tech"
 	"xpscalar/internal/telemetry"
+	"xpscalar/internal/tracing"
 )
 
-// recordingEvalObserver collects every evaluation record; Evaluate is
-// called from pool workers, so it locks.
-type recordingEvalObserver struct {
-	mu      sync.Mutex
-	records []EvalRecord
-}
-
-func (r *recordingEvalObserver) ObserveEval(rec EvalRecord) {
-	r.mu.Lock()
-	r.records = append(r.records, rec)
-	r.mu.Unlock()
-}
-
-func (r *recordingEvalObserver) outcomes() map[string]int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]int)
-	for _, rec := range r.records {
-		out[rec.Outcome]++
+// evalMembers returns every member of every eval.* span rec holds, in
+// span start order, with the budget of its span.
+func evalMembers(t *testing.T, rec *tracing.Recorder) ([]tracing.EvalMember, []int) {
+	t.Helper()
+	var members []tracing.EvalMember
+	var budgets []int
+	for _, s := range evalSpans(rec) {
+		a, ok := s.Attrs.(*tracing.EvalAttrs)
+		if !ok {
+			t.Fatalf("%s span carries no evaluation attributes", s.Kind)
+		}
+		for _, m := range a.Members {
+			members = append(members, m)
+			budgets = append(budgets, a.Budget)
+		}
 	}
-	return out
+	return members, budgets
 }
 
-// An installed observer must see one record per Evaluate call with the
-// outcome the stats counters report, and detaching it must stop delivery.
+// A recorded evaluation span carries one member per request with the
+// outcome the stats counters report; an unrecorded request records
+// nothing. The span recorder is the engine's only observer.
 func TestEvalObserverOutcomes(t *testing.T) {
 	tp := tech.Default()
 	cfg := sim.InitialConfig(tp)
 	p := testProfile(7)
 	eng := New(Options{})
-	rec := &recordingEvalObserver{}
-	eng.SetEvalObserver(rec)
+	rec := tracing.NewRecorder()
+	ctx := tracing.NewContext(context.Background(), rec)
 
-	if _, err := eng.Evaluate(context.Background(), cfg, p, 5000, tp, power.ObjIPT); err != nil {
+	if _, err := eng.Evaluate(ctx, cfg, p, 5000, tp, power.ObjIPT); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Evaluate(context.Background(), cfg, p, 5000, tp, power.ObjIPT); err != nil {
+	if _, err := eng.Evaluate(ctx, cfg, p, 5000, tp, power.ObjIPT); err != nil {
 		t.Fatal(err)
 	}
 
-	got := rec.outcomes()
+	members, budgets := evalMembers(t, rec)
+	got := map[string]int{}
+	for i, m := range members {
+		got[m.Outcome]++
+		if budgets[i] != 5000 {
+			t.Errorf("member %+v: budget %d, want 5000", m, budgets[i])
+		}
+		if m.Err != nil {
+			t.Errorf("member %+v: unexpected error", m)
+		}
+		if m.Outcome == "miss" && m.WallNs <= 0 {
+			t.Errorf("miss member has wall time %d", m.WallNs)
+		}
+		if m.Outcome == "hit" && m.WallNs != 0 {
+			t.Errorf("hit member has wall time %d", m.WallNs)
+		}
+		if m.IPT <= 0 || m.Score <= 0 {
+			t.Errorf("member %+v: non-positive score", m)
+		}
+		if m.Config == nil || m.Config.String() != cfg.String() {
+			t.Errorf("member config %v, want %v", m.Config, cfg)
+		}
+	}
 	if got["miss"] != 1 || got["hit"] != 1 {
 		t.Fatalf("outcomes = %v, want 1 miss + 1 hit", got)
 	}
-	for _, r := range rec.records {
-		if r.Workload != p.Name || r.Budget != 5000 {
-			t.Errorf("record %+v: wrong workload/budget", r)
-		}
-		if r.Err != nil {
-			t.Errorf("record %+v: unexpected error", r)
-		}
-		if r.Outcome == "miss" && r.WallNs <= 0 {
-			t.Errorf("miss record has wall time %d", r.WallNs)
-		}
-		if r.Outcome == "hit" && r.WallNs != 0 {
-			t.Errorf("hit record has wall time %d", r.WallNs)
-		}
-		if r.IPT <= 0 || r.Score <= 0 {
-			t.Errorf("record %+v: non-positive score", r)
+	for _, s := range evalSpans(rec) {
+		if s.Name != p.Name {
+			t.Errorf("%s span for workload %q, want %q", s.Kind, s.Name, p.Name)
 		}
 	}
 
-	eng.SetEvalObserver(nil)
 	if _, err := eng.Evaluate(context.Background(), cfg, p, 5000, tp, power.ObjIPT); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(rec.outcomes()); n != 2 {
-		t.Errorf("detached observer still received records (total %d)", n)
+	if n := len(evalSpans(rec)); n != 2 {
+		t.Errorf("an unrecorded request reached the recorder (%d spans)", n)
 	}
 }
 
-// Failed evaluations reach the observer with the error and without scores
-// (a zero Result would yield NaN, which is unencodable as JSON downstream).
+// A failed evaluation's member carries the error and no scores (a zero
+// Result would yield NaN, which is unencodable as JSON downstream).
 func TestEvalObserverError(t *testing.T) {
 	tp := tech.Default()
 	p := testProfile(9)
 	eng := New(Options{})
-	rec := &recordingEvalObserver{}
-	eng.SetEvalObserver(rec)
+	rec := tracing.NewRecorder()
 
-	if _, err := eng.Evaluate(context.Background(), sim.Config{}, p, 5000, tp, power.ObjIPT); err == nil {
+	if _, err := eng.Evaluate(tracing.NewContext(context.Background(), rec), sim.Config{}, p, 5000, tp, power.ObjIPT); err == nil {
 		t.Fatal("zero config evaluated without error")
 	}
-	if len(rec.records) != 1 {
-		t.Fatalf("got %d records, want 1", len(rec.records))
+	members, _ := evalMembers(t, rec)
+	if len(members) != 1 {
+		t.Fatalf("got %d members, want 1", len(members))
 	}
-	r := rec.records[0]
-	if r.Err == nil {
-		t.Error("record is missing the evaluation error")
+	m := members[0]
+	if m.Err == nil {
+		t.Error("member is missing the evaluation error")
 	}
-	if r.Score != 0 || r.IPT != 0 {
-		t.Errorf("failed record carries scores: %+v", r)
+	if m.Score != 0 || m.IPT != 0 || m.Config != nil {
+		t.Errorf("failed member carries results: %+v", m)
 	}
 }
 
@@ -185,8 +191,8 @@ func TestEnableTelemetryExportsCounters(t *testing.T) {
 }
 
 // Lockstep batches feed the group-size histogram and counters, and every
-// lane reaches the observer as a miss carrying the group's amortized wall
-// time.
+// lane reaches the batch span as a miss member carrying the group's
+// amortized wall time.
 func TestEnableTelemetryLockstepMetrics(t *testing.T) {
 	tp := tech.Default()
 	cs := batchConfigs(t, tp, 4)
@@ -194,21 +200,23 @@ func TestEnableTelemetryLockstepMetrics(t *testing.T) {
 	eng := New(Options{})
 	reg := telemetry.NewRegistry()
 	eng.EnableTelemetry(reg)
-	rec := &recordingEvalObserver{}
-	eng.SetEvalObserver(rec)
+	rec := tracing.NewRecorder()
 
 	dst := make([]Eval, len(cs))
-	if err := eng.EvaluateBatch(context.Background(), dst, cs, p, 4000, tp, power.ObjIPT); err != nil {
+	if err := eng.EvaluateBatch(tracing.NewContext(context.Background(), rec), dst, cs, p, 4000, tp, power.ObjIPT); err != nil {
 		t.Fatal(err)
 	}
 
-	got := rec.outcomes()
-	if got["miss"] != 4 {
-		t.Fatalf("outcomes = %v, want 4 misses", got)
+	members, _ := evalMembers(t, rec)
+	if len(members) != 4 {
+		t.Fatalf("batch span carries %d members, want 4", len(members))
 	}
-	for _, r := range rec.records {
-		if r.WallNs <= 0 {
-			t.Errorf("lockstep miss record has wall time %d", r.WallNs)
+	for i, m := range members {
+		if m.Outcome != "miss" || m.WallNs <= 0 {
+			t.Errorf("lockstep member %d: %+v, want a miss with wall time", i, m)
+		}
+		if m.Config.String() != cs[i].String() {
+			t.Errorf("member %d config %v, want %v", i, m.Config, cs[i])
 		}
 	}
 
@@ -231,12 +239,12 @@ func TestEnableTelemetryLockstepMetrics(t *testing.T) {
 	}
 }
 
-// The no-op default must not allocate on the hot path: the observer and
-// histogram loads are pointer checks only.
+// The no-op default must not allocate on the hot path: the histogram load
+// is a pointer check only.
 func TestNoObserverZeroAllocOverhead(t *testing.T) {
 	eng := New(Options{})
 	if n := testing.AllocsPerRun(1000, func() {
-		if eng.obs.Load() != nil || eng.simHist.Load() != nil {
+		if eng.simHist.Load() != nil {
 			t.Fatal("telemetry unexpectedly enabled")
 		}
 	}); n != 0 {

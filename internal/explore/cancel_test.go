@@ -13,25 +13,22 @@ import (
 	"testing"
 
 	"xpscalar/internal/evalengine"
+	"xpscalar/internal/tracing"
 	"xpscalar/internal/workload"
 )
 
-// cancelAfterSteps cancels a context once n annealing steps have been
-// observed, cutting the search off mid-chain deterministically enough for
-// tests without reaching into the annealer.
-type cancelAfterSteps struct {
-	n      int64
-	seen   atomic.Int64
-	cancel context.CancelFunc
+// cancelAfterSteps returns ctx under a recorder that cancels it once n
+// annealing steps have ended, cutting the search off mid-chain
+// deterministically enough for tests without reaching into the annealer.
+func cancelAfterSteps(ctx context.Context, n int64, cancel context.CancelFunc) context.Context {
+	var seen atomic.Int64
+	rec := tracing.NewRecorderFunc(func(s tracing.Span) {
+		if s.Kind == tracing.KindStep && seen.Add(1) == n {
+			cancel()
+		}
+	})
+	return tracing.NewContext(ctx, rec)
 }
-
-func (c *cancelAfterSteps) ObserveStep(StepEvent) {
-	if c.seen.Add(1) == c.n {
-		c.cancel()
-	}
-}
-
-func (c *cancelAfterSteps) ObserveChain(ChainEvent) {}
 
 // TestWorkloadPreCancelled: a context cancelled before the call dispatches
 // nothing and surfaces the context's error.
@@ -69,8 +66,7 @@ func TestSuiteCancellationLeavesCacheConsistent(t *testing.T) {
 	opt.Engine = eng
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	opt.Observer = &cancelAfterSteps{n: 5, cancel: cancel}
-	done, err := Suite(ctx, profiles, opt)
+	done, err := Suite(cancelAfterSteps(ctx, 5, cancel), profiles, opt)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled Suite returned %v, want context.Canceled", err)
 	}
@@ -81,7 +77,6 @@ func TestSuiteCancellationLeavesCacheConsistent(t *testing.T) {
 	}
 
 	// Re-run uncancelled on the engine the cancelled run touched.
-	opt.Observer = nil
 	got, err := Suite(context.Background(), profiles, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -48,8 +48,6 @@ type Options struct {
 	Seed int64
 	// Tech is the technology the configurations are fitted against.
 	Tech tech.Params
-	// KeepTrace records the per-iteration history in the outcome.
-	KeepTrace bool
 	// Objective selects what the annealer maximizes. The zero value is
 	// the paper's raw-performance IPT; the power-aware objectives
 	// implement the combined performance/power/area extension of §3.
@@ -71,11 +69,6 @@ type Options struct {
 	// effectively diminish the true performance potential of
 	// customization"). For the ablation only.
 	FixedClockNs float64
-	// Observer, when non-nil, receives every annealing step and chain
-	// completion (search introspection; see observer.go). It never
-	// affects the search: no randomness is consumed and no decision
-	// depends on it, so outcomes are identical with or without one.
-	Observer Observer
 	// Engine is the evaluation engine the search runs against. Required:
 	// explorations always run through an injected engine — a Session's,
 	// or one constructed directly in tests — never a process global.
@@ -98,29 +91,41 @@ func DefaultOptions(seed int64) Options {
 	}
 }
 
-func (o Options) validate() error {
+// maxChains and maxNeighborhoodK bound the per-workload fan-out the
+// options may ask for: each chain is a slice slot and a pool job, each
+// neighborhood member an evaluation per step, so an unbounded request is
+// an unbounded allocation. Every default, test and example stays far
+// below them.
+const (
+	maxChains        = 64
+	maxNeighborhoodK = 64
+)
+
+// Validate reports whether the options' search knobs are well formed —
+// the check a service runs on a request before it queues the search. The
+// Engine is checked when a search starts.
+func (o Options) Validate() error {
 	switch {
 	case o.Iterations < 1:
 		return fmt.Errorf("explore: iterations %d must be >= 1", o.Iterations)
-	case o.Chains < 1:
-		return fmt.Errorf("explore: chains %d must be >= 1", o.Chains)
+	case o.Chains < 1 || o.Chains > maxChains:
+		return fmt.Errorf("explore: chains %d outside [1, %d]", o.Chains, maxChains)
+	case o.NeighborhoodK > maxNeighborhoodK:
+		return fmt.Errorf("explore: neighborhood %d above %d", o.NeighborhoodK, maxNeighborhoodK)
 	case o.ShortBudget < 1000 || o.LongBudget < o.ShortBudget:
 		return fmt.Errorf("explore: budgets %d/%d malformed", o.ShortBudget, o.LongBudget)
 	case o.InitTemp <= 0 || o.CoolRate <= 0 || o.CoolRate >= 1:
 		return fmt.Errorf("explore: annealing schedule (%v, %v) malformed", o.InitTemp, o.CoolRate)
-	case o.Engine == nil:
-		return fmt.Errorf("explore: options carry no Engine (run through a Session or set one explicitly)")
 	}
 	return o.Tech.Validate()
 }
 
-// Step is one point of an exploration trace.
-type Step struct {
-	Iteration  int
-	IPT        float64
-	BestIPT    float64
-	Accepted   bool
-	RolledBack bool
+// validate is Validate plus the engine a search runs against.
+func (o Options) validate() error {
+	if o.Engine == nil {
+		return fmt.Errorf("explore: options carry no Engine (run through a Session or set one explicitly)")
+	}
+	return o.Validate()
 }
 
 // Outcome is the result of exploring one workload.
@@ -135,7 +140,6 @@ type Outcome struct {
 	// to BestIPT under the default objective.
 	BestScore   float64
 	Evaluations int
-	Trace       []Step
 }
 
 // Workload runs the annealing search for one workload and returns the best
@@ -348,12 +352,12 @@ func bump(v int, rng *rand.Rand, lo, hi int) int {
 // runChain runs one annealing chain under a pprof label set naming the
 // workload and chain, so CPU profiles attribute pipeline samples to the
 // benchmark and chain that spent them, and under a chain span when the
-// context carries a recorder. Neither affects the search: no randomness is
-// consumed and no decision depends on them.
+// context carries a recorder; the span ends with the chain's result.
+// Neither affects the search: no randomness is consumed and no decision
+// depends on them.
 func runChain(ctx context.Context, p workload.Profile, opt Options, seed int64, chain int) (out Outcome, err error) {
 	h := tracing.FromContext(ctx)
 	csp := h.Begin(tracing.KindChain, p.Name, int64(chain))
-	defer h.End(csp)
 	if csp.ID != 0 {
 		ctx = tracing.ChildContext(ctx, csp)
 	}
@@ -361,6 +365,10 @@ func runChain(ctx context.Context, p workload.Profile, opt Options, seed int64, 
 	pprof.Do(ctx, labels, func(ctx context.Context) {
 		out, err = chainBody(ctx, p, opt, seed, chain)
 	})
+	if csp.ID != 0 && err == nil {
+		csp.Attrs = &tracing.ChainAttrs{BestScore: out.BestScore, BestIPT: out.BestIPT, Evaluations: out.Evaluations}
+	}
+	h.End(csp)
 	return out, err
 }
 
@@ -428,9 +436,10 @@ func chainBody(ctx context.Context, p workload.Profile, opt Options, seed int64,
 			return Outcome{}, err
 		}
 		// The step span covers move generation, fit, evaluation and the
-		// accept decision. The disabled path adds one branch per
-		// iteration and no allocations (BenchmarkAnnealLoopCtxCheck still
-		// pins the loop's overhead).
+		// accept decision, and ends with the step's move and outcome. The
+		// disabled path adds two branches per iteration and no
+		// allocations (BenchmarkAnnealLoopCtxCheck still pins the loop's
+		// overhead).
 		ssp := h.Begin(tracing.KindStep, p.Name, int64(i))
 		ictx := ctx
 		if ssp.ID != 0 {
@@ -501,11 +510,12 @@ func chainBody(ctx context.Context, p workload.Profile, opt Options, seed int64,
 			}
 		}
 		if !feasible {
-			observeStep(opt.Observer, StepEvent{
-				Workload: p.Name, Chain: chain, Iteration: i,
-				TotalIterations: opt.Iterations, Move: move, Temperature: temp,
-				CurrentScore: curScore, BestScore: bestScore,
-			})
+			if ssp.ID != 0 {
+				ssp.Attrs = &tracing.StepAttrs{
+					Chain: chain, TotalIterations: opt.Iterations, Move: move, Temperature: temp,
+					CurrentScore: curScore, BestScore: bestScore,
+				}
+			}
 			temp *= opt.CoolRate
 			h.End(ssp)
 			continue
@@ -526,19 +536,14 @@ func chainBody(ctx context.Context, p workload.Profile, opt Options, seed int64,
 			cur, curScore = bestPt, bestScore
 			rolledBack = true
 		}
-		if opt.KeepTrace {
-			out.Trace = append(out.Trace, Step{
-				Iteration: i, IPT: candScore, BestIPT: bestScore,
-				Accepted: accepted, RolledBack: rolledBack,
-			})
+		if ssp.ID != 0 {
+			ssp.Attrs = &tracing.StepAttrs{
+				Chain: chain, TotalIterations: opt.Iterations, Move: move, Temperature: temp,
+				Budget: budgetAt(i), Score: candScore, CurrentScore: curScore,
+				BestScore: bestScore, Feasible: true, Accepted: accepted,
+				RolledBack: rolledBack,
+			}
 		}
-		observeStep(opt.Observer, StepEvent{
-			Workload: p.Name, Chain: chain, Iteration: i,
-			TotalIterations: opt.Iterations, Move: move, Temperature: temp,
-			Budget: budgetAt(i), Score: candScore, CurrentScore: curScore,
-			BestScore: bestScore, Feasible: true, Accepted: accepted,
-			RolledBack: rolledBack,
-		})
 		temp *= opt.CoolRate
 		h.End(ssp)
 	}
@@ -557,10 +562,6 @@ func chainBody(ctx context.Context, p workload.Profile, opt Options, seed int64,
 	out.Best = bestCfg
 	out.BestIPT = ev.Result.IPT()
 	out.BestScore = ev.Score
-	observeChain(opt.Observer, ChainEvent{
-		Workload: p.Name, Chain: chain, BestScore: out.BestScore,
-		BestIPT: out.BestIPT, Evaluations: out.Evaluations,
-	})
 	return out, nil
 }
 

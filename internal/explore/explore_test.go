@@ -10,6 +10,7 @@ import (
 	"xpscalar/internal/power"
 	"xpscalar/internal/sim"
 	"xpscalar/internal/tech"
+	"xpscalar/internal/tracing"
 	"xpscalar/internal/workload"
 )
 
@@ -33,6 +34,8 @@ func TestOptionsValidate(t *testing.T) {
 	bad := []func(*Options){
 		func(o *Options) { o.Iterations = 0 },
 		func(o *Options) { o.Chains = 0 },
+		func(o *Options) { o.Chains = maxChains + 1 },
+		func(o *Options) { o.NeighborhoodK = maxNeighborhoodK + 1 },
 		func(o *Options) { o.ShortBudget = 10 },
 		func(o *Options) { o.LongBudget = o.ShortBudget - 1 },
 		func(o *Options) { o.InitTemp = 0 },
@@ -173,29 +176,34 @@ func TestTraceRecordsRollbacks(t *testing.T) {
 	}
 	prof, _ := workload.ByName("gcc")
 	opt := tinyOptions(9)
-	opt.KeepTrace = true
 	opt.Iterations = 25
-	out, err := Workload(context.Background(), prof, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Trace) == 0 {
-		t.Fatal("KeepTrace produced no trace")
-	}
-	for _, s := range out.Trace {
-		if s.BestIPT <= 0 {
-			t.Errorf("trace step %d has non-positive best IPT", s.Iteration)
+	_, steps, _ := recordSteps(t, prof, opt)
+	feasible := 0
+	for _, sp := range steps {
+		s := sp.Attrs.(*tracing.StepAttrs)
+		if !s.Feasible {
+			continue
+		}
+		feasible++
+		if s.BestScore <= 0 {
+			t.Errorf("step %d has non-positive best IPT", sp.Arg)
 		}
 		// The rollback rule: the current point never stays below half
 		// the best (it is reset the same iteration it falls below).
-		if s.RolledBack && s.IPT >= s.BestIPT/2 && s.Accepted {
+		if s.RolledBack && s.Score >= s.BestScore/2 && s.Accepted {
 			// A rollback may trigger right at the boundary; only a
 			// clearly-above-half accepted candidate rolling back is
 			// wrong.
-			if s.IPT > s.BestIPT*0.55 {
-				t.Errorf("step %d rolled back at IPT %.3f vs best %.3f", s.Iteration, s.IPT, s.BestIPT)
+			if s.Score > s.BestScore*0.55 {
+				t.Errorf("step %d rolled back at IPT %.3f vs best %.3f", sp.Arg, s.Score, s.BestScore)
 			}
 		}
+		if s.CurrentScore < s.BestScore/2 {
+			t.Errorf("step %d left the chain at %.3f, below half the best %.3f", sp.Arg, s.CurrentScore, s.BestScore)
+		}
+	}
+	if feasible == 0 {
+		t.Fatal("no feasible step recorded")
 	}
 }
 

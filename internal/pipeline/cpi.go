@@ -110,7 +110,7 @@ func (s CPIStack) Share(b Bucket) float64 {
 }
 
 // Map renders the stack as bucket-name -> cycles, the exchange form the
-// JSONL trace events use.
+// evaluation spans of a trace use.
 func (s CPIStack) Map() map[string]uint64 {
 	m := make(map[string]uint64, NumBuckets)
 	for b, v := range s {

@@ -4,7 +4,7 @@
 // a process-wide singleton (evalengine.Default()); a Session makes the
 // same sharing an explicit, injectable value instead, so tests, servers
 // and tools can run isolated sessions side by side — two sessions never
-// share a cache, a pool, or an observer.
+// share a cache, a pool, or a recorder.
 //
 // The xpscalar facade preserves its zero-config API by delegating to a
 // lazily created default session (Default); everything underneath takes
@@ -141,10 +141,6 @@ func (s *Session) EnableIntrospection(interval int, ring *introspect.Ring) {
 // accounting-off fast path.
 func (s *Session) DisableIntrospection() { s.engine.DisableIntrospection() }
 
-// SetEvalObserver installs (or, with nil, removes) the per-request
-// evaluation observer on the session's engine.
-func (s *Session) SetEvalObserver(o evalengine.EvalObserver) { s.engine.SetEvalObserver(o) }
-
 // Evaluate runs one memoized evaluation on the session's engine.
 func (s *Session) Evaluate(ctx context.Context, cfg sim.Config, p workload.Profile, budget int, t tech.Params, obj power.Objective) (evalengine.Eval, error) {
 	return s.engine.Evaluate(s.trace(ctx), cfg, p, budget, t, obj)
@@ -177,11 +173,6 @@ func (s *Session) ExploreSuite(ctx context.Context, profiles []workload.Profile,
 // CrossMatrix builds the cross-configuration IPT matrix on this session.
 func (s *Session) CrossMatrix(ctx context.Context, profiles []workload.Profile, configs []sim.Config, n int, t tech.Params) (*core.Matrix, error) {
 	return core.BuildMatrix(s.trace(ctx), s.engine, profiles, configs, n, t)
-}
-
-// CrossMatrixObserved is CrossMatrix with a per-cell completion callback.
-func (s *Session) CrossMatrixObserved(ctx context.Context, profiles []workload.Profile, configs []sim.Config, n int, t tech.Params, cell core.CellFunc) (*core.Matrix, error) {
-	return core.BuildMatrixObserved(s.trace(ctx), s.engine, profiles, configs, n, t, cell)
 }
 
 // CollectSamples gathers regression training data on this session.

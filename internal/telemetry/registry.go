@@ -1,7 +1,8 @@
 // Package telemetry is the observability substrate of the framework: a
 // dependency-free metrics registry (counters, gauges, bounded histograms)
-// with Prometheus-text and expvar-style JSON exporters, an HTTP endpoint
-// serving both, and a structured JSONL event sink for run tracing.
+// with Prometheus-text and expvar-style JSON exporters and an HTTP endpoint
+// serving both. A run's record of what happened lives in its span stream
+// (internal/tracing); this package answers "how much, right now".
 //
 // The package imports only the standard library and none of the framework's
 // other packages, so every layer — the evaluation engine, the annealer, the

@@ -1,11 +1,12 @@
-// Span-stream persistence and the two exporters. The stream format is
-// JSONL like the telemetry run trace: a header line identifying the file,
-// then one span per line in start order, so partial files from interrupted
-// runs stay parseable. The Chrome exporter emits the trace-event format
-// (the JSON object form with a traceEvents array) that chrome://tracing
-// and Perfetto load directly, one named thread per worker track; the
-// attribution exporter folds the span tree into a per-kind self/total
-// table — the "where did the run's time go" answer at a glance.
+// Span-stream persistence and the two exporters. A span stream is JSONL:
+// a header line identifying the file and the run, then one span per line
+// in the order the spans ended, so a stream is written as the run goes and
+// partial files from interrupted runs stay parseable line by line. The
+// Chrome exporter emits the trace-event format (the JSON object form with
+// a traceEvents array) that chrome://tracing and Perfetto load directly,
+// one named thread per worker track; the attribution exporter folds the
+// span tree into a per-kind self/total table — the "where did the run's
+// time go" answer at a glance.
 
 package tracing
 
@@ -15,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 )
 
 // streamMagic identifies a span-stream file's header line.
@@ -25,44 +27,128 @@ type Meta struct {
 	Stream string `json:"stream"`
 	// Tool names the command that recorded the stream.
 	Tool string `json:"tool,omitempty"`
-	// Spans is the number of span lines that follow (informational; readers
-	// must tolerate fewer from interrupted runs).
-	Spans int `json:"spans"`
 	// TraceID is the recorder's fleet-unique trace ID: the default trace
-	// every span in the stream belongs to unless a span carries its own
-	// (server streams interleave many jobs' traces). Merged exporters use
-	// it to resolve cross-process parent references.
+	// every span in the stream belongs to unless a span carries its own.
+	// Merged exporters use it to resolve cross-process parent references.
 	TraceID string `json:"trace_id,omitempty"`
 	// OriginUnixNs is the wall-clock instant (UnixNano) of the stream's
 	// zero timestamp, aligning streams from different processes on one
 	// time axis.
 	OriginUnixNs int64 `json:"origin_unix_ns,omitempty"`
+	// Manifest describes the run that recorded the stream, when a tool
+	// recorded it.
+	Manifest *Manifest `json:"manifest,omitempty"`
 }
 
-// WriteSpans writes a span stream: the header, then one span per line.
-func WriteSpans(w io.Writer, tool string, spans []Span) error {
-	return WriteSpansMeta(w, Meta{Tool: tool}, spans)
+// Manifest is what ran, with which knobs, on what build.
+type Manifest struct {
+	Seed      int64              `json:"seed"`
+	GoVersion string             `json:"go_version"`
+	OS        string             `json:"os"`
+	Arch      string             `json:"arch"`
+	MaxProcs  int                `json:"max_procs"`
+	Module    string             `json:"module,omitempty"`
+	Flags     map[string]string  `json:"flags,omitempty"`
+	Tech      map[string]float64 `json:"tech,omitempty"`
 }
 
-// WriteSpansMeta writes a span stream with an explicit header, so callers
-// can stamp trace identity and origin. Stream and Spans are filled here.
-func WriteSpansMeta(w io.Writer, meta Meta, spans []Span) error {
+// StreamWriter writes a span stream as the run goes: the header when it is
+// created, then one line per span handed to Write — the consumer behind a
+// NewRecorderFunc recorder. Safe for concurrent use: spans are encoded on
+// the calling goroutine and written whole under a lock, so concurrent ends
+// never tear a line. Errors are sticky and reported by Flush and Close;
+// spans written after Close are dropped.
+type StreamWriter struct {
+	mu     sync.Mutex
+	bw     *bufio.Writer
+	c      io.Closer
+	n      int
+	err    error
+	closed bool
+}
+
+// NewStreamWriter writes meta's header line to w. If w is an io.Closer,
+// Close closes it.
+func NewStreamWriter(w io.Writer, meta Meta) *StreamWriter {
 	meta.Stream = streamMagic
-	meta.Spans = len(spans)
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(meta); err != nil {
-		return fmt.Errorf("tracing: span stream header: %w", err)
+	sw := &StreamWriter{bw: bufio.NewWriter(w)}
+	if c, ok := w.(io.Closer); ok {
+		sw.c = c
 	}
-	for i, s := range spans {
-		if err := enc.Encode(s); err != nil {
-			return fmt.Errorf("tracing: span %d: %w", i, err)
+	sw.writeLine(meta, 0)
+	return sw
+}
+
+// Write appends one span.
+func (w *StreamWriter) Write(s Span) { w.writeLine(s, 1) }
+
+// writeLine encodes v outside the lock, appends it as one line, and adds
+// spans to the count.
+func (w *StreamWriter) writeLine(v any, spans int) {
+	line, err := json.Marshal(v)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed || w.err != nil {
+		return
+	}
+	if err != nil {
+		w.err = fmt.Errorf("tracing: encoding span stream line %d: %w", w.n+1, err)
+		return
+	}
+	if _, err := w.bw.Write(append(line, '\n')); err != nil {
+		w.err = err
+		return
+	}
+	w.n += spans
+}
+
+// Len reports how many spans have been written.
+func (w *StreamWriter) Len() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.n
+}
+
+// Flush pushes buffered lines through to the underlying writer, so a
+// reader tailing it sees every span written so far.
+func (w *StreamWriter) Flush() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err == nil && !w.closed {
+		w.err = w.bw.Flush()
+	}
+	return w.err
+}
+
+// Close flushes and closes the stream, returning the first error seen.
+// Idempotent.
+func (w *StreamWriter) Close() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed {
+		return w.err
+	}
+	w.closed = true
+	if err := w.bw.Flush(); err != nil && w.err == nil {
+		w.err = err
+	}
+	if w.c != nil {
+		if err := w.c.Close(); err != nil && w.err == nil {
+			w.err = err
 		}
 	}
-	return bw.Flush()
+	return w.err
 }
 
-// ReadSpans parses a span stream written by WriteSpans.
+// spanLine is a span's wire form on the read side: the attributes stay raw
+// until the kind is known.
+type spanLine struct {
+	Span
+	Attrs json.RawMessage `json:"attrs,omitempty"`
+}
+
+// ReadSpans parses a span stream, returning the spans in file order. On a
+// malformed line it returns the spans before it with the error.
 func ReadSpans(r io.Reader) (Meta, []Span, error) {
 	dec := json.NewDecoder(r)
 	var meta Meta
@@ -70,17 +156,23 @@ func ReadSpans(r io.Reader) (Meta, []Span, error) {
 		return Meta{}, nil, fmt.Errorf("tracing: span stream header: %w", err)
 	}
 	if meta.Stream != streamMagic {
-		return Meta{}, nil, fmt.Errorf("tracing: not a span stream (header %q)", meta.Stream)
+		return Meta{}, nil, fmt.Errorf("tracing: not a span stream: the first line must be a {\"stream\":%q} header (got stream %q)",
+			streamMagic, meta.Stream)
 	}
 	var spans []Span
 	for {
-		var s Span
-		if err := dec.Decode(&s); err == io.EOF {
+		var l spanLine
+		if err := dec.Decode(&l); err == io.EOF {
 			return meta, spans, nil
 		} else if err != nil {
 			return meta, spans, fmt.Errorf("tracing: span line %d: %w", len(spans)+2, err)
 		}
-		spans = append(spans, s)
+		a, err := decodeAttrs(l.Kind, l.Attrs)
+		if err != nil {
+			return meta, spans, fmt.Errorf("tracing: span line %d: %w", len(spans)+2, err)
+		}
+		l.Span.Attrs = a
+		spans = append(spans, l.Span)
 	}
 }
 

@@ -26,17 +26,30 @@ func fixedSpans() []Span {
 	}
 }
 
-func TestSpanStreamRoundtrip(t *testing.T) {
-	spans := fixedSpans()
+// writeStream writes a whole span stream through a StreamWriter.
+func writeStream(t testing.TB, meta Meta, spans []Span) *bytes.Buffer {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteSpans(&buf, "xpscalar", spans); err != nil {
+	w := NewStreamWriter(&buf, meta)
+	for _, s := range spans {
+		w.Write(s)
+	}
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	meta, got, err := ReadSpans(&buf)
+	if w.Len() != len(spans) {
+		t.Fatalf("stream wrote %d spans, want %d", w.Len(), len(spans))
+	}
+	return &buf
+}
+
+func TestSpanStreamRoundtrip(t *testing.T) {
+	spans := fixedSpans()
+	meta, got, err := ReadSpans(writeStream(t, Meta{Tool: "xpscalar"}, spans))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Tool != "xpscalar" || meta.Spans != len(spans) {
+	if meta.Tool != "xpscalar" || meta.Stream != streamMagic {
 		t.Errorf("meta = %+v", meta)
 	}
 	if !reflect.DeepEqual(got, spans) {
@@ -44,9 +57,15 @@ func TestSpanStreamRoundtrip(t *testing.T) {
 	}
 }
 
+// A JSONL event trace of the old envelope format is not a span stream,
+// and the error names the header a stream must start with.
 func TestReadSpansRejectsForeignFile(t *testing.T) {
-	if _, _, err := ReadSpans(strings.NewReader(`{"event":"manifest"}` + "\n")); err == nil {
-		t.Error("a JSONL run trace was accepted as a span stream")
+	_, _, err := ReadSpans(strings.NewReader(`{"event":"manifest","seq":0,"t_ns":1,"data":{"tool":"xpscalar"}}` + "\n"))
+	if err == nil {
+		t.Fatal("a JSONL event trace was accepted as a span stream")
+	}
+	if !strings.Contains(err.Error(), `{"stream":"xptrace-spans"}`) {
+		t.Errorf("error %q does not name the expected header", err)
 	}
 }
 

@@ -99,11 +99,7 @@ func TestMergedUnresolvedRemoteParent(t *testing.T) {
 
 func TestWriteSpansMetaRoundtrip(t *testing.T) {
 	st := fixedStreams()[1]
-	var buf bytes.Buffer
-	if err := WriteSpansMeta(&buf, st.Meta, st.Spans); err != nil {
-		t.Fatal(err)
-	}
-	meta, spans, err := ReadSpans(&buf)
+	meta, spans, err := ReadSpans(writeStream(t, st.Meta, st.Spans))
 	if err != nil {
 		t.Fatal(err)
 	}

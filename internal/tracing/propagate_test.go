@@ -139,3 +139,37 @@ func BenchmarkDisabledPropagation(b *testing.B) {
 		b.Fatal("disabled Inject wrote headers")
 	}
 }
+
+// FuzzExtract feeds arbitrary propagation headers to Extract, which every
+// peer runs on every cache request. No input may panic, and a context it
+// accepts survives Inject → Extract unchanged.
+//
+//	go test ./internal/tracing -run '^$' -fuzz FuzzExtract -fuzztime 60s
+func FuzzExtract(f *testing.F) {
+	f.Add("deadbeefcafef00d", "42", "j-7")
+	f.Add("deadbeefcafef00d", "not-a-number", "")
+	f.Add("", "7", "j-1")
+	f.Add("x", "18446744073709551616", "job\nid")
+	f.Add("deadbeefcafef00d", "-1", " ")
+	f.Fuzz(func(t *testing.T, traceID, parent, job string) {
+		hdr := http.Header{}
+		hdr.Set(HeaderTraceID, traceID)
+		hdr.Set(HeaderParentSpan, parent)
+		hdr.Set(HeaderJobID, job)
+		sc := Extract(hdr)
+		if !sc.Valid() {
+			if sc != (SpanContext{}) {
+				t.Fatalf("invalid context carries fields: %+v", sc)
+			}
+			return
+		}
+		rec := NewRecorderClock(stepClock(1))
+		rec.SetTraceID(sc.TraceID)
+		ctx := context.WithValue(context.Background(), handleKey{}, &Handle{rec: rec, parent: sc.Span})
+		out := http.Header{}
+		Inject(WithJobID(ctx, sc.Job), out)
+		if got := Extract(out); got != sc {
+			t.Fatalf("Inject → Extract = %+v, want %+v", got, sc)
+		}
+	})
+}

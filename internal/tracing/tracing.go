@@ -1,23 +1,29 @@
-// Package tracing is the span layer of the observability stack: where the
-// telemetry package records *that* events happened (counters, JSONL event
-// traces), this package records *where the time went* — a hierarchical
-// account of a run as nested spans (run → workload → chain → anneal step →
-// evaluation → simulation, plus matrix cells and pool dispatches), each
-// stamped with start/end times and the worker that executed it.
+// Package tracing is the run record of the observability stack: a
+// hierarchical account of a run as nested spans (run → workload → chain →
+// anneal step → evaluation → simulation, plus matrix rows and pool
+// dispatches), each stamped with start/end times and the worker that
+// executed it. The spans that carry a run's results end with typed
+// attributes (attrs.go): a step span carries the annealing move and its
+// accept/reject outcome, an evaluation span each member's score, config
+// and CPI stack, a matrix row its cells, the run span the engine's
+// counters. One stream of spans is therefore the whole account of a run:
+// where the time went and what the search decided.
 //
-// The recorder follows the same nil-is-off seam as explore.Observer: a nil
-// *Recorder (equivalently, a zero Handle) makes every instrumentation site
-// a single predictable branch with zero allocations, so the hot paths keep
-// their uninstrumented cost when nobody is watching (guarded by
-// TestDisabledSpanAllocs and BenchmarkDisabledSpan). When a recorder is
-// installed, spans flow through the context: each layer begins a span as a
-// child of the context's current span and re-parents the context for the
-// layers below it.
+// The recorder follows a nil-is-off seam: a nil *Recorder (equivalently, a
+// zero Handle) makes every instrumentation site a single predictable
+// branch with zero allocations, so the hot paths keep their uninstrumented
+// cost when nobody is watching (guarded by TestDisabledZeroAllocs and
+// BenchmarkDisabledSpan). When a recorder is installed, spans flow through
+// the context: each layer begins a span as a child of the context's
+// current span and re-parents the context for the layers below it.
 //
-// Completed spans are buffered in memory and snapshotted at the end of the
-// run; export.go turns the snapshot into a Chrome trace-event file (one
-// track per pool worker, loadable in Perfetto) or an aggregated self/total
-// time-attribution table.
+// A recorder either buffers completed spans for a snapshot at the end of
+// the run (NewRecorder) or hands each span to one consumer as it ends
+// (NewRecorderFunc) — typically a StreamWriter appending it to a -trace
+// file or a job's event stream. export.go reads streams back and turns
+// spans into a Chrome trace-event file (one track per pool worker,
+// loadable in Perfetto) or an aggregated self/total time-attribution
+// table.
 package tracing
 
 import (
@@ -61,7 +67,8 @@ const (
 	KindSource = "source"
 	// KindSimulate covers the pipeline simulation itself.
 	KindSimulate = "simulate"
-	// KindCell covers one cross-configuration matrix cell.
+	// KindCell covers one row of a cross-configuration matrix: one
+	// workload on every customized configuration. Its arg is the row width.
 	KindCell = "cell"
 	// KindDispatch covers one job execution on a pool worker.
 	KindDispatch = "dispatch"
@@ -109,14 +116,18 @@ type Span struct {
 	Trace        string `json:"trace,omitempty"`
 	RemoteParent SpanID `json:"remote_parent,omitempty"`
 	Job          string `json:"job,omitempty"`
+	// Attrs is the kind's typed result, set by the instrumented layer on a
+	// live span (ID != 0) just before End; nil on kinds that carry none.
+	Attrs Attrs `json:"attrs,omitempty"`
 }
 
 // DurNs is the span's duration in nanoseconds.
 func (s Span) DurNs() int64 { return s.End - s.Start }
 
-// Recorder collects completed spans. All methods are safe for concurrent
-// use and safe on a nil receiver, where they are no-ops; instrumented code
-// therefore never guards emission.
+// Recorder collects completed spans: it buffers them, or hands each to its
+// consumer as it ends. All methods are safe for concurrent use and safe on
+// a nil receiver, where they are no-ops; instrumented code therefore never
+// guards emission.
 type Recorder struct {
 	clock  func() int64 // nanoseconds since construction, monotonic
 	nextID atomic.Uint64
@@ -127,6 +138,11 @@ type Recorder struct {
 
 	idMu    sync.Mutex
 	traceID string
+
+	// consume, when set, receives every span as it ends instead of the
+	// buffer. It runs on the goroutine that ended the span — pool workers
+	// included — so it must be safe for concurrent use.
+	consume func(Span)
 
 	mu    sync.Mutex
 	spans []Span
@@ -141,6 +157,15 @@ func NewRecorder() *Recorder {
 		origin:  start.UnixNano(),
 		traceID: NewTraceID(),
 	}
+}
+
+// NewRecorderFunc returns a wall-clock recorder, identified by a fresh
+// trace ID, that hands each span to consume as it ends and retains
+// nothing: Spans and Len stay empty.
+func NewRecorderFunc(consume func(Span)) *Recorder {
+	r := NewRecorder()
+	r.consume = consume
+	return r
 }
 
 // NewRecorderClock returns a recorder with an injected clock (nanoseconds
@@ -210,19 +235,24 @@ func (r *Recorder) begin(parent SpanID, track int32, kind, name string, arg int6
 	}
 }
 
-// end stamps the span's end time and retains it. Inert spans (from a nil
-// recorder or a zero Handle) are dropped.
+// end stamps the span's end time and retains it or hands it to the
+// consumer. Inert spans (from a nil recorder or a zero Handle) are dropped.
 func (r *Recorder) end(s Span) {
 	if r == nil || s.ID == 0 {
 		return
 	}
 	s.End = r.clock()
+	if r.consume != nil {
+		r.consume(s)
+		return
+	}
 	r.mu.Lock()
 	r.spans = append(r.spans, s)
 	r.mu.Unlock()
 }
 
-// Len reports how many spans have completed so far.
+// Len reports how many completed spans the recorder buffers (always 0 for
+// a NewRecorderFunc recorder).
 func (r *Recorder) Len() int {
 	if r == nil {
 		return 0

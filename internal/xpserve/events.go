@@ -1,6 +1,6 @@
 // The per-job event stream: an append-only in-memory byte log that one
-// writer (the job's telemetry sink) appends to and any number of HTTP
-// readers tail concurrently. Readers that catch up block until more bytes
+// writer (the job's span stream) appends to and any number of HTTP readers
+// tail concurrently. Readers that catch up block until more bytes
 // arrive or the stream closes, so GET /v1/jobs/{id}/events behaves like
 // `tail -f` on a -trace file and ends cleanly when the job does.
 
@@ -11,8 +11,8 @@ import (
 	"sync"
 )
 
-// eventBuffer is the broadcast log. It implements io.Writer for the
-// telemetry sink side.
+// eventBuffer is the broadcast log. It implements io.Writer for the span
+// stream side.
 type eventBuffer struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -36,8 +36,8 @@ func (b *eventBuffer) Write(p []byte) (int, error) {
 }
 
 // close marks the stream complete and releases tailing readers. Closing
-// is idempotent; writes after close are still accepted (the sink's final
-// flush races the job's state flip harmlessly).
+// is idempotent; writes after close are still accepted (the stream's
+// final flush races the job's state flip harmlessly).
 func (b *eventBuffer) close() {
 	b.mu.Lock()
 	b.closed = true

@@ -4,7 +4,7 @@
 //	POST   /v1/jobs             submit (returns 202 + the queued status)
 //	GET    /v1/jobs             list all jobs, submission order
 //	GET    /v1/jobs/{id}        one job's status (+ result once done)
-//	GET    /v1/jobs/{id}/events tail the job's JSONL telemetry stream
+//	GET    /v1/jobs/{id}/events tail the job's span stream (JSONL)
 //	DELETE /v1/jobs/{id}        cancel
 //	GET    /v1/status           this process's self-report
 //	GET    /readyz              readiness (503 when saturated or a probe fails)
@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"xpscalar/internal/telemetry"
@@ -69,12 +70,21 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-func (s *Scheduler) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeJobRequest parses a submit body, rejecting unknown fields.
+func decodeJobRequest(r io.Reader) (JobRequest, error) {
 	var req JobRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, fmt.Errorf("xpserve: decoding job request: %w", err))
+		return JobRequest{}, fmt.Errorf("xpserve: decoding job request: %w", err)
+	}
+	return req, nil
+}
+
+func (s *Scheduler) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeJobRequest(r.Body)
+	if err != nil {
+		writeError(w, err)
 		return
 	}
 	st, err := s.Submit(req)
@@ -124,7 +134,7 @@ func (s *Scheduler) handleReady(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, status, rd)
 }
 
-// handleEvents streams the job's JSONL events from the beginning and
+// handleEvents streams the job's span stream from the beginning and
 // follows until the job finishes or the client disconnects — `curl -N`
 // gives a live view of the search.
 func (s *Scheduler) handleEvents(w http.ResponseWriter, r *http.Request) {

@@ -1,9 +1,10 @@
 // The job bodies: one function per job kind, each a thin orchestration of
 // the same library layers the command-line tools call (explore, core,
-// subsetting, store), evaluated on the scheduler's shared session and
-// narrated onto the job's event stream. Results are returned in the
-// exact on-disk artifact formats (outcomes v1, matrix v1), so a client
-// can save a response body and feed it straight to the analysis tools.
+// subsetting, store), evaluated on the scheduler's shared session under
+// the job's recorder, whose spans narrate the job's event stream. Results
+// are returned in the exact on-disk artifact formats (outcomes v1, matrix
+// v1), so a client can save a response body and feed it straight to the
+// analysis tools.
 
 package xpserve
 
@@ -13,7 +14,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"xpscalar/internal/cli"
 	"xpscalar/internal/explore"
 	"xpscalar/internal/power"
 	"xpscalar/internal/session"
@@ -21,7 +21,7 @@ import (
 	"xpscalar/internal/store"
 	"xpscalar/internal/subsetting"
 	"xpscalar/internal/tech"
-	"xpscalar/internal/telemetry"
+	"xpscalar/internal/tracing"
 	"xpscalar/internal/workload"
 )
 
@@ -57,9 +57,9 @@ func profiles(names []string) ([]workload.Profile, error) {
 	return out, nil
 }
 
-// exploreOptions maps request knobs onto the annealer's options, with the
-// per-job event stream attached; zero-valued knobs keep the defaults.
-func exploreOptions(req JobRequest, sink *telemetry.Sink) (explore.Options, error) {
+// exploreOptions maps request knobs onto the annealer's options;
+// zero-valued knobs keep the defaults.
+func exploreOptions(req JobRequest) (explore.Options, error) {
 	seed := int64(42)
 	if req.Seed != nil {
 		seed = *req.Seed
@@ -85,26 +85,7 @@ func exploreOptions(req JobRequest, sink *telemetry.Sink) (explore.Options, erro
 		return opt, err
 	}
 	opt.Objective = obj
-	opt.Observer = flushingObserver{cli.SinkExploreObserver(sink), sink}
-	return opt, nil
-}
-
-// flushingObserver pushes every event through the sink's buffer as it is
-// emitted, so clients tailing the stream see steps live, not in 4K
-// bursts.
-type flushingObserver struct {
-	inner explore.Observer
-	sink  *telemetry.Sink
-}
-
-func (o flushingObserver) ObserveStep(e explore.StepEvent) {
-	o.inner.ObserveStep(e)
-	o.sink.Flush()
-}
-
-func (o flushingObserver) ObserveChain(e explore.ChainEvent) {
-	o.inner.ObserveChain(e)
-	o.sink.Flush()
+	return opt, opt.Validate()
 }
 
 // instructions returns the request's per-evaluation budget with a
@@ -119,12 +100,12 @@ func instructions(req JobRequest, def int) int {
 // runExplore is the service form of cmd/xpscalar: anneal each requested
 // workload (with the suite's cross-seeding round) and return the
 // outcomes artifact.
-func runExplore(ctx context.Context, sess *session.Session, req JobRequest, sink *telemetry.Sink) (json.RawMessage, error) {
+func runExplore(ctx context.Context, sess *session.Session, req JobRequest) (json.RawMessage, error) {
 	ps, err := profiles(req.Workloads)
 	if err != nil {
 		return nil, err
 	}
-	opt, err := exploreOptions(req, sink)
+	opt, err := exploreOptions(req)
 	if err != nil {
 		return nil, err
 	}
@@ -142,12 +123,12 @@ func runExplore(ctx context.Context, sess *session.Session, req JobRequest, sink
 // runMatrix is the service form of crossconf -source sim: explore the
 // requested workloads, then simulate every workload on every customized
 // configuration, returning the matrix artifact.
-func runMatrix(ctx context.Context, sess *session.Session, req JobRequest, sink *telemetry.Sink) (json.RawMessage, error) {
+func runMatrix(ctx context.Context, sess *session.Session, req JobRequest) (json.RawMessage, error) {
 	ps, err := profiles(req.Workloads)
 	if err != nil {
 		return nil, err
 	}
-	opt, err := exploreOptions(req, sink)
+	opt, err := exploreOptions(req)
 	if err != nil {
 		return nil, err
 	}
@@ -159,12 +140,7 @@ func runMatrix(ctx context.Context, sess *session.Session, req JobRequest, sink 
 	for i, out := range outs {
 		configs[i] = out.Best
 	}
-	cell := cli.SinkCellFunc(sink)
-	m, err := sess.CrossMatrixObserved(ctx, ps, configs, instructions(req, 60000), tech.Default(),
-		func(workload, arch string, budget int, ipt float64) {
-			cell(workload, arch, budget, ipt)
-			sink.Flush()
-		})
+	m, err := sess.CrossMatrix(ctx, ps, configs, instructions(req, 60000), tech.Default())
 	if err != nil {
 		return nil, err
 	}
@@ -187,8 +163,8 @@ type subsettingResult struct {
 // runSubsetting is the service form of cmd/subsetting's clustering: it
 // extracts microarchitecture-independent characteristics from the suite
 // and k-means-clusters them (default k 4), returning the cluster
-// membership.
-func runSubsetting(ctx context.Context, sess *session.Session, req JobRequest, sink *telemetry.Sink) (json.RawMessage, error) {
+// membership. Each workload's extraction is one source span.
+func runSubsetting(ctx context.Context, sess *session.Session, req JobRequest) (json.RawMessage, error) {
 	ps := workload.Suite()
 	n := instructions(req, 50000)
 	k := req.KMeans
@@ -197,18 +173,19 @@ func runSubsetting(ctx context.Context, sess *session.Session, req JobRequest, s
 	}
 	names := make([]string, len(ps))
 	cs := make([]workload.Characteristics, len(ps))
+	h := tracing.FromContext(ctx)
 	for i, p := range ps {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		sp := h.Begin(tracing.KindSource, p.Name, int64(n))
 		c, err := workload.Extract(p, n)
+		h.End(sp)
 		if err != nil {
 			return nil, err
 		}
 		names[i] = p.Name
 		cs[i] = c
-		sink.Emit(telemetry.MatrixCell{Workload: p.Name, Arch: "characteristics", Budget: n})
-		sink.Flush()
 	}
 	// Kiviat axes are normalized across the whole set, so the feature
 	// matrix is built only after every extraction is in.

@@ -127,19 +127,19 @@ func (s *Scheduler) Submit(req JobRequest) (*JobStatus, error) {
 }
 
 // validate rejects malformed requests before they occupy a queue slot.
+// The annealing knobs must pass the annealer's own option check, which
+// bounds the fan-out a request can ask for.
 func validate(req JobRequest) error {
 	switch req.Kind {
 	case KindExplore, KindMatrix, KindSubsetting:
 	default:
 		return fmt.Errorf("xpserve: unknown job kind %q", req.Kind)
 	}
-	if _, err := objective(req.Objective); err != nil {
-		return err
-	}
 	if _, err := profiles(req.Workloads); err != nil {
 		return err
 	}
-	return nil
+	_, err := exploreOptions(req)
+	return err
 }
 
 // worker drains the queue until Shutdown closes it.
@@ -189,37 +189,40 @@ func (s *Scheduler) runJob(j *Job) {
 	j.events.close()
 }
 
-// execute dispatches on the job kind. The job's event sink wraps its
-// stream buffer; everything emitted is flushed through immediately so
-// tailing clients see events as they happen, not in 4K bursts.
+// execute dispatches on the job kind under the job's own recorder, which
+// streams the job's span subtree into its event buffer: the stream header
+// first, then each span as it ends, flushed through at once so tailing
+// clients see steps, evaluations and matrix rows as they happen.
 //
-// Every job carries its fleet-unique trace ID three ways: stamped on each
-// JSONL event envelope, stamped (with the job ID) on a root "job" span
-// when the session records spans, and propagated over HTTP by the
-// remote-cache client via the job-ID context — so one grep for the trace
-// ID correlates a job's events, its spans, and the serve.* spans it
-// caused on other peers.
+// Every job carries its fleet-unique trace ID three ways: in its stream's
+// header, stamped (with the job ID) on the root "job" span, and propagated
+// over HTTP by the remote-cache client via the job-ID context — so one
+// grep for the trace ID correlates a job's stream with the serve.* spans
+// it caused on other peers.
 func (s *Scheduler) execute(j *Job) (json.RawMessage, error) {
-	sink := telemetry.NewSink(j.events)
-	defer sink.Close()
-	sink.SetTraceID(j.traceID)
+	var stream *tracing.StreamWriter
+	rec := tracing.NewRecorderFunc(func(sp tracing.Span) {
+		stream.Write(sp)
+		stream.Flush()
+	})
+	rec.SetTraceID(j.traceID)
+	stream = tracing.NewStreamWriter(j.events, tracing.Meta{Tool: "xpserved", TraceID: j.traceID, OriginUnixNs: rec.Origin()})
 	s.mu.Lock()
-	j.sink = sink
+	j.stream = stream
 	s.mu.Unlock()
-	ctx := tracing.WithJobID(j.ctx, j.id)
-	if rec := s.sess.Recorder(); rec != nil {
-		h := tracing.Root(rec)
-		sp := h.BeginRemote(tracing.KindJob, j.req.Kind, 0, tracing.SpanContext{TraceID: j.traceID, Job: j.id})
-		defer h.End(sp)
-		ctx = tracing.ChildContext(tracing.NewContext(ctx, rec), sp)
-	}
+	defer stream.Close()
+
+	h := tracing.Root(rec)
+	sp := h.BeginRemote(tracing.KindJob, j.req.Kind, 0, tracing.SpanContext{TraceID: j.traceID, Job: j.id})
+	defer h.End(sp)
+	ctx := tracing.ChildContext(tracing.NewContext(tracing.WithJobID(j.ctx, j.id), rec), sp)
 	switch j.req.Kind {
 	case KindExplore:
-		return runExplore(ctx, s.sess, j.req, sink)
+		return runExplore(ctx, s.sess, j.req)
 	case KindMatrix:
-		return runMatrix(ctx, s.sess, j.req, sink)
+		return runMatrix(ctx, s.sess, j.req)
 	case KindSubsetting:
-		return runSubsetting(ctx, s.sess, j.req, sink)
+		return runSubsetting(ctx, s.sess, j.req)
 	default:
 		return nil, fmt.Errorf("xpserve: unknown job kind %q", j.req.Kind)
 	}
@@ -313,7 +316,7 @@ func (j *Job) statusLocked() JobStatus {
 		Error:     j.err,
 		TraceID:   j.traceID,
 		CreatedAt: j.created,
-		Events:    j.sinkEvents(),
+		Events:    j.streamed(),
 		Result:    j.result,
 	}
 	if !j.started.IsZero() {

@@ -4,7 +4,6 @@
 package xpserve
 
 import (
-	"bufio"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -13,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"xpscalar/internal/session"
 	"xpscalar/internal/telemetry"
 	"xpscalar/internal/tracing"
 )
@@ -133,13 +131,10 @@ func TestReadiness(t *testing.T) {
 }
 
 // TestJobTraceStamping: every job gets a fleet-unique trace ID that shows
-// up in its status, on every JSONL event envelope, and — when the session
-// records spans — on a root "job" span that parents the work's spans.
+// up in its status, in its event stream's header, and on the stream's root
+// "job" span, which parents the work's spans.
 func TestJobTraceStamping(t *testing.T) {
-	rec := tracing.NewRecorder()
-	sess := session.New(session.Options{Recorder: rec})
-	sched := New(sess, Options{})
-	srv := newServerFor(t, sched, telemetry.NewRegistry())
+	srv, _ := newTestServer(t, Options{})
 
 	st := submit(t, srv, tinyExplore())
 	if len(st.TraceID) != 16 {
@@ -150,35 +145,15 @@ func TestJobTraceStamping(t *testing.T) {
 		t.Errorf("trace ID changed across states: %q -> %q", st.TraceID, done.TraceID)
 	}
 
-	// Every event envelope carries the job's trace.
-	resp, err := http.Get(srv.URL + "/v1/jobs/" + st.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lines := 0
-	for sc.Scan() {
-		lines++
-		var env struct {
-			Trace string `json:"trace"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &env); err != nil {
-			t.Fatalf("event line %d: %v", lines, err)
-		}
-		if env.Trace != st.TraceID {
-			t.Fatalf("event line %d trace %q, want %q", lines, env.Trace, st.TraceID)
-		}
-	}
-	if lines == 0 {
-		t.Fatal("no events emitted")
+	meta, spans := readStream(t, srv, st.ID)
+	if meta.TraceID != st.TraceID || meta.Tool != "xpserved" || meta.OriginUnixNs == 0 {
+		t.Fatalf("stream header %+v, want the job's trace %s", meta, st.TraceID)
 	}
 
 	// The job span roots the work under the job's trace ID.
 	var job *tracing.Span
 	byID := map[tracing.SpanID]tracing.Span{}
-	for _, s := range rec.Spans() {
+	for _, s := range spans {
 		byID[s.ID] = s
 		if s.Kind == tracing.KindJob {
 			sp := s
@@ -188,31 +163,20 @@ func TestJobTraceStamping(t *testing.T) {
 	if job == nil {
 		t.Fatal("no job span recorded")
 	}
-	if job.Trace != st.TraceID || job.Job != st.ID || job.Name != KindExplore {
-		t.Errorf("job span %+v, want trace %s job %s", job, st.TraceID, st.ID)
+	if job.Trace != st.TraceID || job.Job != st.ID || job.Name != KindExplore || job.Parent != 0 {
+		t.Errorf("job span %+v, want root with trace %s job %s", job, st.TraceID, st.ID)
 	}
-	// At least one explore-layer span parents up to the job span.
-	descends := func(s tracing.Span) bool {
-		for s.Parent != 0 {
-			p, ok := byID[s.Parent]
+	// Every other span of the stream descends from the job span.
+	for _, s := range spans {
+		if s.ID == job.ID {
+			continue
+		}
+		for cur := s; cur.Parent != job.ID; {
+			p, ok := byID[cur.Parent]
 			if !ok {
-				return false
+				t.Fatalf("span %+v does not descend from the job span", s)
 			}
-			if p.ID == job.ID {
-				return true
-			}
-			s = p
+			cur = p
 		}
-		return false
-	}
-	found := false
-	for _, s := range rec.Spans() {
-		if s.ID != job.ID && descends(s) {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Error("no span descends from the job span")
 	}
 }

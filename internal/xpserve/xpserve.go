@@ -7,9 +7,9 @@
 // explored region pays cache reads, not simulations.
 //
 // A job moves queued → running → done | failed | cancelled. While it
-// runs, its search telemetry (annealing steps, chain results, matrix
-// cells) is appended to a per-job JSONL event stream that clients can
-// tail live over HTTP; the stream is the same wire format as the -trace
+// runs, its spans (annealing steps and chains, evaluations, matrix rows)
+// are appended to a per-job event stream as they end, which clients can
+// tail live over HTTP; the stream is the span-stream format of the -trace
 // files, so xptrace tooling reads a saved copy unchanged. Cancellation
 // (DELETE) propagates through the job's context and stops the search at
 // the next annealing iteration.
@@ -20,7 +20,7 @@ import (
 	"encoding/json"
 	"time"
 
-	"xpscalar/internal/telemetry"
+	"xpscalar/internal/tracing"
 )
 
 // Job states.
@@ -77,8 +77,8 @@ type JobStatus struct {
 	State string `json:"state"`
 	Error string `json:"error,omitempty"`
 
-	// TraceID is the fleet-unique trace the job's spans, JSONL events and
-	// remote-cache requests are stamped with; grepping any peer's span
+	// TraceID is the fleet-unique trace the job's event stream and
+	// remote-cache requests are stamped with; grepping any peer's trace
 	// file for it finds this job's share of the fleet's work.
 	TraceID string `json:"trace_id,omitempty"`
 
@@ -86,9 +86,8 @@ type JobStatus struct {
 	StartedAt  *time.Time `json:"started_at,omitempty"`
 	FinishedAt *time.Time `json:"finished_at,omitempty"`
 
-	// Events is the number of telemetry events on the job's stream so
-	// far.
-	Events uint64 `json:"events"`
+	// Events is the number of spans on the job's event stream so far.
+	Events int `json:"events"`
 
 	// Result is the job's JSON result document, present once done. Its
 	// shape depends on Kind: explore jobs return the outcomes file
@@ -117,11 +116,16 @@ type Job struct {
 	cancel context.CancelFunc
 
 	events *eventBuffer
-	// sink wraps events for the running computation; read (nil-safely)
-	// for the status event count. Guarded by the scheduler's lock.
-	sink *telemetry.Sink
+	// stream writes the job's spans into events; read for the status
+	// event count. Guarded by the scheduler's lock.
+	stream *tracing.StreamWriter
 }
 
-// sinkEvents reports how many events the job has emitted (0 before it
+// streamed reports how many spans the job's stream holds (0 before it
 // starts). Caller holds the scheduler lock.
-func (j *Job) sinkEvents() uint64 { return j.sink.Events() }
+func (j *Job) streamed() int {
+	if j.stream == nil {
+		return 0
+	}
+	return j.stream.Len()
+}

@@ -18,6 +18,7 @@ import (
 
 	"xpscalar/internal/session"
 	"xpscalar/internal/telemetry"
+	"xpscalar/internal/tracing"
 )
 
 // tinyExplore is a seconds-scale exploration request.
@@ -68,6 +69,30 @@ func submit(t *testing.T, srv *httptest.Server, req JobRequest) JobStatus {
 	return st
 }
 
+// readStream fetches a job's event stream to its end and parses it.
+func readStream(t *testing.T, srv *httptest.Server, id string) (tracing.Meta, []tracing.Span) {
+	t.Helper()
+	resp, err := http.Get(srv.URL + "/v1/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	meta, spans, err := tracing.ReadSpans(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return meta, spans
+}
+
+// kinds counts a stream's spans by kind.
+func kinds(spans []tracing.Span) map[string]int {
+	out := map[string]int{}
+	for _, s := range spans {
+		out[s.Kind]++
+	}
+	return out
+}
+
 // await polls a job until it reaches a terminal state.
 func await(t *testing.T, srv *httptest.Server, id string) JobStatus {
 	t.Helper()
@@ -95,8 +120,8 @@ func await(t *testing.T, srv *httptest.Server, id string) JobStatus {
 }
 
 // TestJobLifecycle: a tiny explore job runs to done, its result is the
-// outcomes artifact, and its event stream is a valid trace containing the
-// search's steps.
+// outcomes artifact, and its event stream is a valid span stream carrying
+// the search's steps, chains and evaluations, each with its attributes.
 func TestJobLifecycle(t *testing.T) {
 	srv, _ := newTestServer(t, Options{})
 	st := submit(t, srv, tinyExplore())
@@ -125,27 +150,36 @@ func TestJobLifecycle(t *testing.T) {
 		t.Fatalf("outcomes %+v, want one gzip outcome with positive IPT", result.Outcomes)
 	}
 
-	// The event stream replays as a well-formed trace with anneal steps.
-	resp, err := http.Get(srv.URL + "/v1/jobs/" + st.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
+	// The event stream replays as a well-formed span stream.
+	_, spans := readStream(t, srv, st.ID)
+	k := kinds(spans)
+	if k[tracing.KindStep] != 3 || k[tracing.KindChain] != 1 || k[tracing.KindJob] != 1 {
+		t.Fatalf("event stream kinds %v, want 3 steps, 1 chain, 1 job", k)
 	}
-	defer resp.Body.Close()
-	envs, err := telemetry.ReadEvents(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	steps := 0
-	for _, env := range envs {
-		if env.Event == "anneal_step" {
-			steps++
+	members := 0
+	for _, s := range spans {
+		switch a := s.Attrs.(type) {
+		case *tracing.StepAttrs:
+			if a.Move == "" || a.TotalIterations != 3 {
+				t.Errorf("step span attrs %+v", a)
+			}
+		case *tracing.EvalAttrs:
+			for _, m := range a.Members {
+				if m.Outcome == "" || (m.Err == nil && (m.IPT <= 0 || m.Config == nil)) {
+					t.Errorf("evaluation member %+v", m)
+				}
+				members++
+			}
 		}
 	}
-	if steps == 0 {
-		t.Fatalf("event stream has no anneal steps (%d events)", len(envs))
+	if members == 0 {
+		t.Fatalf("event stream carries no evaluations (kinds %v)", k)
 	}
-	if final.Events != uint64(len(envs)) {
-		t.Fatalf("status reports %d events, stream has %d", final.Events, len(envs))
+	if last := spans[len(spans)-1]; last.Kind != tracing.KindJob {
+		t.Errorf("stream ends with a %s span, want the job span", last.Kind)
+	}
+	if final.Events != len(spans) {
+		t.Fatalf("status reports %d events, stream has %d", final.Events, len(spans))
 	}
 }
 
@@ -168,7 +202,7 @@ func TestEventStreamTailsLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(body), "anneal_step") {
+	if !strings.Contains(string(body), `"kind":"step"`) {
 		t.Fatalf("tailed stream carried no anneal steps (%d bytes)", len(body))
 	}
 	if final := await(t, srv, st.ID); final.State != StateDone {
@@ -408,7 +442,7 @@ func TestShutdownCancelsQueued(t *testing.T) {
 }
 
 // TestMatrixJob: a two-workload matrix job returns the matrix artifact
-// with matrix-cell events on the stream.
+// with its matrix rows — every cell — on the stream.
 func TestMatrixJob(t *testing.T) {
 	srv, _ := newTestServer(t, Options{})
 	req := JobRequest{
@@ -443,22 +477,19 @@ func TestMatrixJob(t *testing.T) {
 			}
 		}
 	}
-	resp, err := http.Get(srv.URL + "/v1/jobs/" + st.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	envs, err := telemetry.ReadEvents(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, spans := readStream(t, srv, st.ID)
 	cells := 0
-	for _, env := range envs {
-		if env.Event == "matrix_cell" {
-			cells++
+	for _, s := range spans {
+		if a, ok := s.Attrs.(*tracing.CellAttrs); ok {
+			for j, c := range a.Cells {
+				if w := map[string]int{"gzip": 0, "mcf": 1}[s.Name]; c.IPT != m.IPT[w][j] || a.Budget != 1500 {
+					t.Errorf("%s row cell %+v at budget %d, want IPT %v at 1500", s.Name, c, a.Budget, m.IPT[w][j])
+				}
+				cells++
+			}
 		}
 	}
 	if cells != 4 {
-		t.Fatalf("stream carried %d matrix-cell events, want 4", cells)
+		t.Fatalf("stream carried %d matrix cells, want 4", cells)
 	}
 }
