@@ -169,21 +169,14 @@ func TestStreamTraceStamping(t *testing.T) {
 	}
 }
 
-// A malformed line fails the read with its line number and the spans
-// before it; so do attributes of the wrong shape for their kind.
-func TestReadSpansBadLine(t *testing.T) {
+// checkBadLine reads a stream whose third line is each case's line and
+// checks the read fails with an error mentioning the case's want, keeping
+// the header and the one good span before it.
+func checkBadLine(t *testing.T, cases map[string]struct{ line, want string }) {
+	t.Helper()
 	header := `{"stream":"xptrace-spans","tool":"t"}` + "\n"
 	good := `{"id":1,"kind":"chain","name":"gzip","start_ns":0,"end_ns":1,"attrs":{"best_score":1,"best_ipt":1,"evaluations":3}}` + "\n"
-	for name, tc := range map[string]struct {
-		line, want string
-	}{
-		"not json":        {`{"id":2,"kind":`, "span line 3"},
-		"wrong type":      {`{"id":2,"kind":"step","attrs":{"score":"high"}}`, "step attributes"},
-		"other kind":      {`{"id":2,"kind":"step","attrs":{"best_ipt":1}}`, "step attributes"},
-		"unattributed":    {`{"id":2,"kind":"simulate","attrs":{"budget":1}}`, "carry no attributes"},
-		"member field":    {`{"id":2,"kind":"eval.hit","attrs":{"budget":1,"members":[{"outcome":"hit","ipc":2}]}}`, "eval.hit attributes"},
-		"truncated attrs": {`{"id":2,"kind":"cell","attrs":{"budget":1,"cells":[{"arch":"gzip"`, "span line 3"},
-	} {
+	for name, tc := range cases {
 		meta, spans, err := ReadSpans(strings.NewReader(header + good + tc.line + "\n"))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want one mentioning %q", name, err, tc.want)
@@ -192,6 +185,28 @@ func TestReadSpansBadLine(t *testing.T) {
 			t.Errorf("%s: spans before the bad line = %+v (meta %+v)", name, spans, meta)
 		}
 	}
+}
+
+// A malformed line fails the read with its line number and the spans
+// before it.
+func TestReadSpansBadLine(t *testing.T) {
+	checkBadLine(t, map[string]struct{ line, want string }{
+		"not json":        {`{"id":2,"kind":`, "span line 3"},
+		"truncated attrs": {`{"id":2,"kind":"cell","attrs":{"budget":1,"cells":[{"arch":"gzip"`, "span line 3"},
+	})
+}
+
+// Attributes are decoded by the span's kind: attributes of the wrong
+// shape for their kind, or on a kind that carries none or that the reader
+// does not know, fail the read.
+func TestReadSpansAttrsMismatch(t *testing.T) {
+	checkBadLine(t, map[string]struct{ line, want string }{
+		"wrong type":   {`{"id":2,"kind":"step","attrs":{"score":"high"}}`, "step attributes"},
+		"other kind":   {`{"id":2,"kind":"step","attrs":{"best_ipt":1}}`, "step attributes"},
+		"unattributed": {`{"id":2,"kind":"simulate","attrs":{"budget":1}}`, "carry no attributes"},
+		"unknown kind": {`{"id":2,"kind":"no_such_kind","attrs":{}}`, "carry no attributes"},
+		"member field": {`{"id":2,"kind":"eval.hit","attrs":{"budget":1,"members":[{"outcome":"hit","ipc":2}]}}`, "eval.hit attributes"},
+	})
 }
 
 // FuzzReadSpans feeds arbitrary bytes to ReadSpans, the one reader of
