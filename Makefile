@@ -19,13 +19,13 @@ race:
 # race-hot is the focused race gate for the concurrency-heavy packages:
 # the evaluation engine, the metrics registry, the span recorder whose
 # streaming consumer runs on pool workers, the annealer, the kernel
-# packages whose introspection taps feed a shared ring from concurrent
-# workers, the per-technology delay tables that concurrent annealing
-# chains build and share, the write-behind disk and remote cache tiers,
-# and the multi-tenant job scheduler. The concurrent-end stream test runs
-# ten times: a torn or lost span line is a rare interleaving.
+# packages whose pooled runners concurrent workers arm and disarm, the
+# per-technology delay tables that concurrent annealing chains build and
+# share, the write-behind disk and remote cache tiers, and the
+# multi-tenant job scheduler. The concurrent-end stream test runs ten
+# times: a torn or lost span line is a rare interleaving.
 race-hot:
-	$(GO) test -race ./internal/evalengine ./internal/telemetry ./internal/tracing ./internal/explore ./internal/pipeline ./internal/sim ./internal/introspect ./internal/timing ./internal/evalstore ./internal/evalremote ./internal/xpserve
+	$(GO) test -race ./internal/evalengine ./internal/telemetry ./internal/tracing ./internal/explore ./internal/pipeline ./internal/sim ./internal/timing ./internal/evalstore ./internal/evalremote ./internal/xpserve
 	$(GO) test -race -count=10 -run '^TestStreamConcurrentEnd$$' ./internal/tracing
 
 # bench reports the headline reproduction metrics plus the evaluation
@@ -53,8 +53,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadOutcomes$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMatrix$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSpans$$' -fuzztime 10s ./internal/tracing
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadTraceIntervals$$' -fuzztime 10s ./cmd/xptrace
 	$(GO) test -run '^$$' -fuzz '^FuzzExtract$$' -fuzztime 10s ./internal/tracing
-	$(GO) test -run '^$$' -fuzz '^FuzzReadRecords$$' -fuzztime 10s ./internal/introspect
 	$(GO) test -run '^$$' -fuzz '^FuzzJobRequest$$' -fuzztime 10s ./internal/xpserve
 
 # bench-compare runs the kernel benchmark set fresh and diffs it against

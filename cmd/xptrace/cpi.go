@@ -4,17 +4,19 @@
 // the three load-miss levels, the three back-pressure walls, the store
 // port), so each evaluation's stack is a complete decomposition of its
 // cycle count — the view the paper's slowdown tables hint at but never
-// show. Output is deterministic: workloads and configurations sort
-// lexically, and shares derive from exact integer cycle counts.
+// show. Output is deterministic: rows sort by workload, configuration,
+// budget and stack, and shares derive from exact integer cycle counts.
 
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
+	"strings"
 
 	"xpscalar/internal/pipeline"
 	"xpscalar/internal/report"
@@ -35,7 +37,7 @@ func cpiCmd(args []string) error {
 	return writeCPIStacks(os.Stdout, t)
 }
 
-// cpiRow is one (workload, configuration) CPI stack pulled from the trace.
+// cpiRow is one simulation's CPI stack pulled from the trace.
 type cpiRow struct {
 	workload string
 	config   string
@@ -43,50 +45,40 @@ type cpiRow struct {
 	stack    pipeline.CPIStack
 }
 
-// writeCPIStacks renders every distinct CPI stack in the trace. Cache hits
-// replay the memoized stack of the original miss, so rows are deduplicated
-// by (workload, configuration); the numbers are identical either way.
+// writeCPIStacks renders every distinct CPI stack in the trace. A cache
+// hit replays the memoized stack of its miss, so exact repeats — same
+// workload, configuration, budget and stack — are one row; anything else
+// is a different simulation and keeps its own, even where two
+// configurations render to the same string.
 func writeCPIStacks(w io.Writer, t *trace) error {
-	type key struct{ workload, config string }
-	rows := map[key]cpiRow{}
+	var rows []cpiRow
 	for _, e := range t.evals {
 		if e.CPI == nil || e.Config == nil {
 			continue
 		}
-		k := key{e.workload, e.Config.String()}
-		rows[k] = cpiRow{
-			workload: k.workload,
-			config:   k.config,
-			budget:   e.budget,
-			stack:    pipeline.StackFromMap(e.CPI.Map()),
-		}
+		rows = append(rows, cpiRow{e.workload, e.config(), e.budget, pipeline.StackFromMap(e.CPI.Map())})
 	}
 	if len(rows) == 0 {
 		_, err := fmt.Fprintln(w, "no CPI stacks in trace (run with -cpi to record them)")
 		return err
 	}
-	keys := make([]key, 0, len(rows))
-	for k := range rows {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].workload != keys[j].workload {
-			return keys[i].workload < keys[j].workload
-		}
-		return keys[i].config < keys[j].config
+	slices.SortFunc(rows, func(a, b cpiRow) int {
+		return cmp.Or(strings.Compare(a.workload, b.workload), strings.Compare(a.config, b.config),
+			cmp.Compare(a.budget, b.budget), slices.Compare(a.stack[:], b.stack[:]))
 	})
+	rows = slices.Compact(rows)
 
 	// Long canonical config strings would drown the table; index them in a
 	// legend and let rows carry the index.
 	cfgIdx := map[string]int{}
 	var cfgs []string
-	for _, k := range keys {
-		if _, ok := cfgIdx[k.config]; !ok {
-			cfgIdx[k.config] = len(cfgs)
-			cfgs = append(cfgs, k.config)
+	for _, r := range rows {
+		if _, ok := cfgIdx[r.config]; !ok {
+			cfgIdx[r.config] = len(cfgs)
+			cfgs = append(cfgs, r.config)
 		}
 	}
-	fmt.Fprintf(w, "CPI stacks: %d (workload, configuration) pairs\nconfigurations:\n", len(keys))
+	fmt.Fprintf(w, "CPI stacks: %d (workload, configuration) pairs\nconfigurations:\n", len(rows))
 	for i, c := range cfgs {
 		fmt.Fprintf(w, "  [%d] %s\n", i, c)
 	}
@@ -94,8 +86,7 @@ func writeCPIStacks(w io.Writer, t *trace) error {
 
 	names := pipeline.BucketNames()
 	tab := &report.Table{Header: append([]string{"workload", "cfg", "cycles", "cpi"}, names[:]...)}
-	for _, k := range keys {
-		r := rows[k]
+	for _, r := range rows {
 		cycles := r.stack.Cycles()
 		cpi := "—"
 		if r.budget > 0 {

@@ -29,7 +29,8 @@ var ignoredFlags = map[string]bool{
 	"evalstats": true, "save": true, "savematrix": true, "out": true,
 	// Introspection attributes and samples; it never changes what the
 	// kernel computes (Result is bit-identical armed or not), so an armed
-	// run must diff clean against a plain one.
+	// run must diff clean against a plain one. -interval-size is gone, but
+	// traces written by earlier builds still carry it.
 	"cpi": true, "intervals": true, "interval-size": true,
 	// The persistent cache tiers only ever serve values an engine computed
 	// and stored — a warm-cache or fleet-warm run is bit-identical to a

@@ -1,23 +1,27 @@
-// The intervals subcommand: render the phase timeline a -intervals run
-// recorded. Each JSONL record is a cumulative kernel snapshot taken every
-// N committed instructions; the view differences consecutive records into
+// The intervals subcommand: render the phase timeline a run recorded with
+// -intervals N. Each simulated member of an evaluation span carries its
+// series of cumulative kernel snapshots, one every N committed
+// instructions; the view differences consecutive records into
 // per-interval rows — IPC, branch and cache behavior, and the dominant
 // CPI bucket of the window — so program phases (a pointer-chasing stretch
 // going memory-bound, a predictable loop running at full width) show as
 // runs of rows, exactly the interval analysis of the SimPoint line of
-// work. Output is deterministic: simulations sort by (workload, config,
-// lane) and records by sequence number.
+// work. Output is deterministic: one table per simulation, sorted by
+// (workload, config, budget) and then by the series itself.
 
 package main
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
+	"strings"
 
-	"xpscalar/internal/introspect"
 	"xpscalar/internal/pipeline"
 	"xpscalar/internal/report"
 )
@@ -28,62 +32,48 @@ func intervalsCmd(args []string) error {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return fmt.Errorf("intervals: want exactly one intervals file, got %d args", fs.NArg())
+		return fmt.Errorf("intervals: want exactly one trace file, got %d args", fs.NArg())
 	}
-	f, err := os.Open(fs.Arg(0))
+	t, err := loadTrace(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	recs, err := introspect.ReadRecords(f)
-	f.Close()
-	if err != nil {
-		return err
-	}
-	return writeIntervalTimeline(os.Stdout, recs)
+	return writeIntervalTimeline(os.Stdout, t)
 }
 
-// writeIntervalTimeline renders one table per simulation, each row the
-// delta between consecutive cumulative snapshots.
-func writeIntervalTimeline(w io.Writer, recs []introspect.Record) error {
-	if len(recs) == 0 {
-		_, err := fmt.Fprintln(w, "no interval records (run with -intervals FILE to collect them)")
+// writeIntervalTimeline renders one table per simulated member that
+// carries an interval series, each row the delta between consecutive
+// cumulative snapshots.
+func writeIntervalTimeline(w io.Writer, t *trace) error {
+	var sims []eval
+	for _, e := range t.evals {
+		if len(e.intervals) > 0 {
+			sims = append(sims, e)
+		}
+	}
+	if len(sims) == 0 {
+		_, err := fmt.Fprintln(w, "no interval records (run with -intervals N -trace FILE to collect them)")
 		return err
 	}
-	type key struct {
-		workload, config string
-		lane             int
-	}
-	groups := map[key][]introspect.Record{}
-	for _, r := range recs {
-		k := key{r.Workload, r.Config, r.Lane}
-		groups[k] = append(groups[k], r)
-	}
-	keys := make([]key, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].workload != keys[j].workload {
-			return keys[i].workload < keys[j].workload
-		}
-		if keys[i].config != keys[j].config {
-			return keys[i].config < keys[j].config
-		}
-		return keys[i].lane < keys[j].lane
+	// Distinct configurations may render to one string, so the series'
+	// own bytes break the remaining ties.
+	slices.SortFunc(sims, func(a, b eval) int {
+		ra, _ := a.Intervals.(json.RawMessage)
+		rb, _ := b.Intervals.(json.RawMessage)
+		return cmp.Or(strings.Compare(a.workload, b.workload), strings.Compare(a.config(), b.config()),
+			cmp.Compare(a.budget, b.budget), bytes.Compare(ra, rb))
 	})
 
-	for gi, k := range keys {
-		g := groups[k]
-		sort.Slice(g, func(i, j int) bool { return g[i].Seq < g[j].Seq })
-		if gi > 0 {
+	for si, e := range sims {
+		if si > 0 {
 			fmt.Fprintln(w)
 		}
-		fmt.Fprintf(w, "%s on %s (lane %d): %d intervals\n", k.workload, k.config, k.lane, len(g))
+		fmt.Fprintf(w, "%s on %s (budget %d): %d intervals\n", e.workload, e.config(), e.budget, len(e.intervals))
 		tab := &report.Table{Header: []string{
 			"seq", "instrs", "cycles", "ipc", "br-mr", "l1-mpki", "l2-mpki", "dominant",
 		}}
-		prev := introspect.Record{}
-		for _, r := range g {
+		prev := pipeline.IntervalRecord{}
+		for seq, r := range e.intervals {
 			di := r.Instructions - prev.Instructions
 			dc := r.Cycles - prev.Cycles
 			ipc := "—"
@@ -109,7 +99,7 @@ func writeIntervalTimeline(w io.Writer, recs []introspect.Record) error {
 			if dc > 0 {
 				domCell = fmt.Sprintf("%s %.0f%%", dom, 100*float64(delta[dom])/float64(dc))
 			}
-			tab.AddRow(fmt.Sprint(r.Seq), fmt.Sprint(r.Instructions), fmt.Sprint(r.Cycles),
+			tab.AddRow(fmt.Sprint(seq), fmt.Sprint(r.Instructions), fmt.Sprint(r.Cycles),
 				ipc, brMR,
 				mpki(r.L1.Misses-prev.L1.Misses), mpki(r.L2.Misses-prev.L2.Misses),
 				domCell)

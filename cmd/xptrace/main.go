@@ -1,14 +1,14 @@
-// Command xptrace analyzes the artifacts a run leaves behind: the span
-// stream written by -trace — one file holding the run's manifest, every
-// annealing step, chain, evaluation and matrix row as a span with its
-// results, and the engine's counters — and the interval dump written by
-// -intervals.
+// Command xptrace analyzes the span stream a run writes with -trace: one
+// file holding the run's manifest, every annealing step, chain,
+// evaluation and matrix row as a span with its results — CPI stacks and
+// interval series included when the run armed -cpi or -intervals — and
+// the engine's counters.
 //
 //	xptrace report TRACE [TRACE ...]
 //	xptrace diff TRACE_A TRACE_B
 //	xptrace export [-o out.json] TRACE [TRACE ...]
 //	xptrace cpi TRACE
-//	xptrace intervals INTERVALS.jsonl
+//	xptrace intervals TRACE
 //
 // report digests one run: annealing convergence per chain, the
 // acceptance-rate curve over the search, the cache-effectiveness timeline,
@@ -33,12 +33,13 @@
 // parent with flow arrows.
 //
 // cpi renders the CPI-stack decomposition a -cpi run attached to its
-// evaluation spans: one row per (workload, configuration), every
-// simulated cycle attributed to exactly one stall bucket.
+// evaluation spans: one row per distinct simulation, every simulated
+// cycle attributed to exactly one stall bucket.
 //
-// intervals renders the phase timeline a -intervals run collected: the
-// cumulative kernel snapshots differenced into per-interval IPC, branch
-// and cache behavior, and the dominant stall bucket of each window.
+// intervals renders the phase timeline a -intervals run attached to its
+// evaluation spans: one table per simulated member, its cumulative kernel
+// snapshots differenced into per-interval IPC, branch and cache behavior,
+// and the dominant stall bucket of each window.
 package main
 
 import (
@@ -98,7 +99,7 @@ func usage() {
   xptrace diff TRACE_A TRACE_B               compare two runs (exit 2 on drift)
   xptrace export [-o out.json] TRACE [...]   trace(s) -> one Chrome trace JSON
   xptrace cpi TRACE                          CPI-stack breakdown of a -cpi run
-  xptrace intervals INTERVALS.jsonl          phase timeline of a -intervals run
+  xptrace intervals TRACE                    phase timeline of an -intervals run
 `)
 }
 

@@ -68,9 +68,7 @@ func TestEndToEnd(t *testing.T) {
 	explore(t, xpscalarBin, traceB, "42")
 	explore(t, xpscalarBin, traceC, "7")
 	traceCPI := filepath.Join(dir, "cpi.jsonl")
-	intervalsFile := filepath.Join(dir, "a.intervals")
-	outCPI := explore(t, xpscalarBin, traceCPI, "42",
-		"-cpi", "-intervals", intervalsFile, "-interval-size", "500")
+	outCPI := explore(t, xpscalarBin, traceCPI, "42", "-cpi", "-intervals", "500")
 
 	// Introspection observes the kernel, never steers it: stdout (Table 4)
 	// is byte-identical with cycle accounting and interval sampling armed.
@@ -163,7 +161,7 @@ func TestEndToEnd(t *testing.T) {
 
 	t.Run("intervals", func(t *testing.T) {
 		run := func() []byte {
-			cmd := exec.Command(xptraceBin, "intervals", intervalsFile)
+			cmd := exec.Command(xptraceBin, "intervals", traceCPI)
 			out, err := cmd.CombinedOutput()
 			if err != nil {
 				t.Fatalf("intervals: %v\n%s", err, out)
@@ -178,6 +176,15 @@ func TestEndToEnd(t *testing.T) {
 		}
 		if again := run(); !bytes.Equal(out, again) {
 			t.Errorf("intervals view is not deterministic:\n--- first\n%s--- second\n%s", out, again)
+		}
+		// The JSONL interval dumps of earlier builds are not span streams.
+		dump := filepath.Join(dir, "old.intervals")
+		if err := os.WriteFile(dump, []byte(`{"workload":"gzip","config":"w=4","lane":0,"seq":0,"instructions":500}`+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		old, err := exec.Command(xptraceBin, "intervals", dump).CombinedOutput()
+		if err == nil || !strings.Contains(string(old), "span stream") {
+			t.Errorf("intervals accepted an interval dump (err %v):\n%s", err, old)
 		}
 	})
 

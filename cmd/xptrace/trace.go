@@ -4,9 +4,13 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 
+	"xpscalar/internal/pipeline"
 	"xpscalar/internal/tracing"
 )
 
@@ -42,12 +46,22 @@ type chain struct {
 }
 
 // eval is one evaluation — one member of an eval.* span — with the time
-// its span ended, for the cache-effectiveness timeline.
+// its span ended, for the cache-effectiveness timeline, and the interval
+// series it simulated, if any.
 type eval struct {
-	workload string
-	budget   int
-	endNs    int64
+	workload  string
+	budget    int
+	endNs     int64
+	intervals []pipeline.IntervalRecord
 	tracing.EvalMember
+}
+
+// config is the evaluated configuration's canonical string ("" on error).
+func (e eval) config() string {
+	if e.Config == nil {
+		return ""
+	}
+	return e.Config.String()
 }
 
 // cell is one matrix cell, expanded from its row's cell span.
@@ -65,11 +79,21 @@ func loadTrace(path string) (*trace, error) {
 		return nil, err
 	}
 	defer f.Close()
-	meta, spans, err := tracing.ReadSpans(f)
+	t, err := readTrace(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	t := &trace{path: path, meta: meta, spans: spans}
+	t.path = path
+	return t, nil
+}
+
+// readTrace decodes a span stream read from r.
+func readTrace(r io.Reader) (*trace, error) {
+	meta, spans, err := tracing.ReadSpans(r)
+	if err != nil {
+		return nil, err
+	}
+	t := &trace{meta: meta, spans: spans}
 	for _, s := range spans {
 		switch a := s.Attrs.(type) {
 		case *tracing.RunAttrs:
@@ -80,7 +104,17 @@ func loadTrace(path string) (*trace, error) {
 			t.chains = append(t.chains, chain{s.Name, int(s.Arg), a})
 		case *tracing.EvalAttrs:
 			for _, m := range a.Members {
-				t.evals = append(t.evals, eval{s.Name, a.Budget, s.End, m})
+				e := eval{workload: s.Name, budget: a.Budget, endNs: s.End, EvalMember: m}
+				if raw, ok := m.Intervals.(json.RawMessage); ok {
+					// Strict: a record field this build does not know is an
+					// error, not a silently dropped counter.
+					dec := json.NewDecoder(bytes.NewReader(raw))
+					dec.DisallowUnknownFields()
+					if err := dec.Decode(&e.intervals); err != nil {
+						return nil, fmt.Errorf("span %d intervals: %w", s.ID, err)
+					}
+				}
+				t.evals = append(t.evals, e)
 			}
 		case *tracing.CellAttrs:
 			for _, c := range a.Cells {

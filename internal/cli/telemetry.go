@@ -22,7 +22,6 @@ import (
 	"runtime/debug"
 	"strconv"
 
-	"xpscalar/internal/introspect"
 	"xpscalar/internal/session"
 	"xpscalar/internal/tech"
 	"xpscalar/internal/telemetry"
@@ -43,11 +42,11 @@ type TelemetryConfig struct {
 	// evaluation spans then carry per-bucket cycle breakdowns and the
 	// CPI-share metrics go live.
 	CPI bool
-	// IntervalsPath is the JSONL interval-snapshot dump ("" for none;
-	// implies CPI accounting); analyze with xptrace intervals.
-	IntervalsPath string
-	// IntervalSize is the sampling period in committed instructions.
-	IntervalSize int
+	// Intervals is the interval-sampling period in committed instructions
+	// (0 for none; implies CPI accounting): each simulated member of the
+	// trace's evaluation spans carries its snapshot series; analyze with
+	// xptrace intervals. It needs TracePath.
+	Intervals int
 	// TraceID joins this run to an existing trace instead of generating a
 	// fresh ID — the cross-process correlation seam: the stream and
 	// remote-cache requests carry it, so a fleet of processes started with
@@ -56,15 +55,14 @@ type TelemetryConfig struct {
 }
 
 // RegisterFlags registers -trace, -metrics-addr, -progress, -cpi,
-// -intervals, -interval-size and -trace-id on the default flag set,
-// pointing at this config.
+// -intervals and -trace-id on the default flag set, pointing at this
+// config.
 func (c *TelemetryConfig) RegisterFlags() {
 	flag.StringVar(&c.TracePath, "trace", "", "write the run's span stream to this file (analyze with xptrace)")
 	flag.StringVar(&c.MetricsAddr, "metrics-addr", "", "serve Prometheus /metrics on this address (e.g. 127.0.0.1:9090)")
 	flag.BoolVar(&c.Progress, "progress", false, "report search progress to stderr")
 	flag.BoolVar(&c.CPI, "cpi", false, "attribute every simulated cycle to a CPI-stack bucket (analyze with xptrace cpi)")
-	flag.StringVar(&c.IntervalsPath, "intervals", "", "write JSONL interval snapshots to this file (implies -cpi; analyze with xptrace intervals)")
-	flag.IntVar(&c.IntervalSize, "interval-size", 1000, "interval sampling period in committed instructions (with -intervals)")
+	flag.IntVar(&c.Intervals, "intervals", 0, "record an interval snapshot every N committed instructions on the -trace evaluation spans (0 off; implies -cpi; analyze with xptrace intervals)")
 	flag.StringVar(&c.TraceID, "trace-id", "", "join an existing trace ID (16 hex chars) instead of generating one (with -trace)")
 }
 
@@ -81,16 +79,8 @@ type Telemetry struct {
 	progress *progressRenderer
 	root     tracing.Handle
 	runSpan  tracing.Span
-
-	introOn       bool
-	intervalsPath string
-	ring          *introspect.Ring
+	introOn  bool
 }
-
-// intervalsRingCap bounds the in-memory interval buffer (~16MB of records
-// at the cap); overflow drops the newest records, counted by the
-// sim_intervals_dropped_total metric.
-const intervalsRingCap = 1 << 16
 
 // StartTelemetry opens the trace stream and metrics endpoint requested by
 // cfg and wires sess's evaluation engine into them. A nil sess selects
@@ -101,15 +91,15 @@ func StartTelemetry(tool string, sess *session.Session, cfg TelemetryConfig) (*T
 		sess = session.Default()
 	}
 	t := &Telemetry{sess: sess, tool: tool}
-	if cfg.CPI || cfg.IntervalsPath != "" {
-		interval := 0
-		if cfg.IntervalsPath != "" {
-			t.intervalsPath = cfg.IntervalsPath
-			t.ring = introspect.NewRing(intervalsRingCap)
-			interval = max(cfg.IntervalSize, 1)
-		}
+	if cfg.Intervals < 0 {
+		return t, fmt.Errorf("-intervals %d: want a sampling period in committed instructions, or 0 for off", cfg.Intervals)
+	}
+	if cfg.Intervals > 0 && cfg.TracePath == "" {
+		return t, fmt.Errorf("-intervals needs -trace: interval series are recorded on the trace's evaluation spans")
+	}
+	if cfg.CPI || cfg.Intervals > 0 {
 		t.introOn = true
-		sess.EnableIntrospection(interval, t.ring)
+		sess.EnableIntrospection(cfg.Intervals)
 	}
 	if cfg.TracePath != "" || cfg.Progress {
 		// Spans are recorded only for consumers that want them, and handed
@@ -253,12 +243,6 @@ func (t *Telemetry) Close() (firstErr error) {
 	if t.introOn {
 		t.sess.DisableIntrospection()
 		t.introOn = false
-		if t.intervalsPath != "" {
-			if err := t.writeIntervals(); err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("intervals: %w", err)
-			}
-			t.intervalsPath, t.ring = "", nil
-		}
 	}
 	if t.server != nil {
 		if err := t.server.Close(); err != nil && firstErr == nil {
@@ -267,22 +251,4 @@ func (t *Telemetry) Close() (firstErr error) {
 		t.server = nil
 	}
 	return firstErr
-}
-
-// writeIntervals flushes the interval ring to the -intervals file.
-func (t *Telemetry) writeIntervals() error {
-	f, err := os.Create(t.intervalsPath)
-	if err != nil {
-		return err
-	}
-	recs := t.ring.Records()
-	if err := introspect.WriteJSONL(f, recs); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	slog.Info("intervals written", "records", len(recs), "dropped", t.ring.Dropped(), "path", t.intervalsPath)
-	return nil
 }

@@ -17,9 +17,9 @@ package evalengine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
-	"xpscalar/internal/introspect"
 	"xpscalar/internal/pipeline"
 	"xpscalar/internal/power"
 	"xpscalar/internal/sim"
@@ -36,6 +36,9 @@ type batchClaim struct {
 	// wallNs is the member's share of its lockstep group's wall time,
 	// measured only when a histogram or a span wants it.
 	wallNs int64
+	// intervals is the member's interval series, copied out of its
+	// lockstep lane only when the request span will carry it.
+	intervals []pipeline.IntervalRecord
 }
 
 // outcomeKinds maps a one-member request's outcome to its span kind.
@@ -207,8 +210,8 @@ func (e *Engine) evaluate(ctx context.Context, dst []Eval, cfgs []sim.Config, p 
 
 // evalAttrs captures every member's result for the request span. Each
 // entry is resolved and immutable by now, so the configuration and CPI
-// stack are held by reference into it and rendered only if the span is
-// written out.
+// stack are held by reference into it, as the interval series is into its
+// claim, and rendered only if the span is written out.
 func evalAttrs(budget int, claims []batchClaim) *tracing.EvalAttrs {
 	a := &tracing.EvalAttrs{Budget: budget, Members: make([]tracing.EvalMember, len(claims))}
 	for i := range claims {
@@ -222,6 +225,9 @@ func evalAttrs(budget int, claims []batchClaim) *tracing.EvalAttrs {
 		m.Score, m.IPT, m.Config = me.val.Score, res.IPT(), &res.Config
 		if res.CPI != (pipeline.CPIStack{}) {
 			m.CPI = &res.CPI
+		}
+		if len(claims[i].intervals) > 0 {
+			m.Intervals = claims[i].intervals
 		}
 	}
 	return a
@@ -239,11 +245,10 @@ func (e *Engine) runGroup(h tracing.Handle, lanes []int, claims []batchClaim, cf
 		begin = time.Now()
 	}
 	// Loaded once per group and re-applied to the pooled runner every run:
-	// MultiRunners migrate between armed and disarmed phases, so a stale
-	// tap must never survive the pool.
-	ic := e.intro.Load()
+	// MultiRunners migrate between armed and disarmed phases.
+	iv := e.intro.Load()
 	results := make([]sim.Result, len(lanes))
-	err := e.runLockstep(h, results, lanes, cfgs, p, budget, t, ic)
+	err := e.runLockstep(h, results, lanes, claims, cfgs, p, budget, t, iv)
 	if err != nil && len(lanes) > 1 {
 		// The stream may have partially advanced; each retry re-sources
 		// its member from the trace store, so nothing depends on it.
@@ -272,7 +277,7 @@ func (e *Engine) runGroup(h tracing.Handle, lanes []int, claims []batchClaim, cf
 		if err != nil {
 			me.err = err
 		} else {
-			if ic != nil {
+			if iv != nil {
 				e.addCPITotals(results[j].CPI)
 			}
 			score, serr := power.Score(results[j], obj, t)
@@ -293,8 +298,12 @@ func (e *Engine) runGroup(h tracing.Handle, lanes []int, claims []batchClaim, cf
 // runLockstep runs one lockstep group over a replay of the profile's
 // cached instruction stream, writing dst[j] for cfgs[lanes[j]]. The
 // handle (parented at the request span) splits the run into a
-// source-materialization span and the simulation proper.
-func (e *Engine) runLockstep(h tracing.Handle, dst []sim.Result, lanes []int, cfgs []sim.Config, p workload.Profile, budget int, t tech.Params, ic *introCfg) error {
+// source-materialization span and the simulation proper. When the group
+// succeeds with interval sampling armed and the request span is live
+// (the handle is enabled exactly when its ID is non-zero), each member's
+// claim gets a copy of its lane's series before the runner returns to the
+// pool.
+func (e *Engine) runLockstep(h tracing.Handle, dst []sim.Result, lanes []int, claims []batchClaim, cfgs []sim.Config, p workload.Profile, budget int, t tech.Params, interval *int) error {
 	ssp := h.Begin(tracing.KindSource, p.Name, int64(budget))
 	src, err := e.traces.source(p, budget)
 	h.End(ssp)
@@ -306,24 +315,19 @@ func (e *Engine) runLockstep(h tracing.Handle, dst []sim.Result, lanes []int, cf
 		group[j] = cfgs[i]
 	}
 	mr := e.multis.Get().(*sim.MultiRunner)
-	if ic != nil {
-		var recs []pipeline.IntervalRecorder
-		if ic.ring != nil && ic.interval > 0 {
-			// Fresh taps per run, labeled for this group's lanes.
-			recs = make([]pipeline.IntervalRecorder, len(lanes))
-			for j := range group {
-				tap := &introspect.Tap{}
-				tap.Init(ic.ring, p.Name, group[j].String(), j)
-				recs[j] = tap
-			}
-		}
-		mr.SetIntrospection(ic.interval, recs)
+	if interval != nil {
+		mr.SetIntrospection(*interval)
 	} else {
 		mr.DisableIntrospection()
 	}
 	msp := h.Begin(tracing.KindSimulate, p.Name, int64(budget)*int64(len(lanes)))
 	err = mr.RunSource(dst, group, src, p.Name, budget, t)
 	h.End(msp)
+	if err == nil && interval != nil && *interval > 0 && h.Enabled() {
+		for j, i := range lanes {
+			claims[i].intervals = slices.Clone(mr.LaneIntervals(j))
+		}
+	}
 	e.multis.Put(mr)
 	return err
 }

@@ -22,7 +22,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"xpscalar/internal/introspect"
 	"xpscalar/internal/pipeline"
 	"xpscalar/internal/power"
 	"xpscalar/internal/sim"
@@ -46,12 +45,6 @@ type Options struct {
 	// Shards is the number of cache shards (default 16). Tests use 1 to
 	// make the LRU bound exact.
 	Shards int
-	// TraceCapInstr bounds the total instructions materialized by the
-	// trace store (default 8M, ~256MB worst case); larger single requests
-	// bypass trace reuse.
-	TraceCapInstr int
-	// Workers bounds the worker pool (default GOMAXPROCS).
-	Workers int
 	// Backend, when non-nil, is a second cache tier behind the in-memory
 	// LRU (typically internal/evalstore's content-addressed disk store).
 	// Memory-tier misses read through it before simulating, and fresh
@@ -110,9 +103,12 @@ type BackendStats struct {
 }
 
 const (
-	defaultCacheEntries  = 1 << 16
-	defaultShards        = 16
-	defaultTraceCapInstr = 8 << 20
+	defaultCacheEntries = 1 << 16
+	defaultShards       = 16
+	// traceCapInstr bounds the total instructions the trace store
+	// materializes (~256MB worst case); larger single requests bypass
+	// trace reuse.
+	traceCapInstr = 8 << 20
 )
 
 // Engine memoizes simulation results and owns the shared trace store and
@@ -159,19 +155,13 @@ type Engine struct {
 	simHist   atomic.Pointer[telemetry.Histogram]
 	groupHist atomic.Pointer[telemetry.Histogram]
 
-	// Introspection: nil by default (kernel runs with accounting off, the
-	// zero-alloc fast path). When armed, every miss runs with CPI-stack
-	// accounting — and, given a ring, interval sampling — and its stack is
-	// folded into cpiTotals, the run-wide cycle breakdown the CPI-share
-	// metrics export.
-	intro     atomic.Pointer[introCfg]
+	// Introspection: the armed interval-sampling period, nil by default
+	// (kernel runs with accounting off, the zero-alloc fast path). When
+	// armed, every miss runs with CPI-stack accounting — and, with a
+	// positive period, interval sampling — and its stack is folded into
+	// cpiTotals, the run-wide cycle breakdown the CPI-share metrics export.
+	intro     atomic.Pointer[int]
 	cpiTotals [pipeline.NumBuckets]atomic.Uint64
-}
-
-// introCfg is the engine's armed introspection configuration.
-type introCfg struct {
-	interval int
-	ring     *introspect.Ring
 }
 
 // backendRef boxes the CacheBackend interface value so it can live in an
@@ -209,12 +199,13 @@ func (e *Engine) Close() error {
 }
 
 // EnableIntrospection arms CPI-stack accounting for every subsequent
-// uncached simulation. With a non-nil ring and a positive interval,
-// simulations additionally stream labeled interval snapshots into the
-// ring. Entries memoized before arming keep their (stack-free) results —
-// introspection only observes fresh simulations.
-func (e *Engine) EnableIntrospection(interval int, ring *introspect.Ring) {
-	e.intro.Store(&introCfg{interval: interval, ring: ring})
+// uncached simulation. With a positive interval, simulations additionally
+// sample a cumulative snapshot every interval committed instructions, and
+// a traced request's span carries each miss's series on its member; 0
+// collects CPI stacks only. Entries memoized before arming keep their
+// (stack-free) results — introspection only observes fresh simulations.
+func (e *Engine) EnableIntrospection(interval int) {
+	e.intro.Store(&interval)
 }
 
 // DisableIntrospection returns subsequent simulations to the accounting-off
@@ -364,13 +355,6 @@ func (e *Engine) EnableTelemetry(reg *telemetry.Registry) {
 		func() float64 { return float64(e.lockstepLanes.Load()) })
 	reg.Func("xpscalar_lockstep_scalar_fallbacks_total", "failed lockstep groups retried member by member as groups of one", "counter",
 		func() float64 { return float64(e.scalarFallbacks.Load()) })
-	reg.Func("xpscalar_sim_intervals_dropped_total", "interval records dropped to introspection ring overflow", "counter",
-		func() float64 {
-			if ic := e.intro.Load(); ic != nil && ic.ring != nil {
-				return float64(ic.ring.Dropped())
-			}
-			return 0
-		})
 	// One share gauge per CPI bucket: this bucket's fraction of all cycles
 	// simulated with introspection armed. All zeros until introspection is
 	// enabled; thereafter the family sums to 1.
@@ -403,13 +387,10 @@ func New(o Options) *Engine {
 	if o.Shards > o.CacheEntries {
 		o.Shards = o.CacheEntries
 	}
-	if o.TraceCapInstr <= 0 {
-		o.TraceCapInstr = defaultTraceCapInstr
-	}
 	e := &Engine{
 		shards: make([]cacheShard, o.Shards),
-		traces: newTraceStore(o.TraceCapInstr),
-		pool:   NewPool(o.Workers),
+		traces: newTraceStore(traceCapInstr),
+		pool:   NewPool(0), // GOMAXPROCS workers
 	}
 	if o.Backend != nil {
 		e.backend.Store(&backendRef{be: o.Backend})

@@ -1,24 +1,27 @@
 // Engine-level introspection: arming CPI accounting on the memoized
 // engine must decorate evaluations without changing them — misses carry a
 // stack that sums to their cycle count, hits replay the memoized stack,
-// batches and single evaluations produce identical stacks, and the run-wide
-// totals surface as scrape-time metrics.
+// batches and single evaluations produce identical stacks and interval
+// series, each series rides the traced member that simulated it, and the
+// run-wide totals surface as scrape-time metrics.
 
 package evalengine
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
-	"xpscalar/internal/introspect"
 	"xpscalar/internal/pipeline"
 	"xpscalar/internal/power"
 	"xpscalar/internal/sim"
 	"xpscalar/internal/tech"
 	"xpscalar/internal/telemetry"
 	"xpscalar/internal/tracing"
+	"xpscalar/internal/workload"
 )
 
 // An armed engine's evaluations carry a complete CPI decomposition; the
@@ -36,7 +39,7 @@ func TestEngineIntrospectionDecoratesEvaluations(t *testing.T) {
 	}
 
 	eng := New(Options{})
-	eng.EnableIntrospection(0, nil) // CPI stacks alone, no sampling
+	eng.EnableIntrospection(0) // CPI stacks alone, no sampling
 	rec := tracing.NewRecorder()
 	ctx := tracing.NewContext(context.Background(), rec)
 	miss, err := eng.Evaluate(ctx, cfg, p, 5000, tp, power.ObjIPT)
@@ -71,6 +74,9 @@ func TestEngineIntrospectionDecoratesEvaluations(t *testing.T) {
 		if m.CPI == nil || !reflect.DeepEqual(m.CPI.Map(), miss.Result.CPI.Map()) {
 			t.Errorf("%s member CPI %v, want %v", m.Outcome, m.CPI, miss.Result.CPI.Map())
 		}
+		if m.Intervals != nil {
+			t.Errorf("%s member carries an interval series with sampling off", m.Outcome)
+		}
 	}
 	if got := eng.CPITotals(); got != miss.Result.CPI {
 		t.Errorf("CPITotals after one miss = %v, want that miss's stack %v", got, miss.Result.CPI)
@@ -90,30 +96,37 @@ func TestEngineIntrospectionDecoratesEvaluations(t *testing.T) {
 	}
 }
 
-// Batch misses run lockstep; their stacks and tapped interval records
-// must match what per-member scalar evaluation produces.
+// Batch misses run lockstep; their stacks and interval series must match
+// what per-member scalar evaluation produces. Each series rides the member
+// that simulated it — the span names the workload, the member its own
+// configuration — and hits, failed members and untraced requests carry
+// none.
 func TestEngineBatchIntrospectionMatchesScalar(t *testing.T) {
 	tp := tech.Default()
 	cs := batchConfigs(t, tp, 4)
 	p := testProfile(29)
-	const budget = 4000
+	const budget, every = 4000, 500
 
 	scalarEng := New(Options{})
-	scalarEng.EnableIntrospection(0, nil)
+	scalarEng.EnableIntrospection(every)
+	scalarRec := tracing.NewRecorder()
+	sctx := tracing.NewContext(context.Background(), scalarRec)
 	want := make([]Eval, len(cs))
 	for i, c := range cs {
-		ev, err := scalarEng.Evaluate(context.Background(), c, p, budget, tp, power.ObjIPT)
+		ev, err := scalarEng.Evaluate(sctx, c, p, budget, tp, power.ObjIPT)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = ev
 	}
+	wantMembers, _ := evalMembers(t, scalarRec)
 
-	ring := introspect.NewRing(1 << 10)
 	batchEng := New(Options{})
-	batchEng.EnableIntrospection(500, ring)
+	batchEng.EnableIntrospection(every)
+	rec := tracing.NewRecorder()
+	ctx := tracing.NewContext(context.Background(), rec)
 	dst := make([]Eval, len(cs))
-	if err := batchEng.EvaluateBatch(context.Background(), dst, cs, p, budget, tp, power.ObjIPT); err != nil {
+	if err := batchEng.EvaluateBatch(ctx, dst, cs, p, budget, tp, power.ObjIPT); err != nil {
 		t.Fatal(err)
 	}
 	for i := range cs {
@@ -129,41 +142,142 @@ func TestEngineBatchIntrospectionMatchesScalar(t *testing.T) {
 			batchEng.CPITotals(), scalarEng.CPITotals())
 	}
 
-	// Every tapped record names a real member configuration and the
-	// workload; sequence numbers restart per lane.
-	recs := ring.Records()
-	if len(recs) == 0 {
-		t.Fatal("batch run tapped no interval records")
+	// Later simulations reuse the pooled runners' lane slices: each
+	// member's series must be its own copy.
+	if err := batchEng.EvaluateBatch(context.Background(), make([]Eval, len(cs)), cs, p, budget/2, tp, power.ObjIPT); err != nil {
+		t.Fatal(err)
 	}
-	known := map[string]bool{}
-	for _, c := range cs {
-		known[c.String()] = true
+
+	spans := evalSpans(rec)
+	if len(spans) != 1 || spans[0].Name != p.Name {
+		t.Fatalf("recorded %d eval spans (first %+v), want one for %s", len(spans), spans, p.Name)
 	}
-	seen := map[int]int{}
-	for _, r := range recs {
-		if r.Workload != p.Name {
-			t.Errorf("record labeled workload %q, want %q", r.Workload, p.Name)
+	members := spans[0].Attrs.(*tracing.EvalAttrs).Members
+	if len(members) != len(cs) || len(wantMembers) != len(cs) {
+		t.Fatalf("batch span has %d members, scalar spans %d, want %d", len(members), len(wantMembers), len(cs))
+	}
+	for i, m := range members {
+		if m.Outcome != "miss" || m.Config == nil || m.Config.String() != cs[i].String() {
+			t.Errorf("member %d is %s of %v, want the miss of %v", i, m.Outcome, m.Config, cs[i])
 		}
-		if !known[r.Config] {
-			t.Errorf("record labeled unknown config %q", r.Config)
+		got, _ := m.Intervals.([]pipeline.IntervalRecord)
+		ref, _ := wantMembers[i].Intervals.([]pipeline.IntervalRecord)
+		if len(got) == 0 || !reflect.DeepEqual(got, ref) {
+			t.Errorf("member %d series (%d records) differs from its scalar twin (%d records)", i, len(got), len(ref))
 		}
-		seen[r.Lane]++
+		if n := len(got); n > 0 && (got[n-1].Cycles != dst[i].Result.Result.Cycles || got[n-1].Stack != dst[i].Result.CPI) {
+			t.Errorf("member %d closing record %+v does not match its result", i, got[n-1])
+		}
 	}
-	if len(seen) != len(cs) {
-		t.Errorf("records cover %d lanes, want %d", len(seen), len(cs))
+
+	// A repeat is served from the memo cache and carries no series; an
+	// invalid member fails without one; and an untraced request copies
+	// nothing, since no span would carry it.
+	bad := append(append([]sim.Config{}, cs...), cs[0])
+	bad[len(cs)].Width = 0
+	if err := batchEng.EvaluateBatch(ctx, make([]Eval, len(bad)), bad, p, budget, tp, power.ObjIPT); err == nil {
+		t.Fatal("invalid member accepted")
+	}
+	spans = evalSpans(rec)
+	for _, m := range spans[len(spans)-1].Attrs.(*tracing.EvalAttrs).Members {
+		if m.Intervals != nil {
+			t.Errorf("%s member (err %v) carries an interval series", m.Outcome, m.Err)
+		}
+	}
+	claims := []batchClaim{{}}
+	if err := batchEng.runLockstep(tracing.Handle{}, make([]sim.Result, 1), []int{0}, claims, cs, p, budget, tp, batchEng.intro.Load()); err != nil {
+		t.Fatal(err)
+	}
+	if claims[0].intervals != nil {
+		t.Errorf("untraced run copied %d interval records", len(claims[0].intervals))
 	}
 }
 
-// The introspection metric families: the ring-overflow counter and the
-// per-bucket CPI shares, rendered through the registry's Prometheus text.
+// memberSeries returns the interval series of every member rec's eval.*
+// spans carry, keyed by the span's workload.
+func memberSeries(rec *tracing.Recorder) map[string][][]pipeline.IntervalRecord {
+	out := map[string][][]pipeline.IntervalRecord{}
+	for _, s := range evalSpans(rec) {
+		for _, m := range s.Attrs.(*tracing.EvalAttrs).Members {
+			recs, _ := m.Intervals.([]pipeline.IntervalRecord)
+			out[s.Name] = append(out[s.Name], recs)
+		}
+	}
+	return out
+}
+
+// Concurrent batches on one engine, as pool workers run them, each get
+// their members' complete series: none lost, and none overwritten by a
+// later run of the pooled runner that simulated it. CI runs this under
+// -race (make race-hot).
+func TestEngineConcurrentIntervalSeries(t *testing.T) {
+	tp := tech.Default()
+	cs := batchConfigs(t, tp, 2)
+	const workers, budget, every = 4, 3000, 500
+	profiles := make([]workload.Profile, workers)
+	for g := range profiles {
+		profiles[g] = testProfile(int64(41 + g))
+		profiles[g].Name = fmt.Sprintf("unit%d", g)
+	}
+
+	// Reference: each batch alone on a fresh engine.
+	want := map[string][][]pipeline.IntervalRecord{}
+	for _, p := range profiles {
+		eng := New(Options{})
+		eng.EnableIntrospection(every)
+		rec := tracing.NewRecorder()
+		if err := eng.EvaluateBatch(tracing.NewContext(context.Background(), rec), make([]Eval, len(cs)), cs, p, budget, tp, power.ObjIPT); err != nil {
+			t.Fatal(err)
+		}
+		want[p.Name] = memberSeries(rec)[p.Name]
+	}
+
+	eng := New(Options{})
+	eng.EnableIntrospection(every)
+	rec := tracing.NewRecorder()
+	ctx := tracing.NewContext(context.Background(), rec)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for g, p := range profiles {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if errs[g] = eng.EvaluateBatch(ctx, make([]Eval, len(cs)), cs, p, budget, tp, power.ObjIPT); errs[g] != nil {
+				return
+			}
+			// An untraced follow-up reuses a pooled runner's lane slices.
+			errs[g] = eng.EvaluateBatch(context.Background(), make([]Eval, len(cs)), cs, p, budget/2, tp, power.ObjIPT)
+		}()
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", g, err)
+		}
+	}
+
+	got := memberSeries(rec)
+	for _, p := range profiles {
+		if len(got[p.Name]) != len(cs) || len(want[p.Name]) != len(cs) {
+			t.Fatalf("%s: %d traced members, %d reference, want %d", p.Name, len(got[p.Name]), len(want[p.Name]), len(cs))
+		}
+		for i, recs := range got[p.Name] {
+			if len(recs) == 0 || !reflect.DeepEqual(recs, want[p.Name][i]) {
+				t.Errorf("%s member %d series (%d records) differs from its lone run (%d records)", p.Name, i, len(recs), len(want[p.Name][i]))
+			}
+		}
+	}
+}
+
+// The introspection metric family: the per-bucket CPI shares, rendered
+// through the registry's Prometheus text.
 func TestIntrospectionMetrics(t *testing.T) {
 	tp := tech.Default()
 	cfg := sim.InitialConfig(tp)
 	p := testProfile(31)
 
-	ring := introspect.NewRing(1 << 10)
 	eng := New(Options{})
-	eng.EnableIntrospection(1000, ring)
+	eng.EnableIntrospection(1000)
 	reg := telemetry.NewRegistry()
 	eng.EnableTelemetry(reg)
 
@@ -175,9 +289,6 @@ func TestIntrospectionMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := sb.String()
-	if !strings.Contains(text, "xpscalar_sim_intervals_dropped_total 0") {
-		t.Errorf("Prometheus text missing zero drop counter:\n%s", text)
-	}
 	names := pipeline.BucketNames()
 	shareSum := 0.0
 	for b := 0; b < pipeline.NumBuckets; b++ {
@@ -188,22 +299,5 @@ func TestIntrospectionMetrics(t *testing.T) {
 	}
 	if shareSum < 0.999 || shareSum > 1.001 {
 		t.Errorf("bucket shares sum to %v, want 1", shareSum)
-	}
-
-	// Overflow a tiny ring and watch the counter move.
-	tiny := introspect.NewRing(1)
-	eng.EnableIntrospection(100, tiny)
-	if _, err := eng.Evaluate(context.Background(), cfg, p, 7000, tp, power.ObjIPT); err != nil {
-		t.Fatal(err)
-	}
-	sb.Reset()
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(sb.String(), "xpscalar_sim_intervals_dropped_total 0") {
-		t.Errorf("drop counter still zero after overflowing a capacity-1 ring:\n%s", sb.String())
-	}
-	if tiny.Dropped() == 0 {
-		t.Error("capacity-1 ring dropped nothing")
 	}
 }

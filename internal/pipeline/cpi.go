@@ -148,27 +148,17 @@ type IntervalRecord struct {
 	LoadsMem     uint64      `json:"loads_mem"`
 }
 
-// IntervalRecorder consumes interval snapshots as the simulation crosses
-// sampling boundaries. Implementations must not retain the record past the
-// call (it is reused) and must not allocate if the caller's zero-alloc
-// guarantees matter to them; internal/introspect provides the standard
-// ring-buffered implementation.
-type IntervalRecorder interface {
-	RecordInterval(IntervalRecord)
-}
-
 // Introspection arms the core's observation layer. A nil *Introspection
-// (the default) disables everything; a non-nil one with Interval == 0 or a
-// nil Recorder collects the CPI stack alone; a positive Interval plus a
-// Recorder additionally emits one cumulative IntervalRecord each time the
+// (the default) disables everything; a non-nil one collects the CPI stack,
+// and a positive Interval additionally appends one cumulative
+// IntervalRecord to the core's interval series each time the
 // committed-instruction count crosses a multiple of Interval, and a final
 // one at run end. Introspection never changes simulated behavior: Result
 // is bit-identical armed or not.
 type Introspection struct {
-	// Interval is the sampling period in committed instructions.
+	// Interval is the sampling period in committed instructions; 0
+	// collects the CPI stack alone.
 	Interval int
-	// Recorder receives the snapshots.
-	Recorder IntervalRecorder
 }
 
 // SetIntrospection arms (or, with nil, disarms) introspection on this
@@ -179,6 +169,11 @@ func (c *Core) SetIntrospection(intro *Introspection) { c.intro = intro }
 // LastCPI returns the CPI stack of the most recent run (zeros when
 // introspection was off). Valid until the next Run.
 func (c *Core) LastCPI() CPIStack { return c.cpi }
+
+// LastIntervals returns the interval series of the most recent run (empty
+// when sampling was off). The slice is the core's own, reused by the next
+// Run: copy what must outlive it.
+func (c *Core) LastIntervals() []IntervalRecord { return c.intervals }
 
 // sampleOff parks nextSample beyond any reachable instruction count, so
 // the disabled path is one always-false compare per cycle.
@@ -204,12 +199,13 @@ const (
 // sticky configuration; called by reset.
 func (c *Core) resetIntrospection() {
 	c.cpi = CPIStack{}
+	c.intervals = c.intervals[:0]
 	c.lastCommits = 0
 	c.dispBlock = dispNone
 	c.cpiOn = c.intro != nil
 	c.sampleEvery = 0
 	c.nextSample = sampleOff
-	if c.intro != nil && c.intro.Interval > 0 && c.intro.Recorder != nil {
+	if c.intro != nil && c.intro.Interval > 0 {
 		c.sampleEvery = uint64(c.intro.Interval)
 		c.nextSample = c.sampleEvery
 	}
@@ -267,16 +263,16 @@ func (c *Core) classify() Bucket {
 	return BucketBase
 }
 
-// sampleIntervals emits one cumulative snapshot and advances the sampling
-// threshold past the current committed count. Called from commit when the
-// boundary is crossed; a wide commit that crosses several boundaries at
-// once still emits a single record (the snapshots are cumulative, so the
-// intermediate ones would carry no extra information). A boundary that
-// lands on the run's final instruction is left to the closing record,
-// which carries the complete end-of-run totals.
+// sampleIntervals appends one cumulative snapshot and advances the
+// sampling threshold past the current committed count. Called from commit
+// when the boundary is crossed; a wide commit that crosses several
+// boundaries at once still appends a single record (the snapshots are
+// cumulative, so the intermediate ones would carry no extra information).
+// A boundary that lands on the run's final instruction is left to the
+// closing record, which carries the complete end-of-run totals.
 func (c *Core) sampleIntervals() {
 	if c.committed < c.total {
-		c.intro.Recorder.RecordInterval(c.snapshot())
+		c.intervals = append(c.intervals, c.snapshot())
 	}
 	for c.nextSample <= c.committed {
 		c.nextSample += c.sampleEvery
@@ -300,12 +296,13 @@ func (c *Core) snapshot() IntervalRecord {
 	}
 }
 
-// finishIntrospection emits the closing interval record — the end-of-run
-// totals, identical to the run's Result — when sampling is armed. Called
-// once per run, before the external references are released.
+// finishIntrospection appends the closing interval record — the
+// end-of-run totals, identical to the run's Result — when sampling is
+// armed. Called once per run, before the external references are
+// released.
 func (c *Core) finishIntrospection() {
 	if c.sampleEvery == 0 {
 		return
 	}
-	c.intro.Recorder.RecordInterval(c.snapshot())
+	c.intervals = append(c.intervals, c.snapshot())
 }

@@ -9,14 +9,6 @@ import (
 	"xpscalar/internal/workload"
 )
 
-// sliceRecorder captures interval records in order; tests compare the
-// sequences directly.
-type sliceRecorder struct {
-	recs []IntervalRecord
-}
-
-func (r *sliceRecorder) RecordInterval(rec IntervalRecord) { r.recs = append(r.recs, rec) }
-
 // cpiParams are the configurations the accounting property tests sweep:
 // the lane variants (width, IQ, wakeup, ROB, latency, ports, front end)
 // plus deliberately starved shapes that force the back-pressure buckets.
@@ -32,6 +24,14 @@ func cpiParams() []Params {
 // runWithCPI simulates n instructions of prof on a fresh armed core and
 // returns the result plus its CPI stack.
 func runWithCPI(t *testing.T, p Params, prof workload.Profile, n int, intro *Introspection) (Result, CPIStack) {
+	t.Helper()
+	res, stack, _ := runIntrospected(t, p, prof, n, intro)
+	return res, stack
+}
+
+// runIntrospected is runWithCPI that also returns the run's interval
+// series.
+func runIntrospected(t *testing.T, p Params, prof workload.Profile, n int, intro *Introspection) (Result, CPIStack, []IntervalRecord) {
 	t.Helper()
 	gen, err := workload.NewGenerator(prof)
 	if err != nil {
@@ -54,7 +54,7 @@ func runWithCPI(t *testing.T, p Params, prof workload.Profile, n int, intro *Int
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, core.LastCPI()
+	return res, core.LastCPI(), core.LastIntervals()
 }
 
 // TestCPIStackSumsToCycles is the accounting invariant: with introspection
@@ -114,10 +114,9 @@ func TestCPIStackSumsToCycles(t *testing.T) {
 // pinned golden point.
 func TestIntrospectionPreservesResult(t *testing.T) {
 	prof, _ := workload.ByName("gcc")
-	rec := &sliceRecorder{}
 	for _, p := range cpiParams() {
 		off, _ := runWithCPI(t, p, prof, 5000, nil)
-		on, stack := runWithCPI(t, p, prof, 5000, &Introspection{Interval: 500, Recorder: rec})
+		on, stack := runWithCPI(t, p, prof, 5000, &Introspection{Interval: 500})
 		if on != off {
 			t.Errorf("cfg %+v: introspection on %+v != off %+v", p, on, off)
 		}
@@ -142,6 +141,9 @@ func TestIntrospectionPreservesResult(t *testing.T) {
 	}
 	if got := armed.LastCPI(); got != (CPIStack{}) {
 		t.Errorf("disarmed core reports stack %v, want zeros", got)
+	}
+	if got := armed.LastIntervals(); len(got) != 0 {
+		t.Errorf("disarmed core reports %d interval records, want none", len(got))
 	}
 }
 
@@ -197,7 +199,7 @@ func TestLockstepLaneCPIMatchesScalar(t *testing.T) {
 			t.Fatal(err)
 		}
 		var m MultiCore
-		m.SetIntrospection(0, nil)
+		m.SetIntrospection(0)
 		got := make([]Result, k)
 		if err := m.Run(got, ps, gen, preds, mems, n); err != nil {
 			t.Fatalf("k=%d: lockstep: %v", k, err)
@@ -223,25 +225,23 @@ func TestIntervalDeterminism(t *testing.T) {
 	p := baseParams()
 	const n, every = 20000, 1000
 
-	rec1 := &sliceRecorder{}
-	res, _ := runWithCPI(t, p, prof, n, &Introspection{Interval: every, Recorder: rec1})
-	rec2 := &sliceRecorder{}
-	runWithCPI(t, p, prof, n, &Introspection{Interval: every, Recorder: rec2})
+	res, _, recs1 := runIntrospected(t, p, prof, n, &Introspection{Interval: every})
+	_, _, recs2 := runIntrospected(t, p, prof, n, &Introspection{Interval: every})
 
-	if len(rec1.recs) != len(rec2.recs) {
-		t.Fatalf("record counts differ across runs: %d vs %d", len(rec1.recs), len(rec2.recs))
+	if len(recs1) != len(recs2) {
+		t.Fatalf("record counts differ across runs: %d vs %d", len(recs1), len(recs2))
 	}
-	for i := range rec1.recs {
-		if rec1.recs[i] != rec2.recs[i] {
-			t.Errorf("record %d differs across runs:\n %+v\n %+v", i, rec1.recs[i], rec2.recs[i])
+	for i := range recs1 {
+		if recs1[i] != recs2[i] {
+			t.Errorf("record %d differs across runs:\n %+v\n %+v", i, recs1[i], recs2[i])
 		}
 	}
 
-	if len(rec1.recs) < 2 {
-		t.Fatalf("expected multiple interval records, got %d", len(rec1.recs))
+	if len(recs1) < 2 {
+		t.Fatalf("expected multiple interval records, got %d", len(recs1))
 	}
 	var prev IntervalRecord
-	for i, r := range rec1.recs {
+	for i, r := range recs1 {
 		if r.Stack.Cycles() != r.Cycles {
 			t.Errorf("record %d: stack sums to %d, want %d", i, r.Stack.Cycles(), r.Cycles)
 		}
@@ -250,7 +250,7 @@ func TestIntervalDeterminism(t *testing.T) {
 		}
 		prev = r
 	}
-	last := rec1.recs[len(rec1.recs)-1]
+	last := recs1[len(recs1)-1]
 	want := IntervalRecord{
 		Instructions: res.Instructions,
 		Cycles:       res.Cycles,
@@ -279,28 +279,22 @@ func TestLockstepIntervalsMatchScalar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs := make([]IntervalRecorder, k)
-		lanes := make([]*sliceRecorder, k)
-		for i := range recs {
-			lanes[i] = &sliceRecorder{}
-			recs[i] = lanes[i]
-		}
 		var m MultiCore
-		m.SetIntrospection(every, recs)
+		m.SetIntrospection(every)
 		got := make([]Result, k)
 		if err := m.Run(got, ps, gen, preds, mems, n); err != nil {
 			t.Fatalf("k=%d: lockstep: %v", k, err)
 		}
 		for i := 0; i < k; i++ {
-			ref := &sliceRecorder{}
-			runWithCPI(t, ps[i], prof, n, &Introspection{Interval: every, Recorder: ref})
-			if len(lanes[i].recs) != len(ref.recs) {
-				t.Fatalf("k=%d lane %d: %d records != scalar %d", k, i, len(lanes[i].recs), len(ref.recs))
+			_, _, ref := runIntrospected(t, ps[i], prof, n, &Introspection{Interval: every})
+			lane := m.LaneIntervals(i)
+			if len(lane) != len(ref) {
+				t.Fatalf("k=%d lane %d: %d records != scalar %d", k, i, len(lane), len(ref))
 			}
-			for j := range ref.recs {
-				if lanes[i].recs[j] != ref.recs[j] {
+			for j := range ref {
+				if lane[j] != ref[j] {
 					t.Errorf("k=%d lane %d record %d: lockstep %+v != scalar %+v",
-						k, i, j, lanes[i].recs[j], ref.recs[j])
+						k, i, j, lane[j], ref[j])
 				}
 			}
 		}

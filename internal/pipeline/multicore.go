@@ -30,35 +30,33 @@ type MultiCore struct {
 	blk   workload.Block
 
 	// Introspection configuration (see cpi.go), armed by SetIntrospection
-	// and applied to every lane of the next Run. intros is stable backing
-	// storage for the per-lane Introspection values the lanes point into.
-	introOn  bool
-	interval int
-	recs     []IntervalRecorder
-	intros   []Introspection
+	// and applied to every lane of the next Run; the lanes point at intro.
+	introOn bool
+	intro   Introspection
 }
 
 // SetIntrospection arms CPI-stack accounting on every lane of subsequent
-// runs. interval and recs arm interval sampling as on a scalar Core:
-// interval <= 0 or a nil recs collects per-lane stacks only; otherwise
-// recs[i] receives lane i's snapshots (a short or nil-holed recs leaves
-// the uncovered lanes stack-only). The setting is sticky across runs.
-func (m *MultiCore) SetIntrospection(interval int, recs []IntervalRecorder) {
+// runs and, with a positive interval, interval sampling as on a scalar
+// Core. The setting is sticky across runs.
+func (m *MultiCore) SetIntrospection(interval int) {
 	m.introOn = true
-	m.interval = interval
-	m.recs = recs
+	m.intro = Introspection{Interval: interval}
 }
 
 // DisableIntrospection disarms introspection for subsequent runs.
 func (m *MultiCore) DisableIntrospection() {
 	m.introOn = false
-	m.interval = 0
-	m.recs = nil
+	m.intro = Introspection{}
 }
 
 // LaneCPI returns lane i's CPI stack from the most recent Run (zeros when
 // introspection was off). Valid until the next Run.
 func (m *MultiCore) LaneCPI(i int) CPIStack { return m.cores[i].cpi }
+
+// LaneIntervals returns lane i's interval series from the most recent Run
+// (empty when sampling was off). The slice is the lane's own, reused by
+// the next Run: copy what must outlive it.
+func (m *MultiCore) LaneIntervals(i int) []IntervalRecord { return m.cores[i].intervals }
 
 // Run simulates the same n instructions of src's stream on len(ps) core
 // configurations in lockstep. Lane i runs ps[i] with predictor preds[i]
@@ -95,21 +93,12 @@ func (m *MultiCore) Run(dst []Result, ps []Params, src workload.Source, preds []
 		copy(grown, m.cores) // keep the arenas lanes have already grown
 		m.cores = grown
 	}
-	if m.introOn && len(m.intros) < k {
-		m.intros = make([]Introspection, k)
-	}
 	lanes := m.cores[:k]
 	for i := range lanes {
 		c := &lanes[i]
+		c.intro = nil
 		if m.introOn {
-			var rec IntervalRecorder
-			if i < len(m.recs) {
-				rec = m.recs[i]
-			}
-			m.intros[i] = Introspection{Interval: m.interval, Recorder: rec}
-			c.intro = &m.intros[i]
-		} else {
-			c.intro = nil
+			c.intro = &m.intro
 		}
 		c.reset(ps[i], nil, preds[i], mems[i], n)
 		c.blk = &m.blk // all lanes read the shared slab

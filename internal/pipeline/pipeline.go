@@ -251,7 +251,9 @@ type Core struct {
 	// Introspection state (see cpi.go). intro is the sticky configuration;
 	// the rest is per-run. lastCommits and dispBlock are written every
 	// cycle whether or not introspection is armed — unconditional scalar
-	// stores, cheaper than a branch — and read only by classify.
+	// stores, cheaper than a branch — and read only by classify. intervals
+	// keeps its capacity across runs; it sits last, off the per-cycle
+	// fields' cache lines.
 	intro       *Introspection
 	cpi         CPIStack
 	cpiOn       bool
@@ -259,6 +261,7 @@ type Core struct {
 	nextSample  uint64
 	lastCommits int
 	dispBlock   uint8
+	intervals   []IntervalRecord
 }
 
 // fetched is one front-end instruction in flight toward dispatch. Only the

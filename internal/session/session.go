@@ -18,7 +18,6 @@ import (
 	"xpscalar/internal/core"
 	"xpscalar/internal/evalengine"
 	"xpscalar/internal/explore"
-	"xpscalar/internal/introspect"
 	"xpscalar/internal/power"
 	"xpscalar/internal/regression"
 	"xpscalar/internal/sim"
@@ -30,10 +29,10 @@ import (
 
 // Options configures a Session. The zero value selects defaults.
 type Options struct {
-	// Engine sizes the session's evaluation engine (cache entries,
-	// shards, trace cap, pool workers) and carries its optional persistent
-	// cache tier (Engine.Backend, typically an evalstore.Store); a session
-	// with a backend must be Closed to flush write-behind records.
+	// Engine sizes the session's evaluation cache (entries, shards) and
+	// carries its optional persistent cache tier (Engine.Backend,
+	// typically an evalstore.Store); a session with a backend must be
+	// Closed to flush write-behind records.
 	Engine evalengine.Options
 	// Recorder, when non-nil, records hierarchical execution spans for
 	// every run on this session (see internal/tracing). Contexts that
@@ -130,12 +129,10 @@ func (s *Session) ResetStats() { s.engine.ResetStats() }
 // with a metrics registry.
 func (s *Session) EnableTelemetry(reg *telemetry.Registry) { s.engine.EnableTelemetry(reg) }
 
-// EnableIntrospection arms CPI-stack accounting — and, with a non-nil
-// ring and positive interval, interval sampling — on the session engine's
-// uncached simulations.
-func (s *Session) EnableIntrospection(interval int, ring *introspect.Ring) {
-	s.engine.EnableIntrospection(interval, ring)
-}
+// EnableIntrospection arms CPI-stack accounting — and, with a positive
+// interval, interval sampling onto traced evaluation spans — on the
+// session engine's uncached simulations.
+func (s *Session) EnableIntrospection(interval int) { s.engine.EnableIntrospection(interval) }
 
 // DisableIntrospection returns the session's simulations to the
 // accounting-off fast path.

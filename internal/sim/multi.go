@@ -131,11 +131,13 @@ func (r *MultiRunner) RunSource(dst []Result, cs []Config, src workload.Source, 
 }
 
 // SetIntrospection arms CPI-stack accounting (and, with a positive
-// interval and recorders, interval sampling) on every lane of subsequent
-// runs; see pipeline.MultiCore.SetIntrospection. Sticky across runs.
-func (r *MultiRunner) SetIntrospection(interval int, recs []pipeline.IntervalRecorder) {
-	r.multi.SetIntrospection(interval, recs)
-}
+// interval, interval sampling) on every lane of subsequent runs; see
+// pipeline.MultiCore.SetIntrospection. Sticky across runs.
+func (r *MultiRunner) SetIntrospection(interval int) { r.multi.SetIntrospection(interval) }
 
 // DisableIntrospection disarms introspection for subsequent runs.
 func (r *MultiRunner) DisableIntrospection() { r.multi.DisableIntrospection() }
+
+// LaneIntervals returns lane i's interval series from the most recent run
+// (empty when sampling was off). Valid until the next run.
+func (r *MultiRunner) LaneIntervals(i int) []pipeline.IntervalRecord { return r.multi.LaneIntervals(i) }

@@ -57,8 +57,9 @@ func generator(tb testing.TB, p workload.Profile) *workload.Generator {
 // scalarReference evaluates cfg over n instructions of src on the scalar
 // reference kernel: pipeline.Core.Run over coreParams with a fresh
 // predictor and a fresh cache hierarchy. Every lockstep lane must
-// reproduce it bit for bit; intro, when non-nil, arms introspection.
-func scalarReference(tb testing.TB, cfg Config, src workload.Source, name string, n int, intro *pipeline.Introspection) Result {
+// reproduce it bit for bit; intro, when non-nil, arms introspection, and
+// the run's interval series comes back alongside the result.
+func scalarReference(tb testing.TB, cfg Config, src workload.Source, name string, n int, intro *pipeline.Introspection) (Result, []pipeline.IntervalRecord) {
 	tb.Helper()
 	pred, err := bpred.New(cfg.Bpred)
 	if err != nil {
@@ -74,7 +75,7 @@ func scalarReference(tb testing.TB, cfg Config, src workload.Source, name string
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return Result{Config: cfg, Workload: name, Result: res, CPI: core.LastCPI()}
+	return Result{Config: cfg, Workload: name, Result: res, CPI: core.LastCPI()}, core.LastIntervals()
 }
 
 // TestMultiRunnerMatchesScalar is the lockstep contract at the sim layer:
@@ -102,7 +103,7 @@ func TestMultiRunnerMatchesScalar(t *testing.T) {
 		}
 		for i := range cs {
 			tr.Reset()
-			want := scalarReference(t, cs[i], tr, "gzip", n, nil)
+			want, _ := scalarReference(t, cs[i], tr, "gzip", n, nil)
 			if dst[i].Result != want.Result {
 				t.Errorf("round %d lane %d: lockstep %+v != scalar %+v",
 					round, i, dst[i].Result, want.Result)

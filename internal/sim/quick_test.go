@@ -138,7 +138,7 @@ func TestQuickLockstepMatchesReference(t *testing.T) {
 		}
 		for i := range cs {
 			tr.Reset()
-			if want := scalarReference(t, cs[i], tr, prof.Name, n, nil); dst[i] != want {
+			if want, _ := scalarReference(t, cs[i], tr, prof.Name, n, nil); dst[i] != want {
 				t.Logf("lane %d of %d (%v on %s, n=%d):\n got  %+v\nwant %+v",
 					i, len(cs), cs[i], prof.Name, n, dst[i].Result, want.Result)
 				return false

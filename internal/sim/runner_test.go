@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"xpscalar/internal/introspect"
 	"xpscalar/internal/tech"
 	"xpscalar/internal/timing"
 	"xpscalar/internal/workload"
@@ -42,7 +41,7 @@ func TestRunnerMatchesFreshRun(t *testing.T) {
 		if !ok {
 			t.Fatalf("profile %s missing", pt.name)
 		}
-		want := scalarReference(t, pt.cfg, generator(t, prof), pt.name, pt.n, nil)
+		want, _ := scalarReference(t, pt.cfg, generator(t, prof), pt.name, pt.n, nil)
 		if err := r.RunSource(dst, []Config{pt.cfg}, generator(t, prof), pt.name, pt.n, tp); err != nil {
 			t.Fatalf("point %d reused: %v", i, err)
 		}
@@ -131,13 +130,12 @@ func TestRunValidatesBeforeGeneratorSetup(t *testing.T) {
 // cache miss rides in the evaluation engine: a one-lane MultiRunner with
 // warm arenas, trace replay, no per-run setup.
 func BenchmarkRunnerSteadyState(b *testing.B) {
-	benchOneLane(b, nil, nil)
+	benchOneLane(b, nil)
 }
 
 // benchOneLane times a warm one-lane MultiRunner over a 20k-instruction
-// gzip replay. arm, when non-nil, sets up introspection before warming;
-// ring, when non-nil, is the armed interval ring, emptied before every run.
-func benchOneLane(b *testing.B, arm func(*MultiRunner), ring *introspect.Ring) {
+// gzip replay. arm, when non-nil, sets up introspection before warming.
+func benchOneLane(b *testing.B, arm func(*MultiRunner)) {
 	tp := tech.Default()
 	cs := []Config{InitialConfig(tp)}
 	prof, _ := workload.ByName("gzip")
@@ -155,9 +153,6 @@ func benchOneLane(b *testing.B, arm func(*MultiRunner), ring *introspect.Ring) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if ring != nil {
-			ring.Reset()
-		}
 		tr.Reset()
 		if err := r.RunSource(dst, cs, tr, "gzip", n, tp); err != nil {
 			b.Fatal(err)

@@ -5,10 +5,10 @@
 //
 // Attributes hold plain values captured at span end. The values that are
 // costly to render (a configuration's canonical string, a CPI stack's
-// bucket map, an error's text) are held by reference behind small
-// interfaces and rendered only when a consumer encodes the span, so a
-// buffering recorder pays for neither. Decoding renders them back as
-// Text, CPIMap and errorText, which satisfy the same interfaces.
+// bucket map, an interval series, an error's text) are held by reference
+// and rendered only when a consumer encodes the span, so a buffering
+// recorder pays for none of them. Decoding renders them back as Text,
+// CPIMap, json.RawMessage and errorText.
 
 package tracing
 
@@ -77,7 +77,13 @@ type EvalMember struct {
 	// CPI is the CPI-stack decomposition, present when the simulation ran
 	// with introspection armed.
 	CPI CPIBreakdown
-	Err error
+	// Intervals is the simulation's interval series — cumulative kernel
+	// snapshots, oldest first — present when this span simulated it with
+	// interval sampling armed. It is rendered by encoding/json and decoded
+	// as the series' compact json.RawMessage, which cmd/xptrace decodes
+	// into the kernel's record type.
+	Intervals any
+	Err       error
 }
 
 // CPIBreakdown is a CPI stack as a bucket-name → cycles map.
@@ -104,13 +110,14 @@ func (e errorText) Error() string { return string(e) }
 
 // evalMemberJSON is EvalMember's wire form.
 type evalMemberJSON struct {
-	Outcome string            `json:"outcome"`
-	Score   float64           `json:"score,omitempty"`
-	IPT     float64           `json:"ipt,omitempty"`
-	WallNs  int64             `json:"wall_ns,omitempty"`
-	Config  string            `json:"config,omitempty"`
-	CPI     map[string]uint64 `json:"cpi,omitempty"`
-	Error   string            `json:"error,omitempty"`
+	Outcome   string            `json:"outcome"`
+	Score     float64           `json:"score,omitempty"`
+	IPT       float64           `json:"ipt,omitempty"`
+	WallNs    int64             `json:"wall_ns,omitempty"`
+	Config    string            `json:"config,omitempty"`
+	CPI       map[string]uint64 `json:"cpi,omitempty"`
+	Intervals json.RawMessage   `json:"intervals,omitempty"`
+	Error     string            `json:"error,omitempty"`
 }
 
 // MarshalJSON renders the member's referenced values.
@@ -121,6 +128,13 @@ func (m EvalMember) MarshalJSON() ([]byte, error) {
 	}
 	if m.CPI != nil {
 		w.CPI = m.CPI.Map()
+	}
+	if m.Intervals != nil {
+		raw, err := json.Marshal(m.Intervals)
+		if err != nil {
+			return nil, err
+		}
+		w.Intervals = raw
 	}
 	if m.Err != nil {
 		w.Error = m.Err.Error()
@@ -140,6 +154,19 @@ func (m *EvalMember) UnmarshalJSON(data []byte) error {
 	}
 	if len(w.CPI) > 0 {
 		m.CPI = CPIMap(w.CPI)
+	}
+	if len(w.Intervals) > 0 && string(w.Intervals) != "null" {
+		// A series is a list of records; compacting it makes a rewritten
+		// stream carry the same bytes.
+		var recs []json.RawMessage
+		if err := json.Unmarshal(w.Intervals, &recs); err != nil {
+			return fmt.Errorf("intervals: %w", err)
+		}
+		raw, err := json.Marshal(w.Intervals)
+		if err != nil {
+			return err
+		}
+		m.Intervals = json.RawMessage(raw)
 	}
 	if w.Error != "" {
 		m.Err = errorText(w.Error)

@@ -24,10 +24,17 @@ type stack [2]uint64
 
 func (s *stack) Map() map[string]uint64 { return map[string]uint64{"base": s[0], "rob_full": s[1]} }
 
+// interval is a stand-in for a kernel interval record.
+type interval struct {
+	Instructions uint64 `json:"instructions"`
+	Cycles       uint64 `json:"cycles"`
+}
+
 // attributedSpans holds one span of every attributed kind, built the way
 // the instrumented layers build them: values captured by reference.
 func attributedSpans() []Span {
 	cfg, cpi := &config{width: 4}, &stack{700, 300}
+	series := []interval{{500, 700}, {1000, 1300}}
 	return []Span{
 		{ID: 2, Parent: 1, Kind: KindStep, Name: "gzip", Arg: 3, Start: 10, End: 20, Attrs: &StepAttrs{
 			Chain: 1, TotalIterations: 40, Move: "clock", Temperature: 0.07, Budget: 4000,
@@ -40,6 +47,7 @@ func attributedSpans() []Span {
 			Budget: 8000, Members: []EvalMember{
 				{Outcome: "hit", Score: 0.5, IPT: 0.5, Config: cfg},
 				{Outcome: "miss", Err: errors.New("config invalid")},
+				{Outcome: "miss", Score: 0.75, IPT: 0.75, WallNs: 4, Config: cfg, CPI: cpi, Intervals: series},
 			},
 		}},
 		{ID: 5, Parent: 1, Kind: KindChain, Name: "gzip", Arg: 1, Start: 5, End: 31, Attrs: &ChainAttrs{BestScore: 1.75, BestIPT: 1.75, Evaluations: 41}},
@@ -70,6 +78,9 @@ func TestStreamRoundTrip(t *testing.T) {
 	want[1].Attrs.(*EvalAttrs).Members[0].CPI = CPIMap{"base": 700, "rob_full": 300}
 	want[2].Attrs.(*EvalAttrs).Members[0].Config = Text("w=4")
 	want[2].Attrs.(*EvalAttrs).Members[1].Err = errorText("config invalid")
+	sampled := &want[2].Attrs.(*EvalAttrs).Members[2]
+	sampled.Config, sampled.CPI = Text("w=4"), CPIMap{"base": 700, "rob_full": 300}
+	sampled.Intervals = json.RawMessage(`[{"instructions":500,"cycles":700},{"instructions":1000,"cycles":1300}]`)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("roundtrip mismatch:\ngot  %+v\nwant %+v", got, want)
 	}
@@ -201,11 +212,12 @@ func TestReadSpansBadLine(t *testing.T) {
 // does not know, fail the read.
 func TestReadSpansAttrsMismatch(t *testing.T) {
 	checkBadLine(t, map[string]struct{ line, want string }{
-		"wrong type":   {`{"id":2,"kind":"step","attrs":{"score":"high"}}`, "step attributes"},
-		"other kind":   {`{"id":2,"kind":"step","attrs":{"best_ipt":1}}`, "step attributes"},
-		"unattributed": {`{"id":2,"kind":"simulate","attrs":{"budget":1}}`, "carry no attributes"},
-		"unknown kind": {`{"id":2,"kind":"no_such_kind","attrs":{}}`, "carry no attributes"},
-		"member field": {`{"id":2,"kind":"eval.hit","attrs":{"budget":1,"members":[{"outcome":"hit","ipc":2}]}}`, "eval.hit attributes"},
+		"wrong type":      {`{"id":2,"kind":"step","attrs":{"score":"high"}}`, "step attributes"},
+		"other kind":      {`{"id":2,"kind":"step","attrs":{"best_ipt":1}}`, "step attributes"},
+		"unattributed":    {`{"id":2,"kind":"simulate","attrs":{"budget":1}}`, "carry no attributes"},
+		"unknown kind":    {`{"id":2,"kind":"no_such_kind","attrs":{}}`, "carry no attributes"},
+		"member field":    {`{"id":2,"kind":"eval.hit","attrs":{"budget":1,"members":[{"outcome":"hit","ipc":2}]}}`, "eval.hit attributes"},
+		"interval series": {`{"id":2,"kind":"eval.miss","attrs":{"budget":1,"members":[{"outcome":"miss","intervals":{"cycles":1}}]}}`, "eval.miss attributes"},
 	})
 }
 
@@ -232,6 +244,10 @@ func FuzzReadSpans(f *testing.F) {
 		`{"event":"anneal_step","seq":1,"t_ns":2,"data":{"workload":"gzip","chain":0}}` + "\n")
 	f.Add(`{"stream":"xptrace-spans"}` + "\n" + `{"id":1,"kind":"eval.batch","attrs":{"budget":"8000","members":{}}}` + "\n")
 	f.Add(`{"stream":"xptrace-spans"}` + "\n" + `{"id":1,"kind":"run","attrs":{"requests":-1}}` + "\n")
+	f.Add(`{"stream":"xptrace-spans"}` + "\n" + `{"id":1,"kind":"eval.miss","attrs":{"budget":8,"members":[` +
+		`{"outcome":"miss","config":"w=2","intervals":[ {"instructions":4, "cycles":9, "stack":[5,4]}, {"note":"<&>"} ]}]}}` + "\n")
+	f.Add(`{"stream":"xptrace-spans"}` + "\n" + `{"id":1,"kind":"eval.batch","attrs":{"budget":8,"members":[` +
+		`{"outcome":"miss","intervals":null},{"outcome":"miss","intervals":[]},{"outcome":"miss","intervals":[1,"x"]}]}}` + "\n")
 	f.Fuzz(func(t *testing.T, data string) {
 		meta, spans, err := ReadSpans(strings.NewReader(data))
 		if err != nil {
