@@ -22,11 +22,15 @@ race:
 # packages whose pooled runners concurrent workers arm and disarm, the
 # per-technology delay tables that concurrent annealing chains build and
 # share, the write-behind disk and remote cache tiers, and the
-# multi-tenant job scheduler. The concurrent-end stream test runs ten
-# times: a torn or lost span line is a rare interleaving.
+# multi-tenant job scheduler. Two tests run ten times, because what they
+# catch is a rare interleaving: the concurrent-end stream test (a torn or
+# lost span line) and the two-stores-one-directory test (a torn,
+# quarantined or leftover record when two stores write one cache
+# directory).
 race-hot:
 	$(GO) test -race ./internal/evalengine ./internal/telemetry ./internal/tracing ./internal/explore ./internal/pipeline ./internal/sim ./internal/timing ./internal/evalstore ./internal/evalremote ./internal/xpserve
 	$(GO) test -race -count=10 -run '^TestStreamConcurrentEnd$$' ./internal/tracing
+	$(GO) test -race -count=10 -run '^TestTwoStoresOneDirectory$$' ./internal/evalstore
 
 # bench reports the headline reproduction metrics plus the evaluation
 # engine's cache hit rate and sim-latency quantiles (cacheHit%, simP50ms,

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"xpscalar/internal/power"
+	"xpscalar/internal/sim"
 	"xpscalar/internal/tech"
 )
 
@@ -180,7 +181,10 @@ func TestBatchReadThrough(t *testing.T) {
 	be := newBatchBackend()
 	want := make([]Eval, len(cs))
 	for i := range cs {
+		// Synthetic, so a simulation cannot pass for it, but addressed to
+		// its member's request, which a tier record must answer.
 		want[i] = synthEval(float64(i) + 1)
+		want[i].Result.Config, want[i].Result.Workload, want[i].Result.Instructions = cs[i], p.Name, budget
 		be.Put(KeyOf(cs[i], p, budget, tp, power.ObjIPT), want[i])
 	}
 
@@ -218,6 +222,52 @@ func TestBatchReadThrough(t *testing.T) {
 	be.mu.Unlock()
 	if batches != 1 {
 		t.Fatalf("backend saw %d batch calls after a warm batch, want still 1", batches)
+	}
+}
+
+// TestTierRecordMustAnswerRequest: a tier record stored under the wrong
+// key — here the Table 3 configuration's evaluation, put under the key of
+// a ROB-64/IQ-32 request — is a tier miss. The request simulates and
+// gets its own result, and the write-behind replaces the bad record.
+func TestTierRecordMustAnswerRequest(t *testing.T) {
+	tp := tech.Default()
+	p := testProfile(79)
+	const budget = 5000
+	initial := sim.InitialConfig(tp)
+	cfg := initial
+	cfg.ROBSize, cfg.IQSize = 64, 32
+	key := KeyOf(cfg, p, budget, tp, power.ObjIPT)
+
+	wrong, err := New(Options{}).Evaluate(context.Background(), initial, p, budget, tp, power.ObjIPT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	be := newMemBackend()
+	be.Put(key, wrong)
+
+	res, err := sim.Run(cfg, p, budget, tp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	score, err := power.Score(res, power.ObjIPT, tp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Eval{Result: res, Score: score}
+
+	e := New(Options{Backend: be})
+	got, err := e.Evaluate(context.Background(), cfg, p, budget, tp, power.ObjIPT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("served IPT %.4f, want the request's own %.4f", got.Result.IPT(), want.Result.IPT())
+	}
+	if s := e.Stats(); s.Misses != 1 || s.DiskHits != 0 {
+		t.Fatalf("stats %+v, want 1 miss and 0 disk hits", s)
+	}
+	if held, _ := be.Get(key); !reflect.DeepEqual(held, want) {
+		t.Fatalf("backend still holds IPT %.4f under the key, want %.4f", held.Result.IPT(), want.Result.IPT())
 	}
 }
 

@@ -125,7 +125,9 @@ func (e *Engine) evaluate(ctx context.Context, dst []Eval, cfgs []sim.Config, p 
 	// plain GET for a lone miss — instead of a round trip per key. A tier
 	// hit resolves the claimed entry on the spot (promoting the record into
 	// the memory LRU, where claim already inserted it) and never occupies a
-	// lockstep lane; only the keys every tier missed go on to simulate.
+	// lockstep lane; only the keys every tier missed go on to simulate. A
+	// tier record that does not answer its member's request is a miss: the
+	// member simulates, and the write-behind Put below replaces the record.
 	var found map[Key]Eval
 	if be != nil && len(owned) > 0 {
 		keys := make([]Key, len(owned))
@@ -137,7 +139,7 @@ func (e *Engine) evaluate(ctx context.Context, dst []Eval, cfgs []sim.Config, p 
 	var lanes []int // valid owned misses: the lockstep group
 	for _, i := range owned {
 		me := claims[i].entry
-		if val, ok := found[claims[i].key]; ok {
+		if val, ok := found[claims[i].key]; ok && answers(val, cfgs[i], p.Name, budget) {
 			e.diskHits.Add(1)
 			me.val = val
 			close(me.ready)
@@ -206,6 +208,15 @@ func (e *Engine) evaluate(ctx context.Context, dst []Eval, cfgs []sim.Config, p 
 	}
 	h.End(sp)
 	return failed, firstErr
+}
+
+// answers reports whether a tier record is the evaluation of the request
+// it is served for. Tiers are addressed by key alone, so a record stored
+// under the wrong key — a PUT to a peer, which cannot re-derive keys, is
+// taken on trust — would otherwise answer a different design point.
+func answers(val Eval, cfg sim.Config, name string, budget int) bool {
+	r := &val.Result
+	return r.Config == cfg && r.Workload == name && r.Instructions == uint64(budget)
 }
 
 // evalAttrs captures every member's result for the request span. Each

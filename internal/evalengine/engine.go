@@ -6,8 +6,8 @@
 // The engine exploits the determinism of the stack. A simulation result is
 // a pure function of (configuration, workload profile, instruction budget,
 // technology, objective), so results are memoized in a concurrency-safe,
-// sharded, LRU-bounded cache keyed by a canonical fingerprint of that
-// tuple; concurrent requests for the same point are deduplicated
+// sharded, LRU-bounded cache keyed by a digest of that tuple (see
+// key.go); concurrent requests for the same point are deduplicated
 // singleflight-style, so two annealing chains asking for one design point
 // trigger one simulation. Each workload's synthetic instruction stream is
 // likewise a pure function of its profile, so it is materialized once and
@@ -411,19 +411,6 @@ func New(o Options) *Engine {
 // Pool returns the engine's worker pool, the fan-out primitive every
 // simulation caller shares.
 func (e *Engine) Pool() *Pool { return e.pool }
-
-// Fingerprint is the canonical preimage of an evaluation request's cache
-// identity (its Key is this string's SHA-256 digest; see key.go). Any
-// change to any field of the configuration, profile, technology, budget or
-// objective changes the fingerprint. The %#v verb is essential: unlike
-// %v/%+v it bypasses String() methods (sim.Config's String rounds the
-// clock period to two decimals, which would collide distinct
-// configurations) and prints floats at full shortest-round-trip precision,
-// so the encoding is collision-free over value-type structs and
-// automatically covers fields added later.
-func Fingerprint(cfg sim.Config, p workload.Profile, budget int, t tech.Params, obj power.Objective) string {
-	return fmt.Sprintf("cfg{%#v}|wl{%#v}|n=%d|tech{%#v}|obj=%d", cfg, p, budget, t, int(obj))
-}
 
 // cacheShard is one lock domain of the memo cache: an LRU-bounded map from
 // request key to entry.

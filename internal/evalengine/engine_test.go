@@ -122,7 +122,7 @@ func TestLRUEviction(t *testing.T) {
 	p := testProfile(5)
 	eng := New(Options{CacheEntries: 4, Shards: 1})
 
-	// 10 distinct points (distinct budgets → distinct fingerprints).
+	// 10 distinct points (distinct budgets → distinct keys).
 	for n := 1000; n < 1010; n++ {
 		if _, err := eng.Evaluate(context.Background(), cfg, p, n, tp, power.ObjIPT); err != nil {
 			t.Fatal(err)
@@ -151,78 +151,6 @@ func TestLRUEviction(t *testing.T) {
 	}
 	if s = eng.Stats(); s.Misses != 11 {
 		t.Fatalf("evicted point should re-simulate: %+v", s)
-	}
-}
-
-// TestFingerprintDistinguishesFields: every field of the request tuple
-// must affect the fingerprint. This guards against formatting regressions —
-// notably, sim.Config's String() rounds the clock period to two decimals,
-// so a Stringer-based encoding would collide distinct configurations.
-func TestFingerprintDistinguishesFields(t *testing.T) {
-	tp := tech.Default()
-	base := sim.InitialConfig(tp)
-	p := testProfile(1)
-
-	mutations := map[string]func(*sim.Config){
-		"ClockNs":        func(c *sim.Config) { c.ClockNs += 1e-9 }, // sub-rounding change
-		"Width":          func(c *sim.Config) { c.Width++ },
-		"FrontEndStages": func(c *sim.Config) { c.FrontEndStages++ },
-		"ROBSize":        func(c *sim.Config) { c.ROBSize++ },
-		"IQSize":         func(c *sim.Config) { c.IQSize++ },
-		"LSQSize":        func(c *sim.Config) { c.LSQSize++ },
-		"SchedDepth":     func(c *sim.Config) { c.SchedDepth++ },
-		"LSQDepth":       func(c *sim.Config) { c.LSQDepth++ },
-		"WakeupMinLat":   func(c *sim.Config) { c.WakeupMinLat++ },
-		"L1D.Sets":       func(c *sim.Config) { c.L1D.Sets *= 2 },
-		"L1D.Assoc":      func(c *sim.Config) { c.L1D.Assoc *= 2 },
-		"L1D.BlockBytes": func(c *sim.Config) { c.L1D.BlockBytes *= 2 },
-		"L1DLat":         func(c *sim.Config) { c.L1DLat++ },
-		"L2.Sets":        func(c *sim.Config) { c.L2.Sets *= 2 },
-		"L2.Assoc":       func(c *sim.Config) { c.L2.Assoc *= 2 },
-		"L2.BlockBytes":  func(c *sim.Config) { c.L2.BlockBytes *= 2 },
-		"L2Lat":          func(c *sim.Config) { c.L2Lat++ },
-		"MemCycles":      func(c *sim.Config) { c.MemCycles++ },
-		"Bpred.Kind":     func(c *sim.Config) { c.Bpred.Kind++ },
-		"Bpred.Table":    func(c *sim.Config) { c.Bpred.TableBits++ },
-		"Bpred.Hist":     func(c *sim.Config) { c.Bpred.HistBits++ },
-	}
-
-	ref := Fingerprint(base, p, 5000, tp, power.ObjIPT)
-	seen := map[string]string{"<base>": ref}
-	for name, mutate := range mutations {
-		cfg := base
-		mutate(&cfg)
-		fp := Fingerprint(cfg, p, 5000, tp, power.ObjIPT)
-		if fp == ref {
-			t.Errorf("mutating %s did not change the fingerprint", name)
-		}
-		if prev, dup := seen[fp]; dup {
-			t.Errorf("mutations %s and %s collide", name, prev)
-		}
-		seen[fp] = name
-	}
-
-	// Non-config components of the tuple.
-	if Fingerprint(base, p, 5001, tp, power.ObjIPT) == ref {
-		t.Error("budget does not change the fingerprint")
-	}
-	p2 := p
-	p2.Seed++
-	if Fingerprint(base, p2, 5000, tp, power.ObjIPT) == ref {
-		t.Error("profile seed does not change the fingerprint")
-	}
-	p3 := p
-	p3.Name = "other"
-	if Fingerprint(base, p3, 5000, tp, power.ObjIPT) == ref {
-		t.Error("profile name does not change the fingerprint")
-	}
-	t2 := tp
-	t2.MemoryLatencyNs++
-	if Fingerprint(base, p, 5000, t2, power.ObjIPT) == ref {
-		t.Error("technology does not change the fingerprint")
-	}
-	if Fingerprint(base, p, 5000, tp, power.ObjIPTPerWatt) == ref {
-		t.Error("objective does not change the fingerprint")
 	}
 }
 

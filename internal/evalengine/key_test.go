@@ -14,17 +14,28 @@ import (
 	"xpscalar/internal/tech"
 )
 
-func TestKeyOfIsFingerprintDigest(t *testing.T) {
+func TestKeyOfIsPreimageDigest(t *testing.T) {
 	tp := tech.Default()
 	cfg := sim.InitialConfig(tp)
 	p := testProfile(1)
 	k := KeyOf(cfg, p, 5000, tp, power.ObjIPT)
-	want := Key(sha256.Sum256([]byte(Fingerprint(cfg, p, 5000, tp, power.ObjIPT))))
+	want := Key(sha256.Sum256(appendRequest(nil, cfg, p, 5000, tp, power.ObjIPT)))
 	if k != want {
 		t.Fatalf("KeyOf diverged from the digest of its own preimage")
 	}
 	if k2 := KeyOf(cfg, p, 5000, tp, power.ObjIPT); k2 != k {
 		t.Fatalf("KeyOf not deterministic: %s vs %s", k, k2)
+	}
+}
+
+// TestKeyOfAllocs: deriving a key allocates nothing; the preimage lives
+// in a stack buffer.
+func TestKeyOfAllocs(t *testing.T) {
+	tp := tech.Default()
+	cfg := sim.InitialConfig(tp)
+	p := testProfile(1)
+	if n := testing.AllocsPerRun(100, func() { KeyOf(cfg, p, 5000, tp, power.ObjIPT) }); n != 0 {
+		t.Fatalf("KeyOf: %v allocs, want 0", n)
 	}
 }
 

@@ -10,7 +10,6 @@ package evalengine
 
 import (
 	"container/list"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -64,10 +63,10 @@ func newTraceStore(capInstr int) *traceStore {
 	}
 }
 
-// profileKey canonically fingerprints a profile: two profiles with equal
-// fields generate identical streams. %#v bypasses any String method and
-// keeps full float precision (see Fingerprint).
-func profileKey(p workload.Profile) string { return fmt.Sprintf("%#v", p) }
+// profileKey is the profile's fixed binary layout, the one the request
+// key's preimage writes: two profiles share it exactly when every field is
+// equal, and profiles with equal fields generate identical streams.
+func profileKey(p workload.Profile) string { return string(appendProfile(nil, p)) }
 
 // source returns a Source replaying the first n instructions of the
 // profile's stream, materializing (or extending) the cached trace as

@@ -18,7 +18,8 @@ func startBenchPeer(b *testing.B, src Source) *httptest.Server {
 }
 
 // BenchmarkEvalRemoteHit measures the remote-tier read-through path over
-// loopback HTTP: one GET to the owning peer, header check, gob decode.
+// loopback HTTP: one GET to the owning peer, one bounded read of the body,
+// header, length and checksum checks, fixed-layout decode.
 // This is the latency a fleet member pays per evaluation pulled from a
 // warm peer instead of a simulation — the number to weigh against the
 // multi-millisecond simulations it replaces.

@@ -2,14 +2,15 @@
 // a fleet of processes share one content-addressed eval corpus at wire
 // speed. The server side mounts three routes beside xpserved's job API —
 //
-//	GET  /v1/cache/{key}   one record (200 + gob record body, or 404)
+//	GET  /v1/cache/{key}   one record (200 + record body, or 404)
 //	PUT  /v1/cache/{key}   store one record (204)
 //	POST /v1/cache/lookup  batched multi-get ({"keys": [hex...]} →
 //	                       {"hits": {hex: base64 record}})
 //
 // — serving the process's memory LRU plus its local disk store with the
-// exact record encoding evalstore writes to disk (versioned header + gob),
-// so the two persistent tiers stay byte-compatible by construction. The
+// exact record encoding evalstore writes to disk (the fixed-layout
+// xpeval-record-v2: versioned header, fixed-width fields, CRC-32C), so the
+// two persistent tiers stay byte-compatible by construction. The
 // client side is an evalengine.CacheBackend that composes behind the
 // in-memory LRU and the local disk tier (memory → disk → remote): a
 // remote hit costs one HTTP round trip instead of a multi-millisecond
@@ -31,9 +32,9 @@
 //     than 200/404, an undecodable lookup response — marks its peer down
 //     for a fixed few seconds, during which its keys miss without touching
 //     the network, so a dead or hung peer costs one timeout, not one per key
-//   - a corrupt or wrong-version record body is a miss and an error count,
-//     exactly like a quarantined disk record; it is that record's problem,
-//     so the peer stays up
+//   - a corrupt or wrong-version record body (a bad header, length or
+//     checksum) is a miss and an error count, exactly like a quarantined
+//     disk record; it is that record's problem, so the peer stays up
 //
 // Writes are write-behind like the disk tier's — Put enqueues and
 // returns, a writer goroutine delivers, Flush is a FIFO barrier — but a

@@ -7,6 +7,7 @@
 package evalremote
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"fmt"
@@ -20,6 +21,7 @@ import (
 	"time"
 
 	"xpscalar/internal/evalengine"
+	"xpscalar/internal/evalstore"
 	"xpscalar/internal/sim"
 )
 
@@ -40,6 +42,17 @@ func testEval(score float64) evalengine.Eval {
 type mapSource struct {
 	mu sync.Mutex
 	m  map[evalengine.Key]evalengine.Eval
+}
+
+// encodedRecord returns a current-format record, so tests that corrupt
+// one stay armed across format bumps.
+func encodedRecord(t *testing.T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := evalstore.EncodeRecord(&buf, testEval(1)); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func newMapSource() *mapSource {
@@ -234,9 +247,15 @@ func TestPeerSlow(t *testing.T) {
 // format record — garbage or a stale format version — is a miss, exactly
 // like a quarantined disk record, for both the single and batched reads.
 func TestCorruptAndWrongVersionRecords(t *testing.T) {
+	// A whole current-format record with its version digit stepped back
+	// in place, derived from an encoded record so the next format bump
+	// keeps this case armed.
+	stale := encodedRecord(t)
+	hdr := stale[:bytes.IndexByte(stale, '\n')+1]
+	hdr[len(hdr)-2]--
 	for name, body := range map[string]string{
 		"garbage":       "not a record at all",
-		"wrong_version": "xpeval-record-v0\nstale payload",
+		"wrong_version": string(stale),
 	} {
 		t.Run(name, func(t *testing.T) {
 			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -300,13 +319,14 @@ func TestCorruptRecordKeepsPeer(t *testing.T) {
 // a connection that breaks mid-body is a peer failure — the peer is
 // marked down and its next key misses without a request.
 func TestBrokenBodyMarksPeerDown(t *testing.T) {
+	rec := encodedRecord(t)
 	var requests atomic.Int32
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		requests.Add(1)
 		// Promise more bytes than are sent: the server closes the
-		// connection after the short write.
+		// connection after writing the first half of a valid record.
 		w.Header().Set("Content-Length", "4096")
-		fmt.Fprint(w, "xpeval-record-v1\n")
+		w.Write(rec[:len(rec)/2])
 	}))
 	t.Cleanup(srv.Close)
 	c := newTestClient(t, []string{srv.URL}, Options{})

@@ -71,11 +71,13 @@ func (s EngineSource) Store(key evalengine.Key, val evalengine.Eval) {
 func shortKey(k evalengine.Key) string { return k.String()[:8] }
 
 // Register mounts the cache routes on mux. The record body format is
-// evalstore's exact on-disk encoding (versioned header + gob), written
-// and read through EncodeRecord/DecodeRecord. A record that fails to
-// decode is a 400; a miss is a 404; PUT trusts the fleet to address
-// records correctly (keys are content hashes of the request, not the
-// record, so the server cannot re-derive them).
+// evalstore's exact on-disk encoding (the fixed-layout
+// xpeval-record-v2), written and read through EncodeRecord/DecodeRecord.
+// A record that fails to decode is a 400; a miss is a 404; PUT trusts the
+// fleet to address records correctly (keys are content hashes of the
+// request, not the record, so the server cannot re-derive them). A
+// record under the wrong key is caught where it is served: the
+// requesting engine checks that a tier record answers its request.
 //
 // rec, when non-nil, records one serve.* span per handler invocation,
 // stamped with the caller's propagated trace context (trace ID, remote

@@ -15,11 +15,15 @@
 //   - Every record is written with internal/store's atomic discipline
 //     (temp file in the same directory, fsync, rename), so a crash mid
 //     write can never expose a truncated record under a valid name.
-//   - Every record opens with a versioned header; bumping the format
+//   - Every record is the fixed binary layout xpeval-record-v2 (see
+//     EncodeRecord): a versioned header, every leaf of the evaluation at a
+//     fixed width, the workload name behind its length, and a CRC-32C.
+//     A disk hit is one bounded read and a checksum. Bumping the format
 //     version orphans old records cleanly instead of misreading them.
-//   - A record that fails to read — truncated, wrong version, undecodable
-//     — is moved to <dir>/quarantine/ and reported as a miss, never as an
-//     error: corruption costs one re-simulation, not a failed run.
+//   - A record that fails to read — truncated, wrong version, a length or
+//     checksum that does not match — is moved to <dir>/quarantine/ and
+//     reported as a miss, never as an error: corruption costs one
+//     re-simulation, not a failed run.
 //   - Writes are write-behind: Put enqueues and returns; a single writer
 //     goroutine drains the queue. Flush (and Close) block until everything
 //     accepted so far is durable. A full queue applies backpressure by
@@ -27,24 +31,51 @@
 package evalstore
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"xpscalar/internal/evalengine"
+	"xpscalar/internal/pipeline"
 	"xpscalar/internal/store"
 )
 
 // header opens every record. The trailing version is the on-disk format
-// version: bump it when the record encoding changes shape and every record
-// written under the old format quarantines on first read instead of
-// decoding wrong.
-const header = "xpeval-record-v1\n"
+// version: bump it when the layout changes shape and every record written
+// under the old format quarantines on first read instead of decoding
+// wrong.
+const header = "xpeval-record-v2\n"
+
+// The layout after the header: fixedBytes of fixed-width leaves, the
+// workload name as a uint16 length and its bytes, then a CRC-32C of
+// everything after the header. All integers are little-endian.
+const (
+	// resultCounters is the number of pipeline.Result counters.
+	resultCounters = 13
+	// fixedBytes covers the configuration (evalengine.AppendConfig), the
+	// pipeline.Result counters, the CPI stack and the score.
+	fixedBytes = evalengine.ConfigBytes + 8*resultCounters + 8*pipeline.NumBuckets + 8
+	// maxNameBytes is the longest workload name a record holds.
+	maxNameBytes = math.MaxUint16
+	// maxRecordBytes is the longest legal record; DecodeRecord reads at
+	// most one byte more.
+	maxRecordBytes = len(header) + fixedBytes + 2 + maxNameBytes + 4
+	// readBufBytes sizes DecodeRecord's buffer so a record whose name is
+	// up to 64 bytes, and the read that finds its end, fit without
+	// growing it.
+	readBufBytes = len(header) + fixedBytes + 2 + 64 + 4 + 1
+)
+
+// castagnoli is the CRC-32C table every record's checksum uses.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // quarantineDir collects records that failed to read.
 const quarantineDir = "quarantine"
@@ -57,11 +88,6 @@ type Options struct {
 	// QueueDepth bounds the write-behind queue (default 256). A full
 	// queue never drops: Put degrades to a synchronous write instead.
 	QueueDepth int
-}
-
-// record is the gob payload of one file.
-type record struct {
-	Eval evalengine.Eval
 }
 
 // writeReq is one unit of work for the writer goroutine: either a record
@@ -184,33 +210,123 @@ func (s *Store) Get(k evalengine.Key) (evalengine.Eval, bool) {
 	return val, true
 }
 
-// DecodeRecord checks the version header and decodes one record payload.
-// It is the single reader of the record wire format: the disk tier uses
-// it on files, the remote tier (internal/evalremote) on HTTP bodies, so
-// the two tiers stay byte-compatible by construction and a version bump
-// orphans both at once.
+// DecodeRecord reads one record from r and decodes it. It is the single
+// reader of the record format: the disk tier uses it on files, the remote
+// tier (internal/evalremote) on HTTP bodies, so the two tiers stay
+// byte-compatible by construction and a version bump orphans both at
+// once. It reads r to EOF into one buffer, at most one byte past the
+// longest legal record, and fails on a wrong header, a byte count that
+// disagrees with the name length, a checksum mismatch, or an int that does
+// not fit int.
 func DecodeRecord(r io.Reader) (evalengine.Eval, error) {
-	buf := make([]byte, len(header))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return evalengine.Eval{}, fmt.Errorf("evalstore: short header: %w", err)
+	b, err := readRecord(r)
+	if err != nil {
+		return evalengine.Eval{}, err
 	}
-	if string(buf) != header {
-		return evalengine.Eval{}, fmt.Errorf("evalstore: header %q, want %q", buf, header)
-	}
-	var rec record
-	if err := gob.NewDecoder(r).Decode(&rec); err != nil {
-		return evalengine.Eval{}, fmt.Errorf("evalstore: decode: %w", err)
-	}
-	return rec.Eval, nil
+	return parseRecord(b)
 }
 
-// EncodeRecord writes one record — versioned header plus gob payload —
-// the inverse of DecodeRecord and the store's exact on-disk encoding.
+// readRecord reads r to EOF, failing once it holds more than the longest
+// legal record.
+func readRecord(r io.Reader) ([]byte, error) {
+	b := make([]byte, 0, readBufBytes)
+	for {
+		if len(b) > maxRecordBytes {
+			return nil, fmt.Errorf("evalstore: record longer than %d bytes", maxRecordBytes)
+		}
+		if len(b) == cap(b) {
+			b = slices.Grow(b, len(b))
+		}
+		n, err := r.Read(b[len(b):min(cap(b), maxRecordBytes+1)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("evalstore: read: %w", err)
+		}
+	}
+}
+
+// parseRecord decodes one whole record.
+func parseRecord(b []byte) (evalengine.Eval, error) {
+	if len(b) < len(header) || string(b[:len(header)]) != header {
+		return evalengine.Eval{}, fmt.Errorf("evalstore: header %q, want %q", b[:min(len(b), len(header))], header)
+	}
+	body := b[len(header):]
+	if len(body) < fixedBytes+2+4 {
+		return evalengine.Eval{}, fmt.Errorf("evalstore: %d-byte record body, shorter than its fixed part", len(body))
+	}
+	nameLen := int(binary.LittleEndian.Uint16(body[fixedBytes:]))
+	if want := fixedBytes + 2 + nameLen + 4; len(body) != want {
+		return evalengine.Eval{}, fmt.Errorf("evalstore: %d-byte record body, want %d for a %d-byte name", len(body), want, nameLen)
+	}
+	payload := body[:len(body)-4]
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(body[len(payload):]) {
+		return evalengine.Eval{}, fmt.Errorf("evalstore: record checksum mismatch")
+	}
+	var val evalengine.Eval
+	cfg, rest, err := evalengine.ReadConfig(payload)
+	if err != nil {
+		return evalengine.Eval{}, fmt.Errorf("evalstore: %w", err)
+	}
+	val.Result.Config = cfg
+	for _, p := range counters(&val.Result.Result) {
+		*p, rest = binary.LittleEndian.Uint64(rest), rest[8:]
+	}
+	for i := range val.Result.CPI {
+		val.Result.CPI[i], rest = binary.LittleEndian.Uint64(rest), rest[8:]
+	}
+	val.Score = math.Float64frombits(binary.LittleEndian.Uint64(rest))
+	val.Result.Workload = string(rest[8+2:])
+	return val, nil
+}
+
+// EncodeRecord writes val's record to w in one Write: the inverse of
+// DecodeRecord and the store's exact on-disk encoding. A workload name
+// longer than 65,535 bytes is an error; nothing is truncated.
 func EncodeRecord(w io.Writer, val evalengine.Eval) error {
-	if _, err := io.WriteString(w, header); err != nil {
+	b, err := encodeRecord(val)
+	if err != nil {
 		return err
 	}
-	return gob.NewEncoder(w).Encode(record{Eval: val})
+	_, err = w.Write(b)
+	return err
+}
+
+// encodeRecord builds val's record in one buffer of its exact size. The
+// leaves follow evalengine.Eval's declaration order, except that the
+// variable-length workload name moves to the end.
+func encodeRecord(val evalengine.Eval) ([]byte, error) {
+	name := val.Result.Workload
+	if len(name) > maxNameBytes {
+		return nil, fmt.Errorf("evalstore: workload name of %d bytes exceeds %d", len(name), maxNameBytes)
+	}
+	b := make([]byte, 0, len(header)+fixedBytes+2+len(name)+4)
+	b = append(b, header...)
+	b = evalengine.AppendConfig(b, val.Result.Config)
+	for _, p := range counters(&val.Result.Result) {
+		b = binary.LittleEndian.AppendUint64(b, *p)
+	}
+	for _, v := range val.Result.CPI {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(val.Score))
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(name)))
+	b = append(b, name...)
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[len(header):], castagnoli)), nil
+}
+
+// counters lists r's counters in layout order (declaration order, nested
+// stats included): the one place the order is written down.
+func counters(r *pipeline.Result) [resultCounters]*uint64 {
+	return [...]*uint64{
+		&r.Instructions, &r.Cycles,
+		&r.Branch.Lookups, &r.Branch.Mispredicts,
+		&r.L1.Accesses, &r.L1.Misses, &r.L1.Writebacks,
+		&r.L2.Accesses, &r.L2.Misses, &r.L2.Writebacks,
+		&r.LoadsL1, &r.LoadsL2, &r.LoadsMem,
+	}
 }
 
 // GetBatch implements evalengine.BatchGetter with one sequential pass
@@ -277,6 +393,11 @@ func (s *Store) writer() {
 // the evaluation itself already succeeded and is served from memory, so
 // nothing upstream fails.
 func (s *Store) writeNow(k evalengine.Key, val evalengine.Eval) {
+	rec, err := encodeRecord(val)
+	if err != nil {
+		s.noteWriteErr(err)
+		return
+	}
 	path := s.path(k)
 	if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
 		s.noteWriteErr(err)
@@ -288,11 +409,8 @@ func (s *Store) writeNow(k evalengine.Key, val evalengine.Eval) {
 	if existed {
 		oldSize = info.Size()
 	}
-	var written int64
-	err := store.WriteAtomic(path, func(w io.Writer) error {
-		cw := &countWriter{w: w}
-		err := EncodeRecord(cw, val)
-		written = cw.n
+	err = store.WriteAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(rec)
 		return err
 	})
 	if err != nil {
@@ -300,23 +418,10 @@ func (s *Store) writeNow(k evalengine.Key, val evalengine.Eval) {
 		return
 	}
 	s.writes.Add(1)
-	s.bytes.Add(written - oldSize)
+	s.bytes.Add(int64(len(rec)) - oldSize)
 	if !existed {
 		s.entries.Add(1)
 	}
-}
-
-// countWriter counts the bytes written through it, so the store's byte
-// gauge tracks record sizes without a second stat.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }
 
 func (s *Store) noteWriteErr(err error) {
