@@ -22,15 +22,17 @@ race:
 # packages whose pooled runners concurrent workers arm and disarm, the
 # per-technology delay tables that concurrent annealing chains build and
 # share, the write-behind disk and remote cache tiers, and the
-# multi-tenant job scheduler. Two tests run ten times, because what they
-# catch is a rare interleaving: the concurrent-end stream test (a torn or
-# lost span line) and the two-stores-one-directory test (a torn,
-# quarantined or leftover record when two stores write one cache
-# directory).
+# multi-tenant job scheduler. Three tests run ten times, because what
+# they catch is a rare interleaving: the concurrent-end stream test (a
+# torn or lost span line), the two-stores-one-directory test (interleaved
+# or quarantined entries, or a file beside the pack, when two stores
+# append to one cache directory), and the three-stores test (a reader
+# serving a torn or unwritten value, or a store opened mid-stream
+# indexing a torn entry).
 race-hot:
 	$(GO) test -race ./internal/evalengine ./internal/telemetry ./internal/tracing ./internal/explore ./internal/pipeline ./internal/sim ./internal/timing ./internal/evalstore ./internal/evalremote ./internal/xpserve
 	$(GO) test -race -count=10 -run '^TestStreamConcurrentEnd$$' ./internal/tracing
-	$(GO) test -race -count=10 -run '^TestTwoStoresOneDirectory$$' ./internal/evalstore
+	$(GO) test -race -count=10 -run '^(TestTwoStoresOneDirectory|TestThreeStoresOneDirectory)$$' ./internal/evalstore
 
 # bench reports the headline reproduction metrics plus the evaluation
 # engine's cache hit rate and sim-latency quantiles (cacheHit%, simP50ms,
@@ -52,6 +54,7 @@ bench-smoke:
 # package's testdata/fuzz directory.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s ./internal/evalstore
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadPack$$' -fuzztime 10s ./internal/evalstore
 	$(GO) test -run '^$$' -fuzz '^FuzzLookupRequest$$' -fuzztime 10s ./internal/evalremote
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 10s ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzReadOutcomes$$' -fuzztime 10s ./internal/store

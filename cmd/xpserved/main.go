@@ -25,7 +25,7 @@
 //	GET    /v1/jobs/{id}/events tail the job's span stream (curl -N)
 //	DELETE /v1/jobs/{id}        cancel
 //	GET    /v1/status           this process's self-report (build, capacity, jobs, cache)
-//	GET    /readyz              readiness: 503 on shutdown, a full backlog or a vanished -cache-dir
+//	GET    /readyz              readiness: 503 on shutdown, a full backlog or a lost -cache-dir pack
 //	GET    /v1/cache/{key}      fleet cache: fetch one evaluation record
 //	PUT    /v1/cache/{key}      fleet cache: store one evaluation record
 //	POST   /v1/cache/lookup     fleet cache: batched multi-get
@@ -56,6 +56,7 @@ import (
 	"xpscalar/internal/cli"
 	"xpscalar/internal/evalengine"
 	"xpscalar/internal/evalremote"
+	"xpscalar/internal/evalstore"
 	"xpscalar/internal/session"
 	"xpscalar/internal/telemetry"
 	"xpscalar/internal/tracing"
@@ -140,15 +141,13 @@ func run(ctx context.Context) error {
 	sched.EnableTelemetry(reg)
 
 	// Readiness: beyond the scheduler's own admission state, a disk tier
-	// whose directory vanished flips /readyz — /healthz (liveness) stays
-	// green throughout. Remote cache peers are never a readiness
-	// dependency: the tier fails open to a miss.
-	if ccfg.Dir != "" {
-		dir := ccfg.Dir
-		sched.SetReadinessProbes(xpserve.ReadyProbe{Name: "disk", Check: func() error {
-			_, err := os.Stat(dir)
-			return err
-		}})
+	// whose pack vanished or was replaced (its directory with it, or the
+	// file alone) flips /readyz: its appends would go to a file the next
+	// start never reads. /healthz (liveness) stays green throughout.
+	// Remote cache peers are never a readiness dependency: the tier fails
+	// open to a miss.
+	if disk, ok := ccfg.Disk().(*evalstore.Store); ok {
+		sched.SetReadinessProbes(xpserve.ReadyProbe{Name: "disk", Check: disk.CheckPack})
 	}
 
 	ln, err := net.Listen("tcp", *addr)

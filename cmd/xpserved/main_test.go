@@ -16,6 +16,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"xpscalar/internal/evalstore"
 )
 
 func buildBinary(t *testing.T) string {
@@ -125,6 +127,17 @@ func (s *server) runJob(t *testing.T) json.RawMessage {
 	}
 }
 
+// status returns the HTTP status of a GET of path.
+func (s *server) status(t *testing.T, path string) int {
+	t.Helper()
+	resp, err := http.Get(s.base + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
 // metric reads one value from /metrics.json.
 func (s *server) metric(t *testing.T, name string) float64 {
 	t.Helper()
@@ -164,18 +177,16 @@ func TestRestartServedFromDisk(t *testing.T) {
 	}
 	s1.stop(t) // graceful: flushes the disk tier
 
-	entries, err := filepath.Glob(filepath.Join(cacheDir, "*", "*"))
+	disk, err := evalstore.Open(cacheDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var records int
-	for _, e := range entries {
-		if fi, err := os.Stat(e); err == nil && !fi.IsDir() {
-			records++
-		}
+	records := disk.Stats().Entries
+	if err := disk.Close(); err != nil {
+		t.Fatal(err)
 	}
 	if records == 0 {
-		t.Fatalf("no records on disk after graceful shutdown (%v)", entries)
+		t.Fatal("no records on disk after graceful shutdown")
 	}
 
 	// Warm server, fresh process and memory tier: the identical job is
@@ -194,5 +205,34 @@ func TestRestartServedFromDisk(t *testing.T) {
 	}
 	if n := s2.metric(t, "xpscalar_eval_disk_entries"); n != float64(records) {
 		t.Fatalf("disk entries gauge %v, want %d records found on disk", n, records)
+	}
+}
+
+// TestReadyzNoticesLostPack: removing the disk tier's pack under a running
+// server flips /readyz to 503 — the store would otherwise keep appending
+// to a file no later start reads — while /healthz stays green.
+func TestReadyzNoticesLostPack(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real server")
+	}
+	bin := buildBinary(t)
+	cacheDir := filepath.Join(t.TempDir(), "cache")
+	s := startServer(t, bin, cacheDir)
+	defer s.stop(t)
+	if code := s.status(t, "/readyz"); code != http.StatusOK {
+		t.Fatalf("/readyz %d over an intact pack, want 200", code)
+	}
+	packs, err := filepath.Glob(filepath.Join(cacheDir, "*.pack"))
+	if err != nil || len(packs) != 1 {
+		t.Fatalf("packs in the cache directory: %v (%v), want one", packs, err)
+	}
+	if err := os.Remove(packs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if code := s.status(t, "/readyz"); code != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz %d with the pack removed, want 503", code)
+	}
+	if code := s.status(t, "/healthz"); code != http.StatusOK {
+		t.Fatalf("/healthz %d with the pack removed, want 200", code)
 	}
 }

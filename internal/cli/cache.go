@@ -1,6 +1,7 @@
 // The persistent evaluation cache shared by the command-line tools: one
 // -cache-dir flag that puts a content-addressed on-disk tier
-// (internal/evalstore) behind the session's in-memory cache, and one
+// (internal/evalstore: one append-only pack file per directory, indexed
+// when the tier opens) behind the session's in-memory cache, and one
 // -cache-peers flag that adds a remote tier (internal/evalremote) behind
 // the disk — memory → disk → remote, each slower and wider than the one
 // before. Runs pointed at the same directory or fleet share their work

@@ -83,14 +83,16 @@ type CacheBackend interface {
 // entry/write family, the remote client the Remote* family — so a tier
 // composition merges snapshots by plain summation.
 type BackendStats struct {
-	// Entries is the number of records currently stored; Bytes their
-	// total on-disk size.
+	// Entries is the number of distinct records currently stored; Bytes
+	// the store's size on disk (for the disk tier, the size of its pack
+	// this store knows, overwritten and corrupt entries included).
 	Entries, Bytes uint64
-	// Writes counts records made durable; WriteErrors the Puts that
-	// failed (the entry is simply not persisted — never an eval failure).
+	// Writes counts records written (durable once Flush or Close
+	// returns); WriteErrors the Puts that failed (the entry is simply not
+	// persisted — never an eval failure).
 	Writes, WriteErrors uint64
-	// Quarantined counts corrupt records moved aside (and served as
-	// misses) instead of failing reads.
+	// Quarantined counts corrupt or torn records skipped (and served as
+	// misses) instead of failing reads; their bytes stay on disk.
 	Quarantined uint64
 	// Remote-tier counters, all zero without one. RemoteHits/RemoteMisses
 	// classify remote lookups; RemoteErrors is the subset of misses caused
@@ -259,7 +261,7 @@ func (e *Engine) EnableTelemetry(reg *telemetry.Registry) {
 			}
 			return 0
 		})
-	reg.Func("xpscalar_eval_disk_writes_total", "evaluations made durable by the persistent tier", "counter",
+	reg.Func("xpscalar_eval_disk_writes_total", "evaluations written by the persistent tier (durable once flushed)", "counter",
 		func() float64 {
 			if be := e.tier(); be != nil {
 				return float64(be.Stats().Writes)
@@ -273,14 +275,14 @@ func (e *Engine) EnableTelemetry(reg *telemetry.Registry) {
 			}
 			return 0
 		})
-	reg.Func("xpscalar_eval_disk_quarantined_total", "corrupt persistent-tier records moved to quarantine", "counter",
+	reg.Func("xpscalar_eval_disk_quarantined_total", "corrupt or torn persistent-tier records skipped as misses", "counter",
 		func() float64 {
 			if be := e.tier(); be != nil {
 				return float64(be.Stats().Quarantined)
 			}
 			return 0
 		})
-	reg.Func("xpscalar_eval_disk_entries_bytes", "total bytes held by the persistent tier's records", "gauge",
+	reg.Func("xpscalar_eval_disk_entries_bytes", "bytes of the persistent tier's store, overwritten and corrupt entries included", "gauge",
 		func() float64 {
 			if be := e.tier(); be != nil {
 				return float64(be.Stats().Bytes)

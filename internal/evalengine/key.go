@@ -10,7 +10,7 @@
 // TestKeyCoversEveryLeaf walks every leaf by reflection and fails until it
 // does. The digest is fixed-size, stable across processes and builds, safe
 // as a content address in a persistent store, and uniform, so cache
-// sharding and directory fanout both fall out of its first bytes.
+// sharding falls out of its first bytes.
 
 package evalengine
 
@@ -158,13 +158,9 @@ func ReadConfig(b []byte) (sim.Config, []byte, error) {
 	return c, b, nil
 }
 
-// String returns the key as 64 lowercase hex digits — the form used for
-// on-disk content addressing and log lines.
+// String returns the key as 64 lowercase hex digits — the form used in
+// remote-tier URLs and log lines.
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
-
-// Prefix returns the first two hex digits, the persistent store's
-// directory-fanout component (256-way).
-func (k Key) Prefix() string { return hex.EncodeToString(k[:1]) }
 
 // shardIndex maps the key onto one of n cache shards using the digest's
 // leading bytes; SHA-256 output is uniform, so no second hash is needed.
@@ -172,8 +168,8 @@ func (k Key) shardIndex(n int) int {
 	return int(binary.BigEndian.Uint32(k[:4]) % uint32(n))
 }
 
-// ParseKey parses the 64-hex-digit form back into a Key (the persistent
-// store uses it to recover identities from filenames).
+// ParseKey parses the 64-hex-digit form back into a Key (the remote
+// tier's server uses it to recover identities from request paths).
 func ParseKey(s string) (Key, bool) {
 	var k Key
 	b, err := hex.DecodeString(s)

@@ -9,28 +9,37 @@
 //
 // Layout and discipline:
 //
-//   - One record per evaluation at <dir>/<hh>/<64-hex-key>, where <hh> is
-//     the key's first two hex digits (256-way fanout, so no directory
-//     grows pathological).
-//   - Every record is written with internal/store's atomic discipline
-//     (temp file in the same directory, fsync, rename), so a crash mid
-//     write can never expose a truncated record under a valid name.
+//   - Every evaluation lives in one append-only pack file per directory,
+//     <dir>/xpeval-record-v2.pack. An entry is the 32-byte key, the record,
+//     and a CRC-32C of both. The pack is named after the record version, so
+//     a format bump starts a new pack and never reads the old one.
 //   - Every record is the fixed binary layout xpeval-record-v2 (see
 //     EncodeRecord): a versioned header, every leaf of the evaluation at a
 //     fixed width, the workload name behind its length, and a CRC-32C.
-//     A disk hit is one bounded read and a checksum. Bumping the format
-//     version orphans old records cleanly instead of misreading them.
-//   - A record that fails to read — truncated, wrong version, a length or
-//     checksum that does not match — is moved to <dir>/quarantine/ and
-//     reported as a miss, never as an error: corruption costs one
-//     re-simulation, not a failed run.
+//   - Open reads the pack once, sequentially through a fixed buffer, and
+//     keeps an index from each key to its record's offset and length. A
+//     disk hit is a map lookup, one positioned read and the record's checks.
+//   - Every store on a directory appends whole entries, each in one write
+//     on an O_APPEND descriptor, so stores in different processes never
+//     interleave their entries.
+//   - A torn or corrupt entry is skipped at Open by resynchronising on the
+//     next record header, and a record that fails its checks on a later
+//     read leaves the index. Either is counted as quarantined and reported
+//     as a miss, never as an error: corruption costs one re-simulation, not
+//     a failed run.
 //   - Writes are write-behind: Put enqueues and returns; a single writer
 //     goroutine drains the queue. Flush (and Close) block until everything
-//     accepted so far is durable. A full queue applies backpressure by
-//     writing synchronously in the caller rather than dropping.
+//     accepted so far is appended, then fsync the pack if this store wrote
+//     to it. A crash before that may lose or tear entries, and the entry
+//     checksum keeps a torn one from ever being served. A full queue applies
+//     backpressure by writing synchronously in the caller rather than
+//     dropping.
 package evalstore
 
 import (
+	"bufio"
+	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -39,20 +48,24 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"xpscalar/internal/evalengine"
 	"xpscalar/internal/pipeline"
-	"xpscalar/internal/store"
 )
 
-// header opens every record. The trailing version is the on-disk format
-// version: bump it when the layout changes shape and every record written
-// under the old format quarantines on first read instead of decoding
-// wrong.
-const header = "xpeval-record-v2\n"
+// recordVersion names the record format. Bump it when the layout changes
+// shape: records under the old version then fail the header check, and a
+// directory's old pack is left unread.
+const recordVersion = "xpeval-record-v2"
+
+// header opens every record.
+const header = recordVersion + "\n"
+
+// packName is the file, inside the store's directory, that holds every
+// entry.
+const packName = recordVersion + ".pack"
 
 // The layout after the header: fixedBytes of fixed-width leaves, the
 // workload name as a uint16 length and its bytes, then a CRC-32C of
@@ -74,11 +87,22 @@ const (
 	readBufBytes = len(header) + fixedBytes + 2 + 64 + 4 + 1
 )
 
-// castagnoli is the CRC-32C table every record's checksum uses.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// A pack entry is the key, the record, and a CRC-32C of both.
+const (
+	keyBytes = sha256.Size // the length of an evalengine.Key
+	// entryOverhead is what an entry adds to its record.
+	entryOverhead = keyBytes + 4
+	// entryPrefix is the part of an entry that fixes its length: the key
+	// and the record up to its name length.
+	entryPrefix = keyBytes + len(header) + fixedBytes + 2
+	// scanBufBytes is the buffer Open reads the pack through; the longest
+	// legal entry fits in it.
+	scanBufBytes = 1 << 17
+)
 
-// quarantineDir collects records that failed to read.
-const quarantineDir = "quarantine"
+// castagnoli is the CRC-32C table every record's and entry's checksum
+// uses.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // defaultQueueDepth bounds the write-behind queue.
 const defaultQueueDepth = 256
@@ -98,11 +122,18 @@ type writeReq struct {
 	barrier chan struct{} // non-nil: flush marker, close when reached
 }
 
+// span locates one record in the pack.
+type span struct {
+	off int64
+	n   int
+}
+
 // Store is a content-addressed persistent evaluation cache rooted at one
 // directory. Safe for concurrent use. It implements
 // evalengine.CacheBackend.
 type Store struct {
 	dir   string
+	path  string // the pack
 	queue chan writeReq
 	wg    sync.WaitGroup
 
@@ -110,22 +141,30 @@ type Store struct {
 	closed bool
 	err    error // sticky first write error, surfaced by Flush/Close
 
-	entries     atomic.Int64
-	bytes       atomic.Int64
+	// wmu serialises appends, so the descriptor's offset after a write
+	// is that write's end.
+	wmu   sync.Mutex
+	dirty bool // appended since the last fsync
+
+	// imu guards the index and the descriptor, which Close releases.
+	imu   sync.RWMutex
+	f     *os.File
+	index map[evalengine.Key]span
+
+	size        atomic.Int64 // the pack's size at Open plus this store's appends
 	writes      atomic.Uint64
 	writeErrs   atomic.Uint64
 	quarantined atomic.Uint64
-	hits        atomic.Uint64
-	misses      atomic.Uint64
 }
 
 // Open opens (creating if needed) the store rooted at dir with default
 // options.
 func Open(dir string) (*Store, error) { return OpenOptions(dir, Options{}) }
 
-// OpenOptions opens the store with explicit options. Leftover temporary
-// files from a crashed writer are swept, and the current record count is
-// taken, before the store accepts traffic.
+// OpenOptions opens the store with explicit options. It creates the pack
+// if it is missing and indexes every whole entry in it before the store
+// accepts traffic. It fails only on I/O errors, never because of what the
+// pack holds.
 func OpenOptions(dir string, o Options) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("evalstore: empty directory")
@@ -133,91 +172,191 @@ func OpenOptions(dir string, o Options) (*Store, error) {
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = defaultQueueDepth
 	}
-	if err := os.MkdirAll(filepath.Join(dir, quarantineDir), 0o777); err != nil {
+	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, fmt.Errorf("evalstore: %w", err)
 	}
-	s := &Store{dir: dir, queue: make(chan writeReq, o.QueueDepth)}
-	if err := s.sweep(); err != nil {
+	path := filepath.Join(dir, packName)
+	f, err := openPack(path)
+	if err != nil {
 		return nil, err
+	}
+	s := &Store{
+		dir:   dir,
+		path:  path,
+		queue: make(chan writeReq, o.QueueDepth),
+		f:     f,
+		index: make(map[evalengine.Key]span),
+	}
+	if err := s.load(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("evalstore: read %s: %w", path, err)
 	}
 	s.wg.Add(1)
 	go s.writer()
 	return s, nil
 }
 
-// sweep removes temp files a crash left behind and counts the records —
-// and bytes — present, so both occupancy gauges are truthful from the
-// first scrape. A half-written temp file is an artifact of the
-// atomic-write discipline — it was never visible under a record name — so
-// deleting it is recovery, not data loss.
-func (s *Store) sweep() error {
-	des, err := os.ReadDir(s.dir)
+// openPack opens the pack for positioned reads and appends, creating it
+// if needed.
+func openPack(path string) (*os.File, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND|os.O_CREATE, 0o666)
 	if err != nil {
-		return fmt.Errorf("evalstore: %w", err)
+		return nil, fmt.Errorf("evalstore: %w", err)
 	}
-	var n, bytes int64
-	for _, de := range des {
-		if !de.IsDir() || de.Name() == quarantineDir {
-			continue
+	return f, nil
+}
+
+// load reads the pack from r front to back and indexes every entry that
+// passes its checksum and the record's checks; of two entries with one
+// key, the later wins. Anything else is counted as quarantined and
+// skipped by resynchronising on the next record header, so it costs that
+// entry only.
+func (s *Store) load(r io.Reader) error {
+	br := bufio.NewReaderSize(r, scanBufBytes)
+	var pos int64 // the pack offset of br's next byte
+	for {
+		e, err := br.Peek(entryPrefix)
+		if n := entryLen(e); n > 0 {
+			if e, err = br.Peek(n); len(e) == n {
+				if k, ok := checkEntry(e); ok {
+					s.index[k] = span{off: pos + keyBytes, n: n - entryOverhead}
+					br.Discard(n) // peeked, so it cannot fail
+					pos += int64(n)
+					continue
+				}
+			}
 		}
-		sub := filepath.Join(s.dir, de.Name())
-		files, err := os.ReadDir(sub)
+		if err != nil && err != io.EOF {
+			return err
+		}
+		if len(e) == 0 {
+			break
+		}
+		s.quarantined.Add(1)
+		skipped, found, err := resync(br)
+		pos += skipped
 		if err != nil {
-			return fmt.Errorf("evalstore: %w", err)
+			return err
 		}
-		for _, f := range files {
-			if f.IsDir() {
-				continue
-			}
-			if strings.Contains(f.Name(), ".tmp-") {
-				os.Remove(filepath.Join(sub, f.Name()))
-				continue
-			}
-			n++
-			if info, err := f.Info(); err == nil {
-				bytes += info.Size()
-			}
+		if !found {
+			break
 		}
 	}
-	s.entries.Store(n)
-	s.bytes.Store(bytes)
+	s.size.Store(pos)
 	return nil
 }
 
-// path returns the record file for a key: <dir>/<hh>/<64-hex>.
-func (s *Store) path(k evalengine.Key) string {
-	return filepath.Join(s.dir, k.Prefix(), k.String())
+// entryLen returns the length of the entry that prefix opens, read from
+// its record's name length, or 0 if prefix is short or its record header
+// is wrong.
+func entryLen(prefix []byte) int {
+	if len(prefix) < entryPrefix || string(prefix[keyBytes:keyBytes+len(header)]) != header {
+		return 0
+	}
+	nameLen := int(binary.LittleEndian.Uint16(prefix[entryPrefix-2:]))
+	return entryPrefix + nameLen + 4 + 4
+}
+
+// checkEntry reports whether the entry e passes its checksum and its
+// record's checks, and returns its key.
+func checkEntry(e []byte) (evalengine.Key, bool) {
+	var k evalengine.Key
+	n := len(e)
+	if crc32.Checksum(e[:n-4], castagnoli) != binary.LittleEndian.Uint32(e[n-4:]) {
+		return k, false
+	}
+	if _, err := parseRecord(e[keyBytes : n-4]); err != nil {
+		return k, false
+	}
+	copy(k[:], e)
+	return k, true
+}
+
+// resync discards the bad entry br starts with, up to the next entry: the
+// key before the first record header past this entry's own. It returns
+// the bytes it discarded and whether it found such an entry before the
+// end of the pack, where it has discarded everything.
+func resync(br *bufio.Reader) (skipped int64, found bool, err error) {
+	br.Discard(1) // the entry was peeked, so it cannot fail
+	skipped = 1
+	for {
+		b, err := br.Peek(scanBufBytes)
+		if i := bytes.Index(b[min(keyBytes, len(b)):], []byte(header)); i >= 0 {
+			br.Discard(i)
+			return skipped + int64(i), true, nil
+		}
+		if err == io.EOF {
+			return skipped + int64(len(b)), false, nil
+		}
+		if err != nil {
+			return skipped, false, err
+		}
+		// Keep what could still open an entry whose header straddles the
+		// end of b.
+		d := len(b) - keyBytes - len(header) + 1
+		br.Discard(d)
+		skipped += int64(d)
+	}
 }
 
 // Get implements evalengine.CacheBackend: it returns the stored
-// evaluation, or a miss. Any read failure — absent file aside — moves the
-// record to quarantine and reports a miss.
+// evaluation, or a miss. A record that no longer passes its checks leaves
+// the index and is counted as quarantined.
 func (s *Store) Get(k evalengine.Key) (evalengine.Eval, bool) {
-	path := s.path(k)
-	f, err := os.Open(path)
-	if err != nil {
-		s.misses.Add(1)
+	s.imu.RLock()
+	sp, ok := s.index[k]
+	if !ok {
+		s.imu.RUnlock()
 		return evalengine.Eval{}, false
 	}
-	val, err := DecodeRecord(f)
-	f.Close()
+	b := make([]byte, sp.n)
+	err := s.readAt(b, sp.off)
+	s.imu.RUnlock()
+	var val evalengine.Eval
+	if err == nil {
+		val, err = parseRecord(b)
+	}
 	if err != nil {
-		s.quarantine(path, err)
-		s.misses.Add(1)
+		s.drop(k, sp)
 		return evalengine.Eval{}, false
 	}
-	s.hits.Add(1)
 	return val, true
 }
 
+// readAt fills b from the pack at off: through the open descriptor, or
+// after Close through one opened for the call. Called with imu held.
+func (s *Store) readAt(b []byte, off int64) error {
+	f := s.f
+	if f == nil {
+		var err error
+		if f, err = os.Open(s.path); err != nil {
+			return err
+		}
+		defer f.Close()
+	}
+	_, err := f.ReadAt(b, off)
+	return err
+}
+
+// drop removes a record that failed its checks from the index, unless a
+// newer entry for its key replaced it meanwhile.
+func (s *Store) drop(k evalengine.Key, sp span) {
+	s.imu.Lock()
+	defer s.imu.Unlock()
+	if cur, ok := s.index[k]; ok && cur == sp {
+		delete(s.index, k)
+		s.quarantined.Add(1)
+	}
+}
+
 // DecodeRecord reads one record from r and decodes it. It is the single
-// reader of the record format: the disk tier uses it on files, the remote
-// tier (internal/evalremote) on HTTP bodies, so the two tiers stay
-// byte-compatible by construction and a version bump orphans both at
-// once. It reads r to EOF into one buffer, at most one byte past the
-// longest legal record, and fails on a wrong header, a byte count that
-// disagrees with the name length, a checksum mismatch, or an int that does
-// not fit int.
+// reader of the record format: the disk tier parses the records in its
+// pack with it, the remote tier (internal/evalremote) HTTP bodies, so the
+// two tiers stay byte-compatible by construction and a version bump
+// orphans both at once. It reads r to EOF into one buffer, at most one
+// byte past the longest legal record, and fails on a wrong header, a byte
+// count that disagrees with the name length, a checksum mismatch, or an
+// int that does not fit int.
 func DecodeRecord(r io.Reader) (evalengine.Eval, error) {
 	b, err := readRecord(r)
 	if err != nil {
@@ -283,10 +422,10 @@ func parseRecord(b []byte) (evalengine.Eval, error) {
 }
 
 // EncodeRecord writes val's record to w in one Write: the inverse of
-// DecodeRecord and the store's exact on-disk encoding. A workload name
-// longer than 65,535 bytes is an error; nothing is truncated.
+// DecodeRecord and the exact bytes of a pack entry's record. A workload
+// name longer than 65,535 bytes is an error; nothing is truncated.
 func EncodeRecord(w io.Writer, val evalengine.Eval) error {
-	b, err := encodeRecord(val)
+	b, err := appendRecord(nil, val)
 	if err != nil {
 		return err
 	}
@@ -294,15 +433,19 @@ func EncodeRecord(w io.Writer, val evalengine.Eval) error {
 	return err
 }
 
-// encodeRecord builds val's record in one buffer of its exact size. The
+// recordLen is the length of a record whose workload name has n bytes.
+func recordLen(n int) int { return len(header) + fixedBytes + 2 + n + 4 }
+
+// appendRecord appends val's record to b, growing it at most once. The
 // leaves follow evalengine.Eval's declaration order, except that the
 // variable-length workload name moves to the end.
-func encodeRecord(val evalengine.Eval) ([]byte, error) {
+func appendRecord(b []byte, val evalengine.Eval) ([]byte, error) {
 	name := val.Result.Workload
 	if len(name) > maxNameBytes {
 		return nil, fmt.Errorf("evalstore: workload name of %d bytes exceeds %d", len(name), maxNameBytes)
 	}
-	b := make([]byte, 0, len(header)+fixedBytes+2+len(name)+4)
+	b = slices.Grow(b, recordLen(len(name)))
+	start := len(b)
 	b = append(b, header...)
 	b = evalengine.AppendConfig(b, val.Result.Config)
 	for _, p := range counters(&val.Result.Result) {
@@ -314,7 +457,18 @@ func encodeRecord(val evalengine.Eval) ([]byte, error) {
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(val.Score))
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(name)))
 	b = append(b, name...)
-	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[len(header):], castagnoli)), nil
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[start+len(header):], castagnoli)), nil
+}
+
+// encodeEntry builds k's pack entry for val in one buffer of its exact
+// size: the key, the record, and a CRC-32C of both.
+func encodeEntry(k evalengine.Key, val evalengine.Eval) ([]byte, error) {
+	b := make([]byte, 0, recordLen(len(val.Result.Workload))+entryOverhead)
+	b, err := appendRecord(append(b, k[:]...), val)
+	if err != nil {
+		return nil, err
+	}
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli)), nil
 }
 
 // counters lists r's counters in layout order (declaration order, nested
@@ -341,21 +495,6 @@ func (s *Store) GetBatch(keys []evalengine.Key) map[evalengine.Key]evalengine.Ev
 		}
 	}
 	return found
-}
-
-// quarantine moves a bad record aside so it is examined once, not
-// re-parsed on every request; if even the move fails the record is
-// removed.
-func (s *Store) quarantine(path string, reason error) {
-	if info, err := os.Lstat(path); err == nil {
-		s.bytes.Add(-info.Size())
-	}
-	dst := filepath.Join(s.dir, quarantineDir, filepath.Base(path))
-	if err := os.Rename(path, dst); err != nil {
-		os.Remove(path)
-	}
-	s.quarantined.Add(1)
-	s.entries.Add(-1)
 }
 
 // Put implements evalengine.CacheBackend: it enqueues the record for the
@@ -388,44 +527,64 @@ func (s *Store) writer() {
 	}
 }
 
-// writeNow persists one record with the atomic temp+fsync+rename
-// discipline. Write failures are counted and held as the sticky error;
-// the evaluation itself already succeeded and is served from memory, so
-// nothing upstream fails.
+// writeNow appends one entry to the pack and indexes it where it landed.
+// Write failures are counted and held as the sticky error; the evaluation
+// itself already succeeded and is served from memory, so nothing upstream
+// fails.
 func (s *Store) writeNow(k evalengine.Key, val evalengine.Eval) {
-	rec, err := encodeRecord(val)
+	e, err := encodeEntry(k, val)
 	if err != nil {
 		s.noteWriteErr(err)
 		return
 	}
-	path := s.path(k)
-	if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
-		s.noteWriteErr(err)
-		return
-	}
-	var oldSize int64
-	info, statErr := os.Lstat(path)
-	existed := statErr == nil
-	if existed {
-		oldSize = info.Size()
-	}
-	err = store.WriteAtomic(path, func(w io.Writer) error {
-		_, err := w.Write(rec)
-		return err
-	})
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	off, err := s.append(e)
 	if err != nil {
 		s.noteWriteErr(err)
 		return
 	}
 	s.writes.Add(1)
-	s.bytes.Add(int64(len(rec)) - oldSize)
-	if !existed {
-		s.entries.Add(1)
+	s.size.Add(int64(len(e)))
+	s.imu.Lock()
+	s.index[k] = span{off: off + keyBytes, n: len(e) - entryOverhead}
+	s.imu.Unlock()
+}
+
+// append writes e to the pack in one write and returns the offset where
+// it landed. After Close it opens the pack for the one write and fsyncs
+// it before closing, since no Flush will follow. Called with wmu held.
+func (s *Store) append(e []byte) (int64, error) {
+	f := s.f
+	if f == nil {
+		var err error
+		if f, err = openPack(s.path); err != nil {
+			return 0, err
+		}
+		defer f.Close()
 	}
+	if _, err := f.Write(e); err != nil {
+		return 0, err
+	}
+	end, err := f.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return 0, err
+	}
+	if f != s.f {
+		err = f.Sync()
+	} else {
+		s.dirty = true
+	}
+	return end - int64(len(e)), err
 }
 
 func (s *Store) noteWriteErr(err error) {
 	s.writeErrs.Add(1)
+	s.noteErr(err)
+}
+
+// noteErr holds err as the sticky error unless one is held already.
+func (s *Store) noteErr(err error) {
 	s.mu.Lock()
 	if s.err == nil {
 		s.err = err
@@ -433,9 +592,22 @@ func (s *Store) noteWriteErr(err error) {
 	s.mu.Unlock()
 }
 
+// sync fsyncs the pack if this store appended to it since the last sync.
+// Called with wmu held.
+func (s *Store) sync() {
+	if !s.dirty {
+		return
+	}
+	s.dirty = false
+	if err := s.f.Sync(); err != nil {
+		s.noteErr(err)
+	}
+}
+
 // Flush implements evalengine.CacheBackend: it blocks until every Put
-// accepted before the call is durable, and returns the sticky write error
-// if any write has failed so far.
+// accepted before the call is appended and fsynced, and returns the
+// sticky write error if any write has failed so far. A store that wrote
+// nothing pays no fsync.
 func (s *Store) Flush() error {
 	s.mu.Lock()
 	closed := s.closed
@@ -446,14 +618,18 @@ func (s *Store) Flush() error {
 		s.queue <- writeReq{barrier: b}
 		<-b
 	}
+	s.wmu.Lock()
+	s.sync()
+	s.wmu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.err
 }
 
 // Close implements evalengine.CacheBackend: it flushes the queue, stops
-// the writer, and returns the sticky error. Puts arriving after Close
-// write synchronously, so nothing is lost either way. Idempotent.
+// the writer, fsyncs the pack, releases its descriptor and returns the
+// sticky error. Puts and Gets arriving after Close open the pack for
+// themselves, so nothing is lost either way. Idempotent.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -465,24 +641,52 @@ func (s *Store) Close() error {
 	s.mu.Unlock()
 	close(s.queue)
 	s.wg.Wait()
+	s.wmu.Lock()
+	s.sync()
+	s.imu.Lock()
+	f := s.f
+	s.f = nil
+	s.imu.Unlock()
+	if err := f.Close(); err != nil {
+		s.noteErr(err)
+	}
+	s.wmu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.err
 }
 
+// CheckPack reports an error when the store's open pack is no longer the
+// file at its path: deleted, or replaced. Appends would then go to a file
+// no later Open reads, so a server's readiness probe fails on it.
+func (s *Store) CheckPack() error {
+	fi, err := os.Stat(s.path)
+	if err != nil {
+		return err
+	}
+	s.imu.RLock()
+	defer s.imu.RUnlock()
+	if s.f == nil {
+		return nil
+	}
+	di, err := s.f.Stat()
+	if err != nil {
+		return err
+	}
+	if !os.SameFile(fi, di) {
+		return fmt.Errorf("evalstore: %s is no longer the pack this store opened", s.path)
+	}
+	return nil
+}
+
 // Stats implements evalengine.CacheBackend.
 func (s *Store) Stats() evalengine.BackendStats {
-	n := s.entries.Load()
-	if n < 0 {
-		n = 0
-	}
-	b := s.bytes.Load()
-	if b < 0 {
-		b = 0
-	}
+	s.imu.RLock()
+	n := len(s.index)
+	s.imu.RUnlock()
 	return evalengine.BackendStats{
 		Entries:     uint64(n),
-		Bytes:       uint64(b),
+		Bytes:       uint64(s.size.Load()),
 		Writes:      s.writes.Load(),
 		WriteErrors: s.writeErrs.Load(),
 		Quarantined: s.quarantined.Load(),

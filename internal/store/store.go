@@ -130,9 +130,9 @@ func ReadOutcomes(r io.Reader, t tech.Params) ([]explore.Outcome, error) {
 // fsynced, and only then renamed over path. A crash, interrupt or write
 // failure at any point leaves the previous file (if any) untouched — an
 // interrupted save can never expose a truncated or corrupt artifact. It
-// is the one write discipline every persistent artifact in the tree uses:
-// outcome and matrix saves here, and each record of the content-addressed
-// evaluation store (internal/evalstore).
+// is the write discipline of the saved artifacts: outcome and matrix
+// saves here. (The evaluation store, internal/evalstore, appends
+// checksummed entries to one pack file instead.)
 func WriteAtomic(path string, write func(io.Writer) error) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
