@@ -22,17 +22,20 @@ race:
 # packages whose pooled runners concurrent workers arm and disarm, the
 # per-technology delay tables that concurrent annealing chains build and
 # share, the write-behind disk and remote cache tiers, and the
-# multi-tenant job scheduler. Three tests run ten times, because what
+# multi-tenant job scheduler. Four tests run ten times, because what
 # they catch is a rare interleaving: the concurrent-end stream test (a
 # torn or lost span line), the two-stores-one-directory test (interleaved
 # or quarantined entries, or a file beside the pack, when two stores
-# append to one cache directory), and the three-stores test (a reader
+# append to one cache directory), the three-stores test (a reader
 # serving a torn or unwritten value, or a store opened mid-stream
-# indexing a torn entry).
+# indexing a torn entry), and the delay tables' first-build test (a wrong
+# answer while goroutines build a technology's table, publish it to the
+# one-entry fast path and build its candidate lists).
 race-hot:
 	$(GO) test -race ./internal/evalengine ./internal/telemetry ./internal/tracing ./internal/explore ./internal/pipeline ./internal/sim ./internal/timing ./internal/evalstore ./internal/evalremote ./internal/xpserve
 	$(GO) test -race -count=10 -run '^TestStreamConcurrentEnd$$' ./internal/tracing
 	$(GO) test -race -count=10 -run '^(TestTwoStoresOneDirectory|TestThreeStoresOneDirectory)$$' ./internal/evalstore
+	$(GO) test -race -count=10 -run '^TestTablesConcurrentFirstBuild$$' ./internal/timing
 
 # bench reports the headline reproduction metrics plus the evaluation
 # engine's cache hit rate and sim-latency quantiles (cacheHit%, simP50ms,

@@ -225,6 +225,41 @@ func TestBatchReadThrough(t *testing.T) {
 	}
 }
 
+// TestLoneTierHitAllocs gates a one-member request served by the tier.
+// One shard with an LRU of one entry and two alternating keys make every
+// call a memory miss and a tier hit, so each pays the whole read-through:
+// claim, tier Get, the answers check and the promotion. The lone key is a
+// plain Get that builds no map.
+func TestLoneTierHitAllocs(t *testing.T) {
+	tp := tech.Default()
+	cs := batchConfigs(t, tp, 2)
+	p := testProfile(80)
+	const budget = 5000
+
+	be := newMemBackend()
+	for _, cfg := range cs {
+		v := synthEval(1)
+		v.Result.Config, v.Result.Workload, v.Result.Instructions = cfg, p.Name, budget
+		be.Put(KeyOf(cfg, p, budget, tp, power.ObjIPT), v)
+	}
+	e := New(Options{CacheEntries: 1, Shards: 1, Backend: be})
+	ctx := context.Background()
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := e.Evaluate(ctx, cs[i%2], p, budget, tp, power.ObjIPT); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if s := e.Stats(); s.Hits != 0 || s.DiskHits != s.Requests {
+		t.Fatalf("stats %+v, want every request a tier hit", s)
+	}
+	t.Logf("a lone tier hit allocates %v", allocs)
+	if allocs > 5 {
+		t.Errorf("a lone tier hit allocates %v, want at most 5", allocs)
+	}
+}
+
 // TestTierRecordMustAnswerRequest: a tier record stored under the wrong
 // key — here the Table 3 configuration's evaluation, put under the key of
 // a ROB-64/IQ-32 request — is a tier miss. The request simulates and

@@ -128,18 +128,31 @@ func (e *Engine) evaluate(ctx context.Context, dst []Eval, cfgs []sim.Config, p 
 	// lockstep lane; only the keys every tier missed go on to simulate. A
 	// tier record that does not answer its member's request is a miss: the
 	// member simulates, and the write-behind Put below replaces the record.
+	// A lone miss, an annealing step's usual request, is read into lone
+	// rather than a map.
 	var found map[Key]Eval
+	var lone Eval
+	var loneOK bool
 	if be != nil && len(owned) > 0 {
-		keys := make([]Key, len(owned))
-		for j, i := range owned {
-			keys[j] = claims[i].key
+		tctx := tracing.ChildContext(ctx, sp)
+		if len(owned) == 1 {
+			lone, loneOK = backendGet(tctx, be, claims[owned[0]].key)
+		} else {
+			keys := make([]Key, len(owned))
+			for j, i := range owned {
+				keys[j] = claims[i].key
+			}
+			found = backendGetBatch(tctx, be, keys)
 		}
-		found = backendGetBatch(tracing.ChildContext(ctx, sp), be, keys)
 	}
 	var lanes []int // valid owned misses: the lockstep group
 	for _, i := range owned {
 		me := claims[i].entry
-		if val, ok := found[claims[i].key]; ok && answers(val, cfgs[i], p.Name, budget) {
+		val, ok := lone, loneOK
+		if len(owned) > 1 {
+			val, ok = found[claims[i].key]
+		}
+		if ok && answers(val, cfgs[i], p.Name, budget) {
 			e.diskHits.Add(1)
 			me.val = val
 			close(me.ready)

@@ -10,6 +10,7 @@ import (
 	"xpscalar/internal/power"
 	"xpscalar/internal/sim"
 	"xpscalar/internal/tech"
+	"xpscalar/internal/timing"
 	"xpscalar/internal/tracing"
 	"xpscalar/internal/workload"
 )
@@ -78,6 +79,33 @@ func TestInitialPointIsTable3(t *testing.T) {
 	// Table 3's IQ of 64 must be reachable under the fit discipline.
 	if cfg.IQSize < 64 {
 		t.Errorf("initial IQ = %d, want >= 64 (Table 3)", cfg.IQSize)
+	}
+}
+
+// TestPointFitDoesNotAllocate gates the re-fit every annealing move runs
+// at zero allocations on the Table 3 point, both when the caches are the
+// largest that fit and when a geometry move has chosen one that still
+// fits its budget.
+func TestPointFitDoesNotAllocate(t *testing.T) {
+	tp := tech.Default()
+	largest := initialPoint()
+	chosen := largest
+	chosen.l1Geom = timing.CacheCandidates(timing.BudgetNs(chosen.clock, chosen.l1Lat, tp), 1, tp)[0]
+	chosen.l2Geom = timing.CacheCandidates(timing.BudgetNs(chosen.clock, chosen.l2Lat, tp), 2, tp)[0]
+	for _, tc := range []struct {
+		name string
+		pt   point
+	}{{"largest fitting caches", largest}, {"chosen cache geometry", chosen}} {
+		cfg, ok := tc.pt.fit(tp)
+		if !ok {
+			t.Fatalf("%s: Table 3 point infeasible", tc.name)
+		}
+		if tc.pt.l1Geom.Sets != 0 && (cfg.L1D != tc.pt.l1Geom || cfg.L2 != tc.pt.l2Geom) {
+			t.Fatalf("%s: fit replaced %v/%v with %v/%v", tc.name, tc.pt.l1Geom, tc.pt.l2Geom, cfg.L1D, cfg.L2)
+		}
+		if n := testing.AllocsPerRun(100, func() { tc.pt.fit(tp) }); n != 0 {
+			t.Errorf("%s: point.fit allocates %v per call, want 0", tc.name, n)
+		}
 	}
 }
 

@@ -204,9 +204,9 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 func TestTableMatchesModel(t *testing.T) {
 	for _, tp := range techsUnderTest() {
 		d := tableFor(tp)
-		for ai, assoc := range cacheAssocs {
-			for bi, block := range cacheBlocks {
-				col := d.cache[ai][bi]
+		for _, assoc := range cacheAssocs {
+			for _, block := range cacheBlocks {
+				col := d.column(assoc, block)
 				if want := pow2Index(MaxL2Bytes/(assoc*block), minSets) + 1; len(col) != want {
 					t.Errorf("%d-way %dB column has %d entries, want %d", assoc, block, len(col), want)
 				}
@@ -244,42 +244,83 @@ func TestTableMatchesModel(t *testing.T) {
 	}
 }
 
+// checkFitsAt compares all six fitting routines with the reference
+// implementations at one budget, over both levels and every width. The
+// extra associativities and block size are off the cache grid and go to
+// the model.
+func checkFitsAt(t *testing.T, b float64, tp tech.Params) {
+	t.Helper()
+	assocs := append(cacheAssocs[:], 3, 32)
+	blocks := append(cacheBlocks[:], 1024)
+	for level := 1; level <= 2; level++ {
+		cands, want := CacheCandidates(b, level, tp), refCacheCandidates(b, level, tp)
+		if !reflect.DeepEqual(cands, want) {
+			t.Fatalf("CacheCandidates(%v, L%d) = %v, want %v", b, level, cands, want)
+		}
+		if cap(cands) != len(cands) {
+			t.Fatalf("CacheCandidates(%v, L%d) has capacity %d beyond its %d entries", b, level, cap(cands), len(cands))
+		}
+		if got, want := MaxCache(b, level, tp), refMaxCache(b, level, tp); got != want {
+			t.Fatalf("MaxCache(%v, L%d) = %v, want %v", b, level, got, want)
+		}
+		for _, assoc := range assocs {
+			for _, block := range blocks {
+				if got, want := FitCacheSets(b, assoc, block, level, tp), refFitCacheSets(b, assoc, block, level, tp); got != want {
+					t.Fatalf("FitCacheSets(%v, %d-way, %dB, L%d) = %d, want %d", b, assoc, block, level, got, want)
+				}
+			}
+		}
+	}
+	for w := 1; w <= maxWidth; w++ {
+		if got, want := FitIQ(b, w, tp), refFitIQ(b, w, tp); got != want {
+			t.Fatalf("FitIQ(%v, w%d) = %d, want %d", b, w, got, want)
+		}
+		if got, want := FitROB(b, w, tp), refFitROB(b, w, tp); got != want {
+			t.Fatalf("FitROB(%v, w%d) = %d, want %d", b, w, got, want)
+		}
+	}
+	if got, want := FitLSQ(b, tp), refFitLSQ(b, tp); got != want {
+		t.Fatalf("FitLSQ(%v) = %d, want %d", b, got, want)
+	}
+}
+
 // TestFitsMatchReference sweeps the fitting routines against the
 // reference implementations over budgets, levels and widths.
 func TestFitsMatchReference(t *testing.T) {
-	// The extra pairs are off the cache grid and go to the model.
-	assocs := append(cacheAssocs[:], 3, 32)
-	blocks := append(cacheBlocks[:], 1024)
 	for _, tp := range techsUnderTest() {
 		for _, b := range sweepBudgets() {
-			for level := 1; level <= 2; level++ {
-				cands, want := CacheCandidates(b, level, tp), refCacheCandidates(b, level, tp)
-				if !reflect.DeepEqual(cands, want) {
-					t.Fatalf("CacheCandidates(%.2f, L%d) = %v, want %v", b, level, cands, want)
-				}
-				if got, want := MaxCache(b, level, tp), refMaxCache(b, level, tp); got != want {
-					t.Fatalf("MaxCache(%.2f, L%d) = %v, want %v", b, level, got, want)
-				}
-				for _, assoc := range assocs {
-					for _, block := range blocks {
-						if got, want := FitCacheSets(b, assoc, block, level, tp), refFitCacheSets(b, assoc, block, level, tp); got != want {
-							t.Fatalf("FitCacheSets(%.2f, %d-way, %dB, L%d) = %d, want %d", b, assoc, block, level, got, want)
-						}
-					}
-				}
-			}
-			for w := 1; w <= maxWidth; w++ {
-				if got, want := FitIQ(b, w, tp), refFitIQ(b, w, tp); got != want {
-					t.Fatalf("FitIQ(%.2f, w%d) = %d, want %d", b, w, got, want)
-				}
-				if got, want := FitROB(b, w, tp), refFitROB(b, w, tp); got != want {
-					t.Fatalf("FitROB(%.2f, w%d) = %d, want %d", b, w, got, want)
-				}
-			}
-			if got, want := FitLSQ(b, tp), refFitLSQ(b, tp); got != want {
-				t.Fatalf("FitLSQ(%.2f) = %d, want %d", b, got, want)
-			}
+			checkFitsAt(t, b, tp)
 		}
+	}
+}
+
+// TestFitsAtBoundaries checks the fitting routines where a stored delay d
+// starts to fit: at the budget d/FitTolerance, one float64 step below it
+// and two above it. A 0.01 ns sweep almost never lands there, and there a
+// binary search over the sorted delays would go wrong by one. NaN and
+// negative budgets, where nothing fits, ride along.
+func TestFitsAtBoundaries(t *testing.T) {
+	for _, tp := range techsUnderTest() {
+		d := tableFor(tp)
+		var delays []float64
+		for _, col := range d.cache {
+			delays = append(delays, col...)
+		}
+		for w := range d.iq {
+			delays = append(delays, d.iq[w]...)
+			delays = append(delays, d.rob[w]...)
+		}
+		delays = append(delays, d.lsq...)
+		budgets := []float64{math.NaN(), -1}
+		for _, ns := range delays {
+			b := ns / FitTolerance
+			up := math.Nextafter(b, math.Inf(1))
+			budgets = append(budgets, math.Nextafter(b, math.Inf(-1)), b, up, math.Nextafter(up, math.Inf(1)))
+		}
+		for _, b := range budgets {
+			checkFitsAt(t, b, tp)
+		}
+		t.Logf("%d budgets around %d stored delays", len(budgets), len(delays))
 	}
 }
 
@@ -315,28 +356,46 @@ func TestOffGridFallsBackToModel(t *testing.T) {
 }
 
 // TestInvalidTechIsNotStored checks that an invalid technology reaches the
-// model, which panics with its error as before, and adds no table.
+// model, which panics with its error as before, and adds no table to the
+// memo or its fast path. A NaN field never compares equal; a negative one
+// does.
 func TestInvalidTechIsNotStored(t *testing.T) {
-	bad := tech.Default()
-	bad.FO4Ns = math.NaN()
+	nan, negative := tech.Default(), tech.Default()
+	nan.FO4Ns, negative.FO4Ns = math.NaN(), -tech.Default().FO4Ns
 	count := func() int {
 		n := 0
 		tables.Range(func(_, _ any) bool { n++; return true })
 		return n
 	}
-	before := count()
-	for i := 0; i < 3; i++ {
-		func() {
-			defer func() {
-				if r := recover(); r == nil || !strings.Contains(r.(error).Error(), "FO4") {
-					t.Errorf("FitIQ with NaN FO4 recovered %v, want the model's FO4 error", r)
-				}
-			}()
-			FitIQ(0.5, 4, bad)
-		}()
+	tableFor(tech.Default()) // the fast path holds a valid table
+	before, fast := count(), last.Load()
+	for _, bad := range []tech.Params{nan, negative} {
+		fits := []struct {
+			name string
+			fit  func()
+		}{
+			{"FitIQ", func() { FitIQ(0.5, 4, bad) }},
+			{"MaxCache", func() { MaxCache(0.5, 1, bad) }},
+			{"CacheCandidates", func() { CacheCandidates(3.0, 2, bad) }},
+		}
+		for _, f := range fits {
+			for i := 0; i < 3; i++ {
+				func() {
+					defer func() {
+						if r := recover(); r == nil || !strings.Contains(r.(error).Error(), "FO4") {
+							t.Errorf("%s with FO4 %v recovered %v, want the model's FO4 error", f.name, bad.FO4Ns, r)
+						}
+					}()
+					f.fit()
+				}()
+			}
+		}
 	}
 	if after := count(); after != before {
 		t.Errorf("memo grew from %d to %d tables on an invalid technology", before, after)
+	}
+	if last.Load() != fast {
+		t.Error("an invalid technology replaced the fast path's table")
 	}
 }
 
@@ -423,7 +482,7 @@ func TestTablesConcurrentFirstBuild(t *testing.T) {
 	}
 
 	// Forget every table, so the goroutines below race to build them.
-	tables.Range(func(k, _ any) bool { tables.Delete(k); return true })
+	forgetTables()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -440,4 +499,16 @@ func TestTablesConcurrentFirstBuild(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	if d := last.Load(); d != nil {
+		if v, ok := tables.Load(d.tech); !ok || v.(*delayTable) != d {
+			t.Error("the fast path holds a table the memo does not")
+		}
+	}
+}
+
+// forgetTables empties the memo and the fast path in front of it, so the
+// next call for any technology builds its table afresh.
+func forgetTables() {
+	tables.Range(func(k, _ any) bool { tables.Delete(k); return true })
+	last.Store(nil)
 }

@@ -216,7 +216,7 @@ func levelBytes(level int) (minBytes, maxBytes int) {
 // associativity fits the budget, or 0 if none fits.
 func FitCacheSets(budgetNs float64, assoc, blockBytes int, level int, t tech.Params) int {
 	minBytes, maxBytes := levelBytes(level)
-	return tableFor(t).fitSets(budgetNs, assoc, blockBytes, minBytes, maxBytes, t).g.Sets
+	return tableFor(t).fitSets(budgetNs, assoc, blockBytes, minBytes, maxBytes, t)
 }
 
 // cacheAssocs and cacheBlocks bound the geometry alternatives considered by
@@ -232,37 +232,20 @@ type cacheCand struct {
 	ns float64
 }
 
-// fitCaches appends to dst the largest fitting geometry of every
-// associativity × block size pair that has one, in cacheAssocs-major order.
-func fitCaches(dst []cacheCand, budgetNs float64, level int, t tech.Params) []cacheCand {
-	minBytes, maxBytes := levelBytes(level)
-	d := tableFor(t)
-	for _, assoc := range cacheAssocs {
-		for _, block := range cacheBlocks {
-			if c := d.fitSets(budgetNs, assoc, block, minBytes, maxBytes, t); c.g.Sets > 0 {
-				dst = append(dst, c)
-			}
-		}
-	}
-	return dst
-}
-
 // CacheCandidates returns every geometry within the level's capacity bounds
-// whose access time fits the budget. The result is never huge (a few dozen
-// entries) and is ordered by increasing capacity then access time, so the
-// last element is the largest fitting cache.
+// whose access time fits the budget: for each associativity × block size
+// pair, the largest power-of-two set count that fits, found by scanning up
+// from the smallest and stopping at the first that does not. The result is
+// never huge (a few dozen entries) and is ordered by increasing capacity
+// then access time, so the last element is the largest fitting cache.
+//
+// The slice is shared by every caller that asks at an equivalent budget and
+// must not be modified. Its capacity is its length, so appending to it
+// copies.
 func CacheCandidates(budgetNs float64, level int, t tech.Params) []CacheGeom {
-	var buf [len(cacheAssocs) * len(cacheBlocks)]cacheCand
-	cands := fitCaches(buf[:0], budgetNs, level, t)
-	if len(cands) == 0 {
-		return nil
-	}
-	sortGeoms(cands)
-	out := make([]CacheGeom, len(cands))
-	for i, c := range cands {
-		out[i] = c.g
-	}
-	return out
+	d := tableFor(t)
+	ix := d.index(level, t)
+	return ix.candidates(d, ix.cut(budgetNs))
 }
 
 // MaxCache returns the fitting geometry with the greatest capacity, or a
@@ -270,14 +253,8 @@ func CacheCandidates(budgetNs float64, level int, t tech.Params) []CacheGeom {
 // so ties in capacity go to the higher access time, and among equal access
 // times to the later geometry in cacheAssocs-major order.
 func MaxCache(budgetNs float64, level int, t tech.Params) CacheGeom {
-	var buf [len(cacheAssocs) * len(cacheBlocks)]cacheCand
-	var best cacheCand
-	for _, c := range fitCaches(buf[:0], budgetNs, level, t) {
-		if !sortsAfter(best, c) {
-			best = c
-		}
-	}
-	return best.g
+	ix := tableFor(t).index(level, t)
+	return ix.max[ix.cut(budgetNs)]
 }
 
 // sortsAfter reports whether a belongs after b in CacheCandidates order.
@@ -287,9 +264,9 @@ func sortsAfter(a, b cacheCand) bool {
 }
 
 func sortGeoms(cs []cacheCand) {
-	// Insertion sort: the slices are tiny and this avoids pulling in sort
-	// for a two-key comparison. It is stable: MaxCache picks the element
-	// it would leave last without sorting.
+	// Insertion sort: the slices are tiny. It is stable: the fit index
+	// picks MaxCache's answer as the element it would leave last, without
+	// sorting.
 	for i := 1; i < len(cs); i++ {
 		for j := i; j > 0 && sortsAfter(cs[j-1], cs[j]); j-- {
 			cs[j-1], cs[j] = cs[j], cs[j-1]

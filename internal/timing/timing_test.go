@@ -2,6 +2,7 @@ package timing
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -232,6 +233,59 @@ func TestQuickFitNeverExceedsBudget(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFitsDoNotAllocate gates the routines annealing calls after every
+// move at zero allocations once the technology's table is built.
+// CacheCandidates returns a list shared by every caller at the same cut,
+// built on its first use, which AllocsPerRun's warm-up call makes.
+func TestFitsDoNotAllocate(t *testing.T) {
+	p := tech.Default()
+	g := CacheGeom{Sets: 512, Assoc: 2, BlockBytes: 32}
+	fits := []struct {
+		name string
+		fit  func()
+	}{
+		{"CacheCandidates", func() { CacheCandidates(1.0, 1, p) }},
+		{"MaxCache", func() { MaxCache(3.0, 2, p) }},
+		{"FitIQ", func() { FitIQ(0.6, 4, p) }},
+		{"FitROB", func() { FitROB(0.6, 4, p) }},
+		{"FitLSQ", func() { FitLSQ(0.6, p) }},
+		{"CacheAccessNs", func() { CacheAccessNs(g, p) }},
+	}
+	for _, f := range fits {
+		if n := testing.AllocsPerRun(100, f.fit); n != 0 {
+			t.Errorf("%s allocates %v per call, want 0", f.name, n)
+		}
+	}
+}
+
+// TestBuildTableMemory bounds what one technology's table costs to build,
+// fit indexes included, at 128 KB.
+func TestBuildTableMemory(t *testing.T) {
+	const limit = 128 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	buildTable(tech.Default())
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > limit {
+		t.Errorf("building a table allocated %d bytes, want at most %d", n, limit)
+	}
+}
+
+func BenchmarkBuildTable(b *testing.B) {
+	p := tech.Default()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buildTable(p)
+	}
+}
+
+func BenchmarkMaxCache(b *testing.B) {
+	p := tech.Default()
+	for i := 0; i < b.N; i++ {
+		MaxCache(1.0, 1, p)
 	}
 }
 
