@@ -41,7 +41,8 @@ race-hot:
 # engine's cache hit rate and sim-latency quantiles (cacheHit%, simP50ms,
 # simP95ms), then re-records the kernel benchmark set into
 # BENCH_kernel.json (ns/op, allocs/op, and speedup over the recorded
-# pre-rework baseline).
+# pre-rework baseline), overwriting the committed recording in the
+# working tree.
 bench:
 	$(GO) test -run '^$$' -bench 'Table4|Table5' -benchtime=1x .
 	$(GO) run ./cmd/benchjson -out BENCH_kernel.json -benchtime 20x
@@ -68,7 +69,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzJobRequest$$' -fuzztime 10s ./internal/xpserve
 
 # bench-compare runs the kernel benchmark set fresh and diffs it against
-# the committed recording, failing past a 15% ns/op regression.
+# BENCH_kernel.json as the working tree holds it, failing past a 15%
+# ns/op regression. After `make bench` (which `make verify` runs) that
+# file is this host's own fresh recording, not the committed one, so the
+# comparison is the change against itself.
 bench-compare:
 	$(GO) run ./cmd/benchjson -compare BENCH_kernel.json -benchtime 20x
 

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	combos [-source paper|sim] [-maxk n] [-figure4] [-summary] [-weights w1,w2,...]
-//	       [-trace file] [-metrics-addr addr] [-progress]
+//	       [-trace file] [-progress]
 //
 // Tables go to stdout; diagnostics go to stderr.
 package main

@@ -8,15 +8,15 @@
 //
 //	crossconf [-source paper|sim] [-slowdown] [-mark none|forward|full] [-n instr] [-iterations n] [-seed n]
 //	          [-timeout d] [-evalstats] [-cache-dir dir]
-//	          [-cache-peers urls] [-trace file] [-metrics-addr addr] [-progress]
+//	          [-cache-peers urls] [-trace file] [-progress]
 //	          [-cpuprofile file] [-memprofile file]
 //
 // Matrices go to stdout; diagnostics go to stderr. With -source sim, -trace
 // records the regeneration pipeline as one span stream (annealing steps,
-// evaluations, matrix rows) and -metrics-addr serves live Prometheus
-// metrics. Each matrix row
-// — every customized configuration against one workload — is simulated as
-// one lockstep group over a single replay of that workload's stream.
+// evaluations, matrix rows), -progress follows it live and -cpuprofile
+// profiles it. Each matrix row — every customized configuration against
+// one workload — is simulated as one lockstep group over a single replay
+// of that workload's stream.
 package main
 
 import (

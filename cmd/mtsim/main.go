@@ -7,7 +7,7 @@
 // Usage:
 //
 //	mtsim [-source paper|sim] [-cores k] [-jobs n] [-interarrival t] [-work w] [-sweep]
-//	      [-trace file] [-metrics-addr addr] [-progress]
+//	      [-trace file] [-progress]
 //
 // Tables go to stdout; diagnostics go to stderr.
 package main

@@ -9,7 +9,7 @@
 // Usage:
 //
 //	subsetting [-kiviat] [-dendrogram] [-kmeans k] [-norm none|minmax|zscore] [-n instr]
-//	           [-trace file] [-metrics-addr addr]
+//	           [-trace file]
 //
 // Reports go to stdout; diagnostics go to stderr.
 package main

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	surrogate [-source paper|sim] [-policy none|forward|full|all]
-//	          [-trace file] [-metrics-addr addr] [-progress]
+//	          [-trace file] [-progress]
 //
 // Graphs go to stdout; diagnostics go to stderr.
 package main

@@ -9,14 +9,14 @@
 //	xpscalar [-workload name] [-iterations n] [-chains n] [-short n] [-long n] [-seed n]
 //	         [-neighborhood k] [-timeout d] [-evalstats]
 //	         [-cache-dir dir] [-cache-peers urls] [-trace file]
-//	         [-metrics-addr addr] [-progress] [-log-level l] [-log-format text|json]
+//	         [-progress] [-log-level l] [-log-format text|json]
 //	         [-cpuprofile file] [-memprofile file]
 //
 // The Table 4 analogue goes to stdout; diagnostics (wall time, -evalstats,
 // -progress) go to stderr. -trace writes the run's span stream for
 // cmd/xptrace — every annealing step, evaluation and chain as it ends,
-// framed by the run manifest and the engine's counters — and
-// -metrics-addr serves live Prometheus metrics while the search runs.
+// framed by the run manifest and the engine's counters — and -progress
+// follows the search live; -cpuprofile profiles it.
 //
 // Every simulation runs as a lockstep group over one shared replay of the
 // workload's instruction stream: cache-missing evaluations submitted

@@ -24,13 +24,19 @@
 //	GET    /v1/jobs/{id}        status (+ result once done)
 //	GET    /v1/jobs/{id}/events tail the job's span stream (curl -N)
 //	DELETE /v1/jobs/{id}        cancel
-//	GET    /v1/status           this process's self-report (build, capacity, jobs, cache)
 //	GET    /readyz              readiness: 503 on shutdown, a full backlog or a lost -cache-dir pack
 //	GET    /v1/cache/{key}      fleet cache: fetch one evaluation record
 //	PUT    /v1/cache/{key}      fleet cache: store one evaluation record
 //	POST   /v1/cache/lookup     fleet cache: batched multi-get
 //	GET    /metrics             Prometheus metrics (engine + cache tiers + job gauges)
-//	GET    /healthz, /buildinfo, /debug/pprof/...
+//	GET    /metrics.json        the same metrics as one JSON object
+//	GET    /buildinfo           module, Go version and VCS revision of this build
+//	GET    /healthz, /debug/pprof/...
+//
+// /metrics and /buildinfo are the operator's view of one xpserved: its
+// job census and backlog headroom (xpserved_jobs_*,
+// xpserved_backlog_headroom), its evaluation cache (xpscalar_eval_*) and
+// the build it runs.
 //
 // Each job's spans stream to its own event stream. -trace records the
 // server's own spans — the cache handlers, which continue their callers'

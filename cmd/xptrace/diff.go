@@ -24,9 +24,12 @@ const maxShown = 8
 // NOT belong here: a wider proposal neighborhood changes the search
 // trajectory, so it must surface as drift.
 var ignoredFlags = map[string]bool{
-	"trace": true, "metrics-addr": true, "progress": true,
+	"trace": true, "progress": true,
 	"log-level": true, "log-format": true, "cpuprofile": true, "memprofile": true,
 	"evalstats": true, "save": true, "savematrix": true, "out": true,
+	// -metrics-addr is gone, but manifests written by earlier builds still
+	// carry it.
+	"metrics-addr": true,
 	// Introspection attributes and samples; it never changes what the
 	// kernel computes (Result is bit-identical armed or not), so an armed
 	// run must diff clean against a plain one. -interval-size is gone, but

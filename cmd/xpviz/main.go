@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	xpviz [-source paper|sim] [-trace file] [-metrics-addr addr] [-progress]
+//	xpviz [-source paper|sim] [-trace file] [-progress]
 //
 // The heat map goes to stdout; diagnostics go to stderr.
 package main

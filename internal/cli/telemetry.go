@@ -1,14 +1,13 @@
 // Telemetry wiring shared by the command-line tools. Every tool registers
 // the same flags — -trace for the run's span stream (the xptrace input),
-// -metrics-addr for a live Prometheus/expvar endpoint, -progress for
-// per-workload search progress on stderr, and the introspection and
-// trace-identity knobs — and funnels them through StartTelemetry, which
-// connects them to the session. The span stream is the run's one record:
-// the header carries the manifest, every span is written as it ends, and
-// the run span, ending last, carries the engine's counters. All of it is
-// opt-in: with no flags set, StartTelemetry returns a *Telemetry whose
-// every method is a cheap no-op and the instrumented hot paths stay at
-// their uninstrumented cost.
+// -progress for per-workload search progress on stderr, and the
+// introspection and trace-identity knobs — and funnels them through
+// StartTelemetry, which connects them to the session. The span stream is
+// the run's one record: the header carries the manifest, every span is
+// written as it ends, and the run span, ending last, carries the engine's
+// counters. All of it is opt-in: with no flags set, StartTelemetry returns
+// a *Telemetry whose every method is a cheap no-op and the instrumented
+// hot paths stay at their uninstrumented cost.
 
 package cli
 
@@ -24,7 +23,6 @@ import (
 
 	"xpscalar/internal/session"
 	"xpscalar/internal/tech"
-	"xpscalar/internal/telemetry"
 	"xpscalar/internal/tracing"
 )
 
@@ -33,14 +31,10 @@ type TelemetryConfig struct {
 	// TracePath is the span-stream file ("" for none); analyze or export
 	// it with cmd/xptrace.
 	TracePath string
-	// MetricsAddr is the listen address for the /metrics endpoint ("" for
-	// none).
-	MetricsAddr string
 	// Progress renders search progress to stderr.
 	Progress bool
 	// CPI arms CPI-stack cycle accounting on every uncached simulation;
-	// evaluation spans then carry per-bucket cycle breakdowns and the
-	// CPI-share metrics go live.
+	// evaluation spans then carry per-bucket cycle breakdowns.
 	CPI bool
 	// Intervals is the interval-sampling period in committed instructions
 	// (0 for none; implies CPI accounting): each simulated member of the
@@ -50,16 +44,15 @@ type TelemetryConfig struct {
 	// TraceID joins this run to an existing trace instead of generating a
 	// fresh ID — the cross-process correlation seam: the stream and
 	// remote-cache requests carry it, so a fleet of processes started with
-	// the same ID merges into one causally-linked view.
+	// the same ID merges into one causally-linked view. It must be 16
+	// lower-case hex characters, the form tracing.NewTraceID generates.
 	TraceID string
 }
 
-// RegisterFlags registers -trace, -metrics-addr, -progress, -cpi,
-// -intervals and -trace-id on the default flag set, pointing at this
-// config.
+// RegisterFlags registers -trace, -progress, -cpi, -intervals and
+// -trace-id on the default flag set, pointing at this config.
 func (c *TelemetryConfig) RegisterFlags() {
 	flag.StringVar(&c.TracePath, "trace", "", "write the run's span stream to this file (analyze with xptrace)")
-	flag.StringVar(&c.MetricsAddr, "metrics-addr", "", "serve Prometheus /metrics on this address (e.g. 127.0.0.1:9090)")
 	flag.BoolVar(&c.Progress, "progress", false, "report search progress to stderr")
 	flag.BoolVar(&c.CPI, "cpi", false, "attribute every simulated cycle to a CPI-stack bucket (analyze with xptrace cpi)")
 	flag.IntVar(&c.Intervals, "intervals", 0, "record an interval snapshot every N committed instructions on the -trace evaluation spans (0 off; implies -cpi; analyze with xptrace intervals)")
@@ -67,12 +60,11 @@ func (c *TelemetryConfig) RegisterFlags() {
 }
 
 // Telemetry is one run's observability session: the span recorder and
-// its consumers (the -trace stream, the -progress renderer), and the
-// metrics server. A nil *Telemetry is valid and inert, as is one started
-// with an all-zero config.
+// its consumers (the -trace stream, the -progress renderer). A nil
+// *Telemetry is valid and inert, as is one started with an all-zero
+// config.
 type Telemetry struct {
 	sess     *session.Session
-	server   *telemetry.Server
 	tool     string
 	rec      *tracing.Recorder
 	stream   *tracing.StreamWriter
@@ -82,10 +74,10 @@ type Telemetry struct {
 	introOn  bool
 }
 
-// StartTelemetry opens the trace stream and metrics endpoint requested by
-// cfg and wires sess's evaluation engine into them. A nil sess selects
-// the process-default session. The caller must Close the returned
-// Telemetry when the run ends; it is never nil, even on error.
+// StartTelemetry opens the trace stream and progress renderer requested by
+// cfg and arms sess's introspection when -cpi or -intervals asks for it. A
+// nil sess selects the process-default session. The caller must Close the
+// returned Telemetry when the run ends; it is never nil, even on error.
 func StartTelemetry(tool string, sess *session.Session, cfg TelemetryConfig) (*Telemetry, error) {
 	if sess == nil {
 		sess = session.Default()
@@ -96,6 +88,9 @@ func StartTelemetry(tool string, sess *session.Session, cfg TelemetryConfig) (*T
 	}
 	if cfg.Intervals > 0 && cfg.TracePath == "" {
 		return t, fmt.Errorf("-intervals needs -trace: interval series are recorded on the trace's evaluation spans")
+	}
+	if cfg.TraceID != "" && !validTraceID(cfg.TraceID) {
+		return t, fmt.Errorf("-trace-id %q: want 16 lower-case hex characters", cfg.TraceID)
 	}
 	if cfg.CPI || cfg.Intervals > 0 {
 		t.introOn = true
@@ -120,17 +115,23 @@ func StartTelemetry(tool string, sess *session.Session, cfg TelemetryConfig) (*T
 			Tool: tool, TraceID: t.rec.TraceID(), OriginUnixNs: t.rec.Origin(), Manifest: manifest(),
 		})
 	}
-	if cfg.MetricsAddr != "" {
-		reg := telemetry.Default()
-		sess.EnableTelemetry(reg)
-		srv, err := telemetry.ListenAndServe(cfg.MetricsAddr, reg)
-		if err != nil {
-			return t, err
-		}
-		t.server = srv
-		slog.Info("serving metrics", "url", fmt.Sprintf("http://%s/metrics", srv.Addr()))
-	}
 	return t, nil
+}
+
+// validTraceID reports whether id has the form tracing.NewTraceID
+// generates. Anything else would reach the remote cache tier's trace
+// header, where a control character makes Go's HTTP client refuse every
+// request and the tier silently serve nothing.
+func validTraceID(id string) bool {
+	if len(id) != 16 {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		if c := id[i]; !('0' <= c && c <= '9' || 'a' <= c && c <= 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // consume hands one ended span to the run's consumers.
@@ -193,9 +194,9 @@ func manifest() *tracing.Manifest {
 }
 
 // Close ends the run span with the engine's counters — the stream's last
-// line — closes the stream, shuts the metrics server down, and closes the
-// session, flushing its persistent cache tier, when one is configured, so
-// every evaluation the run paid for is durable before the process exits.
+// line — closes the stream, and closes the session, flushing its
+// persistent cache tier, when one is configured, so every evaluation the
+// run paid for is durable before the process exits.
 // Safe on a nil or inert Telemetry, and safe to call on the interrupt
 // path: everything buffered is flushed before the process decides its
 // exit code.
@@ -243,12 +244,6 @@ func (t *Telemetry) Close() (firstErr error) {
 	if t.introOn {
 		t.sess.DisableIntrospection()
 		t.introOn = false
-	}
-	if t.server != nil {
-		if err := t.server.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		t.server = nil
 	}
 	return firstErr
 }

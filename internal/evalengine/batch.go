@@ -301,9 +301,6 @@ func (e *Engine) runGroup(h tracing.Handle, lanes []int, claims []batchClaim, cf
 		if err != nil {
 			me.err = err
 		} else {
-			if iv != nil {
-				e.addCPITotals(results[j].CPI)
-			}
 			score, serr := power.Score(results[j], obj, t)
 			if serr != nil {
 				me.err = serr

@@ -22,7 +22,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"xpscalar/internal/pipeline"
 	"xpscalar/internal/power"
 	"xpscalar/internal/sim"
 	"xpscalar/internal/tech"
@@ -160,10 +159,8 @@ type Engine struct {
 	// Introspection: the armed interval-sampling period, nil by default
 	// (kernel runs with accounting off, the zero-alloc fast path). When
 	// armed, every miss runs with CPI-stack accounting — and, with a
-	// positive period, interval sampling — and its stack is folded into
-	// cpiTotals, the run-wide cycle breakdown the CPI-share metrics export.
-	intro     atomic.Pointer[int]
-	cpiTotals [pipeline.NumBuckets]atomic.Uint64
+	// positive period, interval sampling — and its stack rides its result.
+	intro atomic.Pointer[int]
 }
 
 // backendRef boxes the CacheBackend interface value so it can live in an
@@ -213,25 +210,6 @@ func (e *Engine) EnableIntrospection(interval int) {
 // DisableIntrospection returns subsequent simulations to the accounting-off
 // fast path.
 func (e *Engine) DisableIntrospection() { e.intro.Store(nil) }
-
-// CPITotals returns the summed CPI stack of every introspected simulation
-// the engine has run.
-func (e *Engine) CPITotals() pipeline.CPIStack {
-	var s pipeline.CPIStack
-	for b := range s {
-		s[b] = e.cpiTotals[b].Load()
-	}
-	return s
-}
-
-// addCPITotals folds one simulation's stack into the run-wide breakdown.
-func (e *Engine) addCPITotals(s pipeline.CPIStack) {
-	for b, v := range s {
-		if v != 0 {
-			e.cpiTotals[b].Add(v)
-		}
-	}
-}
 
 // EnableTelemetry registers the engine's counters, the cache-occupancy
 // gauges and the simulation-latency histogram with a metrics registry.
@@ -339,12 +317,6 @@ func (e *Engine) EnableTelemetry(reg *telemetry.Registry) {
 		func() float64 { return float64(e.traces.bypasses.Load()) })
 	reg.Func("xpscalar_trace_evictions_total", "profile streams evicted from the trace store", "counter",
 		func() float64 { return float64(e.traces.evictions.Load()) })
-	reg.Func("xpscalar_trace_batch_serves_total", "NextBatch calls served by replay sources", "counter",
-		func() float64 { return float64(e.traces.batchCalls.Load()) })
-	reg.Func("xpscalar_trace_batch_instr_total", "instructions delivered through the batched replay path", "counter",
-		func() float64 { return float64(e.traces.batchInstr.Load()) })
-	reg.Func("xpscalar_trace_scalar_instr_total", "instructions delivered one at a time by replay sources", "counter",
-		func() float64 { return float64(e.traces.scalarInstr.Load()) })
 	reg.Func("xpscalar_pool_maps_total", "Pool.Map fan-out calls", "counter",
 		func() float64 { return float64(e.pool.maps.Load()) })
 	reg.Func("xpscalar_pool_jobs_total", "jobs executed by the worker pool", "counter",
@@ -357,16 +329,6 @@ func (e *Engine) EnableTelemetry(reg *telemetry.Registry) {
 		func() float64 { return float64(e.lockstepLanes.Load()) })
 	reg.Func("xpscalar_lockstep_scalar_fallbacks_total", "failed lockstep groups retried member by member as groups of one", "counter",
 		func() float64 { return float64(e.scalarFallbacks.Load()) })
-	// One share gauge per CPI bucket: this bucket's fraction of all cycles
-	// simulated with introspection armed. All zeros until introspection is
-	// enabled; thereafter the family sums to 1.
-	names := pipeline.BucketNames()
-	for b := 0; b < pipeline.NumBuckets; b++ {
-		bucket := pipeline.Bucket(b)
-		reg.Func("xpscalar_cpi_share_"+names[b],
-			"fraction of introspected cycles attributed to the "+names[b]+" CPI bucket", "gauge",
-			func() float64 { return e.CPITotals().Share(bucket) })
-	}
 	// Bounds from 100µs to ~1.6s: short-budget evaluations land in the low
 	// buckets, refinement-budget ones further up.
 	e.simHist.Store(reg.Histogram("xpscalar_sim_seconds",
@@ -585,12 +547,6 @@ type Stats struct {
 	// TraceBypasses the requests too large to cache; TraceEvictions the
 	// profile streams evicted.
 	TraceInstr, TraceReplays, TraceBypasses, TraceEvictions uint64
-	// TraceBatchCalls counts NextBatch calls served by replay sources;
-	// TraceBatchInstr the instructions they delivered; TraceScalarInstr the
-	// instructions delivered one at a time through scalar Next. A healthy
-	// batched fetch path shows BatchInstr/BatchCalls near the pipeline's
-	// slab size and ScalarInstr near zero.
-	TraceBatchCalls, TraceBatchInstr, TraceScalarInstr uint64
 	// LockstepGroups counts the lockstep simulation groups run — every
 	// simulation rides one, a lone miss as a group of one; LockstepLanes
 	// the simulations those groups carried (Misses − LockstepLanes is the
@@ -614,9 +570,9 @@ func (s Stats) HitRate() float64 {
 }
 
 func (s Stats) String() string {
-	base := fmt.Sprintf("evals=%d cached=%d dedup=%d sims=%d (%.1f%% saved) evictions=%d entries=%d trace: %d instr built, %d replays, %d bypasses, %d batch-served (%d calls), %d scalar-served; lockstep: %d groups, %d lanes, %d fallbacks",
+	base := fmt.Sprintf("evals=%d cached=%d dedup=%d sims=%d (%.1f%% saved) evictions=%d entries=%d trace: %d instr built, %d replays, %d bypasses; lockstep: %d groups, %d lanes, %d fallbacks",
 		s.Requests, s.Hits, s.Deduped, s.Misses, 100*s.HitRate(), s.Evictions, s.CacheEntries,
-		s.TraceInstr, s.TraceReplays, s.TraceBypasses, s.TraceBatchInstr, s.TraceBatchCalls, s.TraceScalarInstr,
+		s.TraceInstr, s.TraceReplays, s.TraceBypasses,
 		s.LockstepGroups, s.LockstepLanes, s.ScalarFallbacks)
 	if s.DiskHits == 0 && s.DiskMisses == 0 && s.Disk == (BackendStats{}) {
 		return base
@@ -637,25 +593,22 @@ func (e *Engine) Stats() Stats {
 		disk = be.Stats()
 	}
 	return Stats{
-		Requests:         e.requests.Load(),
-		Hits:             e.hits.Load(),
-		Deduped:          e.deduped.Load(),
-		Misses:           e.misses.Load(),
-		DiskHits:         e.diskHits.Load(),
-		DiskMisses:       e.diskMisses.Load(),
-		Disk:             disk,
-		Evictions:        e.evicted.Load(),
-		CacheEntries:     uint64(e.CacheEntries()),
-		TraceInstr:       e.traces.built.Load(),
-		TraceReplays:     e.traces.replays.Load(),
-		TraceBypasses:    e.traces.bypasses.Load(),
-		TraceEvictions:   e.traces.evictions.Load(),
-		TraceBatchCalls:  e.traces.batchCalls.Load(),
-		TraceBatchInstr:  e.traces.batchInstr.Load(),
-		TraceScalarInstr: e.traces.scalarInstr.Load(),
-		LockstepGroups:   e.lockstepGroups.Load(),
-		LockstepLanes:    e.lockstepLanes.Load(),
-		ScalarFallbacks:  e.scalarFallbacks.Load(),
+		Requests:        e.requests.Load(),
+		Hits:            e.hits.Load(),
+		Deduped:         e.deduped.Load(),
+		Misses:          e.misses.Load(),
+		DiskHits:        e.diskHits.Load(),
+		DiskMisses:      e.diskMisses.Load(),
+		Disk:            disk,
+		Evictions:       e.evicted.Load(),
+		CacheEntries:    uint64(e.CacheEntries()),
+		TraceInstr:      e.traces.built.Load(),
+		TraceReplays:    e.traces.replays.Load(),
+		TraceBypasses:   e.traces.bypasses.Load(),
+		TraceEvictions:  e.traces.evictions.Load(),
+		LockstepGroups:  e.lockstepGroups.Load(),
+		LockstepLanes:   e.lockstepLanes.Load(),
+		ScalarFallbacks: e.scalarFallbacks.Load(),
 	}
 }
 
@@ -673,13 +626,7 @@ func (e *Engine) ResetStats() {
 	e.traces.replays.Store(0)
 	e.traces.bypasses.Store(0)
 	e.traces.evictions.Store(0)
-	e.traces.batchCalls.Store(0)
-	e.traces.batchInstr.Store(0)
-	e.traces.scalarInstr.Store(0)
 	e.lockstepGroups.Store(0)
 	e.lockstepLanes.Store(0)
 	e.scalarFallbacks.Store(0)
-	for b := range e.cpiTotals {
-		e.cpiTotals[b].Store(0)
-	}
 }

@@ -2,8 +2,7 @@
 // engine must decorate evaluations without changing them — misses carry a
 // stack that sums to their cycle count, hits replay the memoized stack,
 // batches and single evaluations produce identical stacks and interval
-// series, each series rides the traced member that simulated it, and the
-// run-wide totals surface as scrape-time metrics.
+// series, and each series rides the traced member that simulated it.
 
 package evalengine
 
@@ -11,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
@@ -19,7 +17,6 @@ import (
 	"xpscalar/internal/power"
 	"xpscalar/internal/sim"
 	"xpscalar/internal/tech"
-	"xpscalar/internal/telemetry"
 	"xpscalar/internal/tracing"
 	"xpscalar/internal/workload"
 )
@@ -78,9 +75,6 @@ func TestEngineIntrospectionDecoratesEvaluations(t *testing.T) {
 			t.Errorf("%s member carries an interval series with sampling off", m.Outcome)
 		}
 	}
-	if got := eng.CPITotals(); got != miss.Result.CPI {
-		t.Errorf("CPITotals after one miss = %v, want that miss's stack %v", got, miss.Result.CPI)
-	}
 
 	// Disarming returns subsequent misses to the undecorated fast path.
 	eng.DisableIntrospection()
@@ -136,10 +130,6 @@ func TestEngineBatchIntrospectionMatchesScalar(t *testing.T) {
 		if dst[i].Result.CPI != want[i].Result.CPI {
 			t.Errorf("member %d CPI diverged:\n got  %v\nwant %v", i, dst[i].Result.CPI, want[i].Result.CPI)
 		}
-	}
-	if batchEng.CPITotals() != scalarEng.CPITotals() {
-		t.Errorf("run-wide CPI totals diverged: batch %v, scalar %v",
-			batchEng.CPITotals(), scalarEng.CPITotals())
 	}
 
 	// Later simulations reuse the pooled runners' lane slices: each
@@ -266,38 +256,5 @@ func TestEngineConcurrentIntervalSeries(t *testing.T) {
 				t.Errorf("%s member %d series (%d records) differs from its lone run (%d records)", p.Name, i, len(recs), len(want[p.Name][i]))
 			}
 		}
-	}
-}
-
-// The introspection metric family: the per-bucket CPI shares, rendered
-// through the registry's Prometheus text.
-func TestIntrospectionMetrics(t *testing.T) {
-	tp := tech.Default()
-	cfg := sim.InitialConfig(tp)
-	p := testProfile(31)
-
-	eng := New(Options{})
-	eng.EnableIntrospection(1000)
-	reg := telemetry.NewRegistry()
-	eng.EnableTelemetry(reg)
-
-	if _, err := eng.Evaluate(context.Background(), cfg, p, 5000, tp, power.ObjIPT); err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	text := sb.String()
-	names := pipeline.BucketNames()
-	shareSum := 0.0
-	for b := 0; b < pipeline.NumBuckets; b++ {
-		if !strings.Contains(text, "xpscalar_cpi_share_"+names[b]+" ") {
-			t.Errorf("Prometheus text missing cpi share for %s:\n%s", names[b], text)
-		}
-		shareSum += eng.CPITotals().Share(pipeline.Bucket(b))
-	}
-	if shareSum < 0.999 || shareSum > 1.001 {
-		t.Errorf("bucket shares sum to %v, want 1", shareSum)
 	}
 }

@@ -30,15 +30,6 @@ type traceStore struct {
 	replays   atomic.Uint64 // sources served from cached streams
 	bypasses  atomic.Uint64 // requests too large to cache
 	evictions atomic.Uint64 // profile streams evicted
-
-	// Delivery counters, fed by the replay sources this store hands out:
-	// how many instructions reached consumers through the batched
-	// near-memcpy path vs the scalar per-instruction path. Together with
-	// built (generated instructions) they make replay-vs-generate
-	// throughput observable.
-	batchCalls  atomic.Uint64 // NextBatch calls served by replay sources
-	batchInstr  atomic.Uint64 // instructions delivered via NextBatch
-	scalarInstr atomic.Uint64 // instructions delivered via scalar Next
 }
 
 // traceEntry is one profile's materialized stream. The generator and slice
@@ -109,7 +100,7 @@ func (s *traceStore) source(p workload.Profile, n int) (workload.Source, error) 
 	instrs := e.instrs[:n:n]
 	e.mu.Unlock()
 	s.replays.Add(1)
-	return &replaySource{instrs: instrs, store: s}, nil
+	return &replaySource{instrs: instrs}, nil
 }
 
 // grown charges the entry's growth against the store budget and evicts
@@ -141,13 +132,11 @@ func (s *traceStore) grown(e *traceEntry, n int) {
 
 // replaySource replays a materialized instruction slice. Like
 // workload.TraceReader it wraps at the end, though the pipeline consumes
-// exactly len(instrs) per evaluation. Deliveries are charged to the owning
-// store's batch/scalar counters (one atomic add per call; the batch path
-// amortizes it over a whole slab).
+// exactly len(instrs) per evaluation. The kernel reads it through
+// NextBatch; Next completes workload.Source.
 type replaySource struct {
 	instrs []workload.Instr
 	pos    int
-	store  *traceStore
 }
 
 func (r *replaySource) Next(ins *workload.Instr) {
@@ -156,7 +145,6 @@ func (r *replaySource) Next(ins *workload.Instr) {
 	if r.pos == len(r.instrs) {
 		r.pos = 0
 	}
-	r.store.scalarInstr.Add(1)
 }
 
 // NextBatch copies the next len(dst) instructions out of the materialized
@@ -171,7 +159,5 @@ func (r *replaySource) NextBatch(dst []workload.Instr) int {
 			r.pos = 0
 		}
 	}
-	r.store.batchCalls.Add(1)
-	r.store.batchInstr.Add(uint64(n))
 	return n
 }

@@ -106,9 +106,6 @@ func (s *Session) Flush() error {
 // Engine returns the session's evaluation engine.
 func (s *Session) Engine() *evalengine.Engine { return s.engine }
 
-// Recorder returns the session's span recorder (nil when tracing is off).
-func (s *Session) Recorder() *tracing.Recorder { return s.rec }
-
 // trace attaches the session's recorder to ctx unless one is already
 // installed; with no recorder configured this is a no-op returning ctx.
 func (s *Session) trace(ctx context.Context) context.Context {

@@ -83,11 +83,11 @@ func TestSessionExploreWiresEngine(t *testing.T) {
 	}
 }
 
-// Regression for the session-reset telemetry trap: each SetDefault swap
-// re-runs EnableTelemetry against the same process-wide registry, which
-// used to keep the first engine's Func closures — scrapes then read a
-// dead engine's counters (and any kind drift panicked). Re-registration
-// must be panic-free and follow the live session.
+// Regression for the session-reset telemetry trap: a registry wired to
+// one session and then, after a SetDefault swap, to its replacement used
+// to keep the first engine's Func closures — scrapes then read a dead
+// engine's counters (and any kind drift panicked). Re-registration must
+// be panic-free and follow the live session.
 func TestEnableTelemetryAcrossSetDefaultResets(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	prev := SetDefault(nil)

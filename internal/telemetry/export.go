@@ -42,10 +42,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 		fmt.Fprintf(bw, "# TYPE %s %s\n", m.name, m.kind)
 		switch {
-		case m.counter != nil:
-			fmt.Fprintf(bw, "%s %d\n", m.name, m.counter.Value())
-		case m.gauge != nil:
-			fmt.Fprintf(bw, "%s %s\n", m.name, formatFloat(m.gauge.Value()))
 		case m.fn != nil:
 			fmt.Fprintf(bw, "%s %s\n", m.name, formatFloat(m.fn()))
 		case m.histogram != nil:
@@ -81,10 +77,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	r.mu.RLock()
 	for name, m := range r.metrics {
 		switch {
-		case m.counter != nil:
-			out[name] = m.counter.Value()
-		case m.gauge != nil:
-			out[name] = m.gauge.Value()
 		case m.fn != nil:
 			out[name] = m.fn()
 		case m.histogram != nil:

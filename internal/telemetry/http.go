@@ -1,30 +1,20 @@
-// The live metrics endpoint. A run started with -metrics-addr serves its
-// registry over HTTP while it executes: /metrics in the Prometheus text
-// format (scrapeable by a stock Prometheus), /metrics.json as one JSON
-// object (curl-and-jq friendly, expvar style), /healthz for liveness
-// probes, /buildinfo for identifying exactly which build is running, and
-// the stock /debug/pprof/* profiling handlers so a long search can be
-// profiled in flight. The server binds eagerly so a bad address fails the
-// run at startup, then serves in the background.
+// The metrics endpoint xpserved mounts beside its job API: /metrics in
+// the Prometheus text format (scrapeable by a stock Prometheus),
+// /metrics.json as one JSON object (curl-and-jq friendly, expvar style),
+// /healthz for liveness probes, /buildinfo for identifying exactly which
+// build is running, and the stock /debug/pprof/* profiling handlers so a
+// long-running server can be profiled in flight.
 
 package telemetry
 
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
 	"runtime/debug"
-	"time"
 )
-
-// Server is a live metrics endpoint bound to one registry.
-type Server struct {
-	ln  net.Listener
-	srv *http.Server
-}
 
 // Handler returns an http.Handler serving the registry: Prometheus text at
 // /metrics, JSON at /metrics.json, liveness at /healthz, build identity at
@@ -97,27 +87,4 @@ func buildInfo() map[string]string {
 		}
 	}
 	return out
-}
-
-// ListenAndServe binds addr (e.g. ":9090" or "127.0.0.1:0") and serves the
-// registry in a background goroutine until Close.
-func ListenAndServe(addr string, r *Registry) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("telemetry: metrics endpoint: %w", err)
-	}
-	s := &Server{ln: ln, srv: &http.Server{Handler: r.Handler(), ReadHeaderTimeout: 5 * time.Second}}
-	go func() { _ = s.srv.Serve(ln) }()
-	return s, nil
-}
-
-// Addr returns the bound address, useful when the requested port was 0.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Close stops the endpoint.
-func (s *Server) Close() error {
-	if s == nil {
-		return nil
-	}
-	return s.srv.Close()
 }

@@ -4,33 +4,37 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
 
-// The live endpoint must serve non-empty Prometheus text and parseable
-// JSON while the process runs.
-func TestListenAndServe(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("xp_requests_total", "requests").Add(3)
-	r.Histogram("xp_latency_seconds", "", []float64{0.1, 1}).Observe(0.5)
-
-	srv, err := ListenAndServe("127.0.0.1:0", r)
+// get fetches path from srv, returning the status, Content-Type and body.
+func get(t *testing.T, srv *httptest.Server, path string) (int, string, []byte) {
+	t.Helper()
+	resp, err := http.Get(srv.URL + path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, resp.Header.Get("Content-Type"), body
+}
+
+// The handler serves the registry as non-empty Prometheus text and
+// parseable JSON, and 404s paths it does not mount.
+func TestHandler(t *testing.T) {
+	r := NewRegistry()
+	r.Func("xp_requests_total", "requests", "counter", func() float64 { return 3 })
+	r.Histogram("xp_latency_seconds", "", []float64{0.1, 1}).Observe(0.5)
+	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()
 
-	resp, err := http.Get("http://" + srv.Addr() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+	_, ct, body := get(t, srv, "/metrics")
+	if !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Errorf("Content-Type = %q", ct)
 	}
 	text := string(body)
@@ -41,83 +45,40 @@ func TestListenAndServe(t *testing.T) {
 		t.Errorf("/metrics missing histogram bucket:\n%s", text)
 	}
 
-	resp, err = http.Get("http://" + srv.Addr() + "/metrics.json")
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, _, body = get(t, srv, "/metrics.json")
 	var decoded map[string]any
-	err = json.NewDecoder(resp.Body).Decode(&decoded)
-	resp.Body.Close()
-	if err != nil {
+	if err := json.Unmarshal(body, &decoded); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := decoded["xp_requests_total"].(float64); !ok || got != 3 {
 		t.Errorf("/metrics.json xp_requests_total = %v", decoded["xp_requests_total"])
 	}
 
-	resp, err = http.Get("http://" + srv.Addr() + "/nope")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown path status = %d", resp.StatusCode)
+	if code, _, _ := get(t, srv, "/nope"); code != http.StatusNotFound {
+		t.Errorf("unknown path status = %d", code)
 	}
 }
 
 // The operational endpoints: /healthz answers ok, /buildinfo identifies
 // the build, and the pprof index is mounted on the custom mux.
 func TestOperationalEndpoints(t *testing.T) {
-	srv, err := ListenAndServe("127.0.0.1:0", NewRegistry())
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := httptest.NewServer(NewRegistry().Handler())
 	defer srv.Close()
 
-	resp, err := http.Get("http://" + srv.Addr() + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || strings.TrimSpace(string(body)) != "ok" {
-		t.Errorf("/healthz = %d %q", resp.StatusCode, body)
+	if code, _, body := get(t, srv, "/healthz"); code != http.StatusOK || strings.TrimSpace(string(body)) != "ok" {
+		t.Errorf("/healthz = %d %q", code, body)
 	}
 
-	resp, err = http.Get("http://" + srv.Addr() + "/buildinfo")
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, _, body := get(t, srv, "/buildinfo")
 	var bi map[string]string
-	err = json.NewDecoder(resp.Body).Decode(&bi)
-	resp.Body.Close()
-	if err != nil {
+	if err := json.Unmarshal(body, &bi); err != nil {
 		t.Fatal(err)
 	}
 	if bi["go_version"] == "" {
 		t.Errorf("/buildinfo missing go_version: %v", bi)
 	}
 
-	resp, err = http.Get("http://" + srv.Addr() + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "goroutine") {
-		t.Errorf("/debug/pprof/ = %d, body lacks profile index", resp.StatusCode)
-	}
-}
-
-func TestListenAndServeBadAddr(t *testing.T) {
-	if _, err := ListenAndServe("256.256.256.256:0", NewRegistry()); err == nil {
-		t.Error("binding an invalid address did not fail")
-	}
-}
-
-func TestServerCloseNil(t *testing.T) {
-	var s *Server
-	if err := s.Close(); err != nil {
-		t.Errorf("nil server Close() = %v", err)
+	if code, _, body := get(t, srv, "/debug/pprof/"); code != http.StatusOK || !strings.Contains(string(body), "goroutine") {
+		t.Errorf("/debug/pprof/ = %d, body lacks profile index", code)
 	}
 }

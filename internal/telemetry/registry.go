@@ -1,15 +1,16 @@
-// Package telemetry is the observability substrate of the framework: a
-// dependency-free metrics registry (counters, gauges, bounded histograms)
-// with Prometheus-text and expvar-style JSON exporters and an HTTP endpoint
-// serving both. A run's record of what happened lives in its span stream
-// (internal/tracing); this package answers "how much, right now".
+// Package telemetry is the metrics registry xpserved serves: a
+// dependency-free registry of scrape-time functions and bounded
+// histograms, with Prometheus-text and expvar-style JSON exporters and an
+// HTTP handler serving both. A run's record of what happened lives in its
+// span stream (internal/tracing); this package answers a long-running
+// server's "how much, right now".
 //
-// The package imports only the standard library and none of the framework's
-// other packages, so every layer — the evaluation engine, the annealer, the
-// matrix builder, the command-line tools — can depend on it without cycles.
-// All types are safe for concurrent use; the hot-path operations (Counter.
-// Add, Gauge.Set, Histogram.Observe) are single atomic updates and never
-// allocate.
+// The package imports only the standard library and none of the
+// framework's other packages, so every layer — the evaluation engine, the
+// cache tiers, the job scheduler — can register into it without cycles.
+// All types are safe for concurrent use; the one hot-path operation,
+// Histogram.Observe, is a binary search plus atomic updates and never
+// allocates.
 package telemetry
 
 import (
@@ -19,43 +20,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// Counter is a monotonically increasing metric.
-type Counter struct {
-	v atomic.Uint64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a metric that can go up and down. The value is a float64 stored
-// atomically.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adjusts the gauge by delta (which may be negative).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the gauge's current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram counts observations into a fixed set of buckets with inclusive
 // upper bounds (Prometheus `le` semantics). The bucket layout is immutable
@@ -165,12 +129,10 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// metric is one registered metric: exactly one of the typed fields is set.
+// metric is one registered metric: exactly one of histogram and fn is set.
 type metric struct {
 	name, help string
 	kind       string // "counter", "gauge", "histogram"
-	counter    *Counter
-	gauge      *Gauge
 	histogram  *Histogram
 	fn         func() float64 // read-only metric computed at scrape time
 }
@@ -188,17 +150,6 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{metrics: make(map[string]*metric)}
-}
-
-var (
-	defaultOnce sync.Once
-	defaultReg  *Registry
-)
-
-// Default returns the process-wide registry the framework instruments into.
-func Default() *Registry {
-	defaultOnce.Do(func() { defaultReg = NewRegistry() })
-	return defaultReg
 }
 
 // validName enforces the Prometheus metric-name charset.
@@ -222,36 +173,6 @@ func (r *Registry) lookup(name string) *metric {
 	return r.metrics[name]
 }
 
-// Counter registers (or returns the existing) counter under name.
-func (r *Registry) Counter(name, help string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m := r.lookup(name); m != nil {
-		if m.counter == nil {
-			panic(fmt.Sprintf("telemetry: %s already registered as %s", name, m.kind))
-		}
-		return m.counter
-	}
-	c := &Counter{}
-	r.metrics[name] = &metric{name: name, help: help, kind: "counter", counter: c}
-	return c
-}
-
-// Gauge registers (or returns the existing) gauge under name.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m := r.lookup(name); m != nil {
-		if m.gauge == nil {
-			panic(fmt.Sprintf("telemetry: %s already registered as %s", name, m.kind))
-		}
-		return m.gauge
-	}
-	g := &Gauge{}
-	r.metrics[name] = &metric{name: name, help: help, kind: "gauge", gauge: g}
-	return g
-}
-
 // Histogram registers (or returns the existing) histogram under name. The
 // bounds of an existing histogram are kept; the new bounds are ignored.
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
@@ -270,12 +191,14 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 
 // Func registers a read-only metric whose value is computed by fn at scrape
 // time — the bridge for layers that already keep their own atomic counters
-// (the evaluation engine, the worker pool). kind must be "counter" or
-// "gauge" and selects the exported Prometheus type. Re-registering an
-// existing func metric with the same kind replaces the function (latest
-// wins): func metrics close over their producer, so when the producer is
-// replaced — a session reset swapping the engine under the process-default
-// registry — the scrape must follow the live object, not a stale closure.
+// (the evaluation engine, the worker pool, the job scheduler). kind must be
+// "counter" or "gauge" and selects the exported Prometheus type.
+// Re-registering an existing func metric with the same kind replaces the
+// function (latest wins). Func metrics close over their producer, and
+// EnableTelemetry is documented as safe to call more than once, with the
+// same producer or, after a session is replaced, with a new one: the
+// scrape must follow the live object, not a stale closure, and a second
+// registration must not panic.
 func (r *Registry) Func(name, help, kind string, fn func() float64) {
 	if kind != "counter" && kind != "gauge" {
 		panic(fmt.Sprintf("telemetry: func metric %s has kind %q, want counter or gauge", name, kind))

@@ -1,20 +1,24 @@
 package telemetry
 
 import (
+	"fmt"
+	"io"
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
-// The registry and its metric types are hammered from the hot path of a
-// parallel search, so the contract is exercised under the race detector
-// (make verify runs this package with -race).
+// The registry is hammered from the hot path of a parallel search and
+// scraped while it is, so the contract is exercised under the race
+// detector (make race-hot runs this package with -race): concurrent
+// observations, get-or-create of one histogram, func re-registration and
+// scrapes of both exporters.
 func TestConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("c_total", "")
-	g := r.Gauge("g", "")
 	h := r.Histogram("h_seconds", "", []float64{1, 10, 100})
+	var served atomic.Uint64
 
 	const workers, perWorker = 8, 1000
 	var wg sync.WaitGroup
@@ -23,25 +27,26 @@ func TestConcurrentUpdates(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				c.Inc()
-				g.Add(1)
 				h.Observe(float64(i % 200))
+				served.Add(1)
 				// Get-or-create must return the same metric under contention.
-				if r.Counter("c_total", "") != c {
-					t.Error("Counter returned a different instance")
+				if r.Histogram("h_seconds", "", nil) != h {
+					t.Error("Histogram returned a different instance")
 					return
+				}
+				if i%100 == 0 {
+					r.Func("served_total", "", "counter", func() float64 { return float64(served.Load()) })
+					if w%2 == 0 {
+						_ = r.WritePrometheus(io.Discard)
+					} else {
+						_ = r.WriteJSON(io.Discard)
+					}
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
 
-	if got := c.Value(); got != workers*perWorker {
-		t.Errorf("counter = %d, want %d", got, workers*perWorker)
-	}
-	if got := g.Value(); got != workers*perWorker {
-		t.Errorf("gauge = %g, want %d", got, workers*perWorker)
-	}
 	if got := h.Count(); got != workers*perWorker {
 		t.Errorf("histogram count = %d, want %d", got, workers*perWorker)
 	}
@@ -52,6 +57,13 @@ func TestConcurrentUpdates(t *testing.T) {
 	wantSum *= workers
 	if got := h.Sum(); math.Abs(got-wantSum) > 1e-6 {
 		t.Errorf("histogram sum = %g, want %g", got, wantSum)
+	}
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("served_total %d\n", workers*perWorker); !strings.Contains(sb.String(), want) {
+		t.Errorf("func metric does not read its producer, want %q in:\n%s", want, sb.String())
 	}
 }
 
@@ -110,15 +122,28 @@ func TestExpBuckets(t *testing.T) {
 	}
 }
 
+// A name registered as one kind cannot be registered as another, in
+// either direction between a func metric and a histogram.
 func TestKindMismatchPanics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("m_total", "")
-	defer func() {
-		if recover() == nil {
-			t.Error("registering m_total as a gauge did not panic")
-		}
-	}()
-	r.Gauge("m_total", "")
+	for name, register := range map[string]func(r *Registry){
+		"histogram over func": func(r *Registry) {
+			r.Func("m_total", "", "counter", func() float64 { return 0 })
+			r.Histogram("m_total", "", []float64{1})
+		},
+		"func over histogram": func(r *Registry) {
+			r.Histogram("m_seconds", "", []float64{1})
+			r.Func("m_seconds", "", "gauge", func() float64 { return 0 })
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: registering a second kind under one name did not panic", name)
+				}
+			}()
+			register(NewRegistry())
+		}()
+	}
 }
 
 func TestInvalidNamePanics(t *testing.T) {
@@ -128,15 +153,15 @@ func TestInvalidNamePanics(t *testing.T) {
 			t.Error("registering an invalid metric name did not panic")
 		}
 	}()
-	r.Counter("0bad name", "")
+	r.Histogram("0bad name", "", []float64{1})
 }
 
 // The Prometheus rendering is pinned against a golden: sorted names, HELP
 // and TYPE comments, cumulative histogram buckets with an explicit +Inf.
 func TestWritePrometheusGolden(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("xp_requests_total", "requests served").Add(42)
-	r.Gauge("xp_depth", "current depth").Set(2.5)
+	r.Func("xp_requests_total", "requests served", "counter", func() float64 { return 42 })
+	r.Func("xp_depth", "current depth", "gauge", func() float64 { return 2.5 })
 	r.Func("xp_live", "computed at scrape time", "gauge", func() float64 { return 7 })
 	h := r.Histogram("xp_latency_seconds", "request latency", []float64{0.01, 0.1, 1})
 	h.Observe(0.005)
@@ -190,9 +215,9 @@ func TestFormatFloat(t *testing.T) {
 }
 
 // Func metrics close over their producer, so re-registration must be
-// latest-wins: after a producer swap (a session reset replacing the engine
-// under the process-default registry) the scrape has to follow the live
-// object — and must never panic on the duplicate name.
+// latest-wins: after a producer swap (a registry wired to a session, then
+// to its replacement) the scrape has to follow the live object — and must
+// never panic on the duplicate name.
 func TestFuncReRegistrationLatestWins(t *testing.T) {
 	r := NewRegistry()
 	v := 1.0

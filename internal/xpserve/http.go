@@ -1,12 +1,11 @@
-// The HTTP/JSON surface of the exploration service. Five job routes on a
-// Go 1.22 pattern mux:
+// The HTTP/JSON surface of the exploration service. Five job routes and a
+// readiness route on a Go 1.22 pattern mux:
 //
 //	POST   /v1/jobs             submit (returns 202 + the queued status)
 //	GET    /v1/jobs             list all jobs, submission order
 //	GET    /v1/jobs/{id}        one job's status (+ result once done)
 //	GET    /v1/jobs/{id}/events tail the job's span stream (JSONL)
 //	DELETE /v1/jobs/{id}        cancel
-//	GET    /v1/status           this process's self-report
 //	GET    /readyz              readiness (503 when saturated or a probe fails)
 //
 // plus the shared observability mount (/metrics, /metrics.json, /healthz,
@@ -39,7 +38,6 @@ func (s *Scheduler) Handler(reg *telemetry.Registry) http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	mux.HandleFunc("GET /v1/status", s.handleStatus)
 	mux.HandleFunc("GET /readyz", s.handleReady)
 	if reg != nil {
 		mux.Handle("/", reg.Handler())
@@ -116,11 +114,6 @@ func (s *Scheduler) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, st)
-}
-
-// handleStatus serves this process's self-report.
-func (s *Scheduler) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.SelfStatus())
 }
 
 // handleReady answers readiness: 200 when the process should receive new

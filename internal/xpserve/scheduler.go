@@ -42,11 +42,10 @@ var ErrNotFound = fmt.Errorf("xpserve: no such job")
 // jobs evaluate on one shared Session: tenants share its memory cache,
 // its persistent tier, and its simulation worker pool.
 type Scheduler struct {
-	sess    *session.Session
-	opts    Options // normalized: MaxJobs and Backlog are the effective bounds
-	started time.Time
-	queue   chan *Job
-	wg      sync.WaitGroup
+	sess  *session.Session
+	opts  Options // normalized: MaxJobs and Backlog are the effective bounds
+	queue chan *Job
+	wg    sync.WaitGroup
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
@@ -71,7 +70,6 @@ func New(sess *session.Session, o Options) *Scheduler {
 	s := &Scheduler{
 		sess:       sess,
 		opts:       o,
-		started:    time.Now(),
 		queue:      make(chan *Job, o.Backlog),
 		jobs:       make(map[string]*Job),
 		baseCtx:    ctx,
@@ -126,9 +124,16 @@ func (s *Scheduler) Submit(req JobRequest) (*JobStatus, error) {
 	return &st, nil
 }
 
+// maxBudget bounds every per-evaluation instruction budget a job may ask
+// for at the paper's refinement budget. A simulation that has started runs
+// to completion, so without a bound one request could hold a job worker
+// for days, past DELETE and past shutdown.
+const maxBudget = 100_000_000
+
 // validate rejects malformed requests before they occupy a queue slot.
 // The annealing knobs must pass the annealer's own option check, which
-// bounds the fan-out a request can ask for.
+// bounds the fan-out a request can ask for; each instruction budget must
+// be within maxBudget.
 func validate(req JobRequest) error {
 	switch req.Kind {
 	case KindExplore, KindMatrix, KindSubsetting:
@@ -137,6 +142,10 @@ func validate(req JobRequest) error {
 	}
 	if _, err := profiles(req.Workloads); err != nil {
 		return err
+	}
+	if req.ShortBudget > maxBudget || req.LongBudget > maxBudget || req.Instructions > maxBudget {
+		return fmt.Errorf("xpserve: short_budget %d, long_budget %d, instructions %d: each must be at most %d",
+			req.ShortBudget, req.LongBudget, req.Instructions, maxBudget)
 	}
 	_, err := exploreOptions(req)
 	return err
@@ -383,37 +392,6 @@ func (s *Scheduler) Capacity() Capacity {
 	for _, j := range s.order {
 		if j.state == StateRunning {
 			c.Running++
-		}
-	}
-	return c
-}
-
-// JobCounts is the per-state job census of one scheduler.
-type JobCounts struct {
-	Queued    int `json:"queued"`
-	Running   int `json:"running"`
-	Done      int `json:"done"`
-	Failed    int `json:"failed"`
-	Cancelled int `json:"cancelled"`
-}
-
-// JobCounts tallies every job this scheduler has seen by state.
-func (s *Scheduler) JobCounts() JobCounts {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var c JobCounts
-	for _, j := range s.order {
-		switch j.state {
-		case StateQueued:
-			c.Queued++
-		case StateRunning:
-			c.Running++
-		case StateDone:
-			c.Done++
-		case StateFailed:
-			c.Failed++
-		case StateCancelled:
-			c.Cancelled++
 		}
 	}
 	return c

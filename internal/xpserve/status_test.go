@@ -1,5 +1,6 @@
-// Self-status and the liveness/readiness split, exercised over real
-// HTTP: self-reports, readiness flips, and per-job trace stamping.
+// The operator's surface, exercised over real HTTP: the job gauges and
+// build identity, the liveness/readiness split, and per-job trace
+// stamping.
 
 package xpserve
 
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"xpscalar/internal/session"
 	"xpscalar/internal/telemetry"
 	"xpscalar/internal/tracing"
 )
@@ -29,28 +31,52 @@ func getJSON(t *testing.T, url string, v any) int {
 	return resp.StatusCode
 }
 
-// TestSelfStatus: GET /v1/status reports identity, capacity bounds, the
-// job census and cache counters of this process.
+// TestSelfStatus: an xpserved reports on itself through /metrics and
+// /buildinfo. After one job on a scheduler with a backlog of 5, the job
+// gauges count it done and leave the whole backlog free, the engine's
+// counters show its evaluations, /buildinfo identifies the build, and the
+// deleted /v1/status answers 404.
 func TestSelfStatus(t *testing.T) {
-	srv, _ := newTestServer(t, Options{MaxJobs: 3, Backlog: 5})
-	st := submit(t, srv, tinyExplore())
-	await(t, srv, st.ID)
+	sess := session.New(session.Options{})
+	sched := New(sess, Options{MaxJobs: 3, Backlog: 5})
+	reg := telemetry.NewRegistry()
+	sess.EnableTelemetry(reg)
+	sched.EnableTelemetry(reg)
+	srv := newServerFor(t, sched, reg)
+	await(t, srv, submit(t, srv, tinyExplore()).ID)
 
-	var self SelfStatus
-	if code := getJSON(t, srv.URL+"/v1/status", &self); code != http.StatusOK {
-		t.Fatalf("/v1/status: %d", code)
+	var m map[string]any
+	if code := getJSON(t, srv.URL+"/metrics.json", &m); code != http.StatusOK {
+		t.Fatalf("/metrics.json: %d", code)
 	}
-	if self.Tool != "xpserved" || self.PID == 0 || self.GoVersion == "" {
-		t.Errorf("identity not reported: %+v", self)
+	for name, want := range map[string]float64{
+		"xpserved_jobs_done_total":      1,
+		"xpserved_jobs_queued":          0,
+		"xpserved_jobs_running":         0,
+		"xpserved_jobs_failed_total":    0,
+		"xpserved_jobs_cancelled_total": 0,
+		"xpserved_backlog_headroom":     5,
+	} {
+		if got, ok := m[name].(float64); !ok || got != want {
+			t.Errorf("%s = %v, want %v", name, m[name], want)
+		}
 	}
-	if self.Capacity.MaxJobs != 3 || self.Capacity.Backlog != 5 {
-		t.Errorf("capacity %+v, want bounds 3/5", self.Capacity)
+	if got, ok := m["xpscalar_eval_requests_total"].(float64); !ok || got <= 0 {
+		t.Errorf("xpscalar_eval_requests_total = %v after a job, want above 0", m["xpscalar_eval_requests_total"])
 	}
-	if self.Jobs.Done != 1 {
-		t.Errorf("jobs %+v, want 1 done", self.Jobs)
+
+	var bi map[string]string
+	if code := getJSON(t, srv.URL+"/buildinfo", &bi); code != http.StatusOK || bi["go_version"] == "" {
+		t.Errorf("/buildinfo: %d %v, want go_version", code, bi)
 	}
-	if self.Cache.Requests == 0 {
-		t.Errorf("cache counters empty after a job: %+v", self.Cache)
+
+	resp, err := http.Get(srv.URL + "/v1/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/v1/status: %d, want 404", resp.StatusCode)
 	}
 }
 
