@@ -65,7 +65,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMatrix$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSpans$$' -fuzztime 10s ./internal/tracing
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadTraceIntervals$$' -fuzztime 10s ./cmd/xptrace
-	$(GO) test -run '^$$' -fuzz '^FuzzExtract$$' -fuzztime 10s ./internal/tracing
 	$(GO) test -run '^$$' -fuzz '^FuzzJobRequest$$' -fuzztime 10s ./internal/xpserve
 
 # bench-compare runs the kernel benchmark set fresh and diffs it against
@@ -80,12 +79,11 @@ bench-compare:
 # degraded-network suite (dead, hung and dying peers, corrupt records)
 # ten times under the race detector, then the multi-process end-to-end
 # tests: real xpserved peers serving real xpscalar clients over HTTP — the
-# warm/dead-peer cache contract and the cross-process trace-propagation
-# contract (pinned trace ID, byte-identical Table 4, one merged Chrome
-# trace).
+# warm/dead-peer cache contract, and each process's -trace file holding
+# its own trace while Table 4 stays byte-identical.
 fleet-smoke:
 	$(GO) test -race -count=10 ./internal/evalremote
-	$(GO) test ./cmd/xpscalar/ -run 'TestFleet' -count=1 -timeout 600s
+	$(GO) test ./cmd/xpscalar/ -run '^TestFleet(WarmExploration|TraceFiles)$$' -count=1 -timeout 600s
 
 # e2ebench-check vets and tests the end-to-end benchmark. e2ebench/ is its
 # own Go module (it replaces xpscalar with ../), so ./... from the root

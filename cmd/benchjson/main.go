@@ -41,9 +41,9 @@ import (
 // N=8 lockstep kernel that batched evaluations amortize the stream over,
 // the persistent tier's disk-hit path (read + decode + verify of one
 // on-disk evaluation record), the remote tier's hit path (one loopback
-// HTTP GET to the owning peer), and the disabled-tracing guards — span
-// emission and trace-header propagation with tracing off — whose
-// allocs/op must stay exactly zero (see mustZeroAlloc).
+// HTTP GET to the owning peer), and the disabled-tracing guard — span
+// emission with tracing off — whose allocs/op must stay exactly zero (see
+// mustZeroAlloc).
 // A non-empty benchtime overrides the flag for that entry: the remote
 // tier's per-op cost is ~100µs of loopback HTTP, where a single
 // scheduler hiccup at 20 iterations moves the mean by half — it needs
@@ -58,17 +58,16 @@ var suite = []struct {
 	{"./internal/pipeline", "BenchmarkPipelineGCC", ""},
 	{"./internal/evalstore", "BenchmarkEvalDiskHit", ""},
 	{"./internal/evalremote", "BenchmarkEvalRemoteHit", "200x"},
-	{"./internal/tracing", "BenchmarkDisabledSpan|BenchmarkDisabledPropagation", "1000x"},
+	{"./internal/tracing", "BenchmarkDisabledSpan", "1000x"},
 	{".", "BenchmarkAnnealChainKernel", ""},
 }
 
 // mustZeroAlloc names benchmarks whose allocs/op is a contract, not a
-// number: the disabled tracing paths sit inside the simulation's hot loop
+// number: the disabled tracing path sits inside the simulation's hot loop
 // and must stay free. Any run (record or compare) where one of them
 // allocates fails outright — a threshold makes no sense for a guarantee.
 var mustZeroAlloc = map[string]bool{
-	"BenchmarkDisabledSpan":        true,
-	"BenchmarkDisabledPropagation": true,
+	"BenchmarkDisabledSpan": true,
 }
 
 // thresholdOverride widens the -compare gate for benchmarks whose cost

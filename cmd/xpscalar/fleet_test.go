@@ -68,7 +68,7 @@ func startPeerCmd(t *testing.T, bin, cacheDir string, extra ...string) (base str
 }
 
 // startPeer launches a plain peer; the returned cleanup kills it hard
-// (the graceful path is exercised by the propagation test).
+// (the graceful path is exercised by the trace-files test).
 func startPeer(t *testing.T, bin, cacheDir string) (base string, kill func()) {
 	base, cmd := startPeerCmd(t, bin, cacheDir)
 	return base, func() {
@@ -209,8 +209,8 @@ func TestFleetWarmExploration(t *testing.T) {
 	}
 }
 
-// buildXptrace compiles cmd/xptrace for the diff and merged-export legs of
-// the propagation test.
+// buildXptrace compiles cmd/xptrace for the diff leg of the trace-files
+// test.
 func buildXptrace(t *testing.T) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), "xptrace")
@@ -236,16 +236,14 @@ func readSpanFile(t *testing.T, path string) (tracing.Meta, []tracing.Span) {
 	return meta, spans
 }
 
-// TestFleetTracePropagation is the distributed-tracing contract over two
-// real processes: a cold client with a pinned trace ID explores against a
-// warm xpserved peer, both write -trace files, and the two stitch into ONE
-// trace — the peer's serve.* handler spans carry the client's trace ID and
-// point (via remote parents) at the client's remote-tier spans, which
-// chain up through an eval span to the client's root run span. The peer's
-// file grows while it serves, not only at shutdown. Along the way the
-// observability plumbing must stay inert: Table 4 stdout byte-identical to
-// the reference, and xptrace diff exit 0 across the propagation flags.
-func TestFleetTracePropagation(t *testing.T) {
+// TestFleetTraceFiles: a cold client explores against a warm xpserved
+// peer and both write -trace files, each one process's own trace. The
+// client's remote-tier spans nest under its evaluation spans and so reach
+// its root run span; the peer's serve.* spans are roots of the peer's
+// trace, and its file grows while it serves, not only at shutdown. Along
+// the way the observability plumbing must stay inert: Table 4 stdout
+// byte-identical to the reference, and xptrace diff exit 0.
+func TestFleetTraceFiles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs three real binaries")
 	}
@@ -268,25 +266,21 @@ func TestFleetTracePropagation(t *testing.T) {
 	}()
 	warmPeer(t, base)
 
-	// Cold client against the warm peer, joining a pinned trace ID so the
-	// assertion below needs no plumbing to learn it.
-	const traceID = "c0ffee0123456789"
-	clientSpans := filepath.Join(dir, "traced.jsonl")
-	traced := runExplore(t, bin, dir, "traced.jsonl",
-		"-cache-peers", base, "-trace-id", traceID)
+	// Cold client against the warm peer.
+	traced := runExplore(t, bin, dir, "traced.jsonl", "-cache-peers", base)
 	if traced != reference {
-		t.Fatalf("propagation changed Table 4:\n%s\nvs\n%s", traced, reference)
+		t.Fatalf("the remote tier changed Table 4:\n%s\nvs\n%s", traced, reference)
 	}
 	ts := readSummary(t, dir, "traced.jsonl")
 	if ts.RemoteHits == 0 {
 		t.Fatalf("traced run summary %+v, want remote hits (warm peer)", ts)
 	}
 
-	// The propagation flags must be invisible to drift detection.
+	// The cache flags must be invisible to drift detection.
 	diff := exec.Command(xptraceBin, "diff",
 		filepath.Join(dir, "ref.jsonl"), filepath.Join(dir, "traced.jsonl"))
 	if out, err := diff.CombinedOutput(); err != nil {
-		t.Fatalf("diff flagged a propagating run as drift: %v\n%s", err, out)
+		t.Fatalf("diff flagged a remote-tier run as drift: %v\n%s", err, out)
 	}
 
 	// The peer's file is written as it serves: the client's cache requests
@@ -312,136 +306,53 @@ func TestFleetTracePropagation(t *testing.T) {
 	}
 	stopped = true
 
-	cm, cspans := readSpanFile(t, clientSpans)
-	if cm.TraceID != traceID {
-		t.Fatalf("client stream trace ID %q, want the pinned %q", cm.TraceID, traceID)
-	}
-	if cm.OriginUnixNs == 0 {
-		t.Fatal("client stream has no wall-clock origin")
-	}
+	// Every client remote.* span has an eval.* ancestor, and its chain of
+	// parents reaches the root run span.
+	_, cspans := readSpanFile(t, filepath.Join(dir, "traced.jsonl"))
 	clientByID := map[tracing.SpanID]tracing.Span{}
-	remoteSpans := map[tracing.SpanID]bool{}
 	for _, s := range cspans {
 		clientByID[s.ID] = s
-		if s.Kind == tracing.KindRemoteGet || s.Kind == tracing.KindRemoteLookup {
-			remoteSpans[s.ID] = true
-		}
 	}
-	if len(remoteSpans) == 0 {
-		t.Fatal("client recorded no remote-tier spans")
-	}
-
-	sm, sspans := readSpanFile(t, peerSpans)
-	if sm.Tool != "xpserved" {
-		t.Fatalf("peer stream tool %q", sm.Tool)
-	}
-	if sm.TraceID == "" || sm.TraceID == traceID {
-		t.Fatalf("peer stream trace ID %q: want its own, distinct from the client's", sm.TraceID)
-	}
-
-	// Every serve.* span the client's requests caused must carry the
-	// client's trace ID and a remote parent resolving to one of the
-	// client's remote-tier spans; at least one such chain must pass through
-	// an eval span and top out at the client's root run span.
-	linked, throughEval, toRun := 0, 0, 0
-	for _, s := range sspans {
-		if !strings.HasPrefix(s.Kind, "serve.") || s.Trace != traceID {
+	remote := 0
+	for _, s := range cspans {
+		if s.Kind != tracing.KindRemoteGet && s.Kind != tracing.KindRemoteLookup {
 			continue
 		}
-		if !remoteSpans[s.RemoteParent] {
-			t.Fatalf("server span %+v: remote parent is not a client remote-tier span", s)
-		}
-		linked++
-		cur := clientByID[s.RemoteParent]
-		sawEval := false
-		for {
-			if strings.HasPrefix(cur.Kind, "eval.") {
-				sawEval = true
-			}
-			if cur.Parent == 0 {
-				break
-			}
+		remote++
+		cur, sawEval := s, false
+		for cur.Parent != 0 {
 			next, ok := clientByID[cur.Parent]
 			if !ok {
 				t.Fatalf("client span %d has a dangling parent %d", cur.ID, cur.Parent)
 			}
 			cur = next
+			sawEval = sawEval || strings.HasPrefix(cur.Kind, "eval.")
 		}
-		if sawEval {
-			throughEval++
-		}
-		if cur.Kind == tracing.KindRun {
-			toRun++
+		if !sawEval || cur.Kind != tracing.KindRun {
+			t.Fatalf("client %s span %d: eval ancestor %v, root %q; want an eval.* ancestor and the run root",
+				s.Kind, s.ID, sawEval, cur.Kind)
 		}
 	}
-	if linked == 0 {
-		t.Fatal("no server spans continued the client's trace")
-	}
-	if throughEval == 0 || toRun == 0 {
-		t.Fatalf("of %d linked server spans, %d chain through an eval span and %d reach the client's run root",
-			linked, throughEval, toRun)
+	if remote == 0 {
+		t.Fatal("client recorded no remote-tier spans")
 	}
 
-	// One merged Chrome trace: both processes named, and flow arrows
-	// crossing from the client's pid to the peer's.
-	merged := filepath.Join(dir, "merged.json")
-	export := exec.Command(xptraceBin, "export", "-o", merged, clientSpans, peerSpans)
-	if out, err := export.CombinedOutput(); err != nil {
-		t.Fatalf("xptrace export: %v\n%s", err, out)
+	// The peer's stream is its own trace: every serve.* span is a root.
+	sm, sspans := readSpanFile(t, peerSpans)
+	if sm.Tool != "xpserved" {
+		t.Fatalf("peer stream tool %q", sm.Tool)
 	}
-	data, err := os.ReadFile(merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Ph   string         `json:"ph"`
-			Pid  int            `json:"pid"`
-			ID   int            `json:"id"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("merged trace is not valid JSON: %v", err)
-	}
-	procs := map[string]int{}
-	spansPerPid := map[int]int{}
-	flowSrc, flowDst := map[int]int{}, map[int]int{}
-	for _, e := range doc.TraceEvents {
-		switch {
-		case e.Ph == "M" && e.Name == "process_name":
-			name, _ := e.Args["name"].(string)
-			procs[name] = e.Pid
-		case e.Ph == "X":
-			spansPerPid[e.Pid]++
-		case e.Ph == "s":
-			flowSrc[e.ID] = e.Pid
-		case e.Ph == "f":
-			flowDst[e.ID] = e.Pid
+	serves := 0
+	for _, s := range sspans {
+		if !strings.HasPrefix(s.Kind, "serve.") {
+			continue
+		}
+		serves++
+		if s.Parent != 0 {
+			t.Fatalf("peer span %+v: serve spans are roots", s)
 		}
 	}
-	cpid, ok := procs["xpscalar"]
-	if !ok {
-		t.Fatalf("merged trace names processes %v, want xpscalar", procs)
-	}
-	spid, ok := procs["xpserved"]
-	if !ok {
-		t.Fatalf("merged trace names processes %v, want xpserved", procs)
-	}
-	if spansPerPid[cpid] == 0 || spansPerPid[spid] == 0 {
-		t.Fatalf("merged trace span counts per pid %v: want both processes populated", spansPerPid)
-	}
-	if len(flowSrc) == 0 {
-		t.Fatal("merged trace has no flow arrows")
-	}
-	for id, src := range flowSrc {
-		dst, ok := flowDst[id]
-		if !ok {
-			t.Fatalf("flow %d has no finish event", id)
-		}
-		if src != cpid || dst != spid {
-			t.Fatalf("flow %d runs pid %d -> %d, want client %d -> server %d", id, src, dst, cpid, spid)
-		}
+	if serves == 0 {
+		t.Fatal("peer recorded no serve spans")
 	}
 }

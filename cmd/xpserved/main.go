@@ -39,9 +39,9 @@
 // the build it runs.
 //
 // Each job's spans stream to its own event stream. -trace records the
-// server's own spans — the cache handlers, which continue their callers'
-// traces — as a span stream in the same format as every other tool's
-// -trace file, written as each request completes.
+// server's own spans — one root span per cache-handler invocation — as a
+// span stream in the same format as every other tool's -trace file,
+// written as each request completes.
 //
 // SIGINT/SIGTERM shuts down gracefully: in-flight jobs are cancelled,
 // their clients' event streams end, and the persistent tiers are flushed
@@ -79,7 +79,7 @@ func run(ctx context.Context) error {
 		addrFile  = flag.String("addr-file", "", "write the bound listen address to this file once serving")
 		maxJobs   = flag.Int("max-jobs", 2, "jobs running concurrently")
 		backlog   = flag.Int("backlog", 16, "queued jobs accepted beyond the running ones")
-		tracePath = flag.String("trace", "", "write the server's span stream (cache serves, continued client traces) to this file")
+		tracePath = flag.String("trace", "", "write the server's span stream (its cache serves) to this file")
 	)
 	var rcfg cli.RunConfig
 	rcfg.RegisterFlags()
@@ -100,9 +100,8 @@ func run(ctx context.Context) error {
 		return err
 	}
 	// With -trace, every cache handler records into one process-wide
-	// recorder whose stream carries this server's trace ID plus the trace
-	// IDs of every client whose requests it served. A handler's span is a
-	// root, so the file is flushed as each request completes.
+	// recorder. A handler's span is a root, so the file is flushed as each
+	// request completes.
 	var rec *tracing.Recorder
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
@@ -116,7 +115,7 @@ func run(ctx context.Context) error {
 				stream.Flush()
 			}
 		})
-		stream = tracing.NewStreamWriter(f, tracing.Meta{Tool: "xpserved", TraceID: rec.TraceID(), OriginUnixNs: rec.Origin()})
+		stream = tracing.NewStreamWriter(f, tracing.Meta{Tool: "xpserved", TraceID: tracing.NewTraceID()})
 		defer func() {
 			n := stream.Len()
 			if err := stream.Close(); err != nil {

@@ -347,7 +347,9 @@ func FuzzLoadTraceIntervals(f *testing.F) {
 }
 
 // Introspection flags are observability-only: two manifests differing
-// solely in -cpi/-intervals/-interval-size must show no manifest drift.
+// solely in -cpi/-intervals, or in the retired -interval-size and
+// -trace-id that older builds' manifests carry, must show no manifest
+// drift.
 func TestDiffIgnoresIntrospectionFlags(t *testing.T) {
 	a := &trace{path: "a", meta: tracing.Meta{Tool: "xpscalar", Manifest: &tracing.Manifest{
 		Seed:  42,
@@ -358,10 +360,12 @@ func TestDiffIgnoresIntrospectionFlags(t *testing.T) {
 		Flags: map[string]string{
 			"workload": "gzip",
 			"cpi":      "true", "intervals": "i.jsonl", "interval-size": "500",
+			// Retired; only ever named the trace.
+			"trace-id": "0123456789abcdef",
 		},
 	}}}
 	if diffManifests(a, b) {
-		t.Error("introspection flags counted as manifest drift")
+		t.Error("introspection or retired flags counted as manifest drift")
 	}
 	b.meta.Manifest.Flags["workload"] = "mcf"
 	if !diffManifests(a, b) {

@@ -39,9 +39,8 @@ var ignoredFlags = map[string]bool{
 	// and stored — a warm-cache or fleet-warm run is bit-identical to a
 	// cold one, and diffing the two is exactly how that claim is checked.
 	"cache-dir": true, "cache-peers": true,
-	// Trace-context propagation stamps IDs on spans and headers; it never
-	// reaches the simulation, so a propagating run must diff clean against
-	// a plain one.
+	// -trace-id is gone, but manifests written by earlier builds still
+	// carry it; it only ever named the trace.
 	"trace-id": true,
 }
 

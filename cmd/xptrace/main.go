@@ -4,17 +4,15 @@
 // interval series included when the run armed -cpi or -intervals — and
 // the engine's counters.
 //
-//	xptrace report TRACE [TRACE ...]
+//	xptrace report TRACE
 //	xptrace diff TRACE_A TRACE_B
-//	xptrace export [-o out.json] TRACE [TRACE ...]
+//	xptrace export [-o out.json] TRACE
 //	xptrace cpi TRACE
 //	xptrace intervals TRACE
 //
 // report digests one run: annealing convergence per chain, the
 // acceptance-rate curve over the search, the cache-effectiveness timeline,
-// the run summary, and the per-phase self/total time breakdown — of the
-// first trace and of every further one given (say, the -trace files of the
-// xpserved peers that served the run).
+// the run summary, and the per-phase self/total time breakdown.
 //
 // diff compares two runs span by span: manifest drift (differing
 // configuration, ignoring observability-only flags), outcome drift (any
@@ -24,13 +22,8 @@
 // executable form of that claim. Exit status: 0 no drift, 2 drift, 1
 // error.
 //
-// export converts one or more traces to Chrome trace-event JSON loadable
-// in chrome://tracing or Perfetto, one named thread per worker track.
-// Given several — say a client's -trace file and the -trace file of the
-// xpserved peer that served it — export stitches them into ONE trace:
-// each process gets its own track group, and spans that continued another
-// process's trace (remote cache serves) are joined to their cross-process
-// parent with flow arrows.
+// export converts one trace to Chrome trace-event JSON loadable in
+// chrome://tracing or Perfetto, one named thread per worker track.
 //
 // cpi renders the CPI-stack decomposition a -cpi run attached to its
 // evaluation spans: one row per distinct simulation, every simulated
@@ -95,33 +88,32 @@ func main() {
 
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
-  xptrace report TRACE [TRACE...]            digest one run, time breakdown per trace
-  xptrace diff TRACE_A TRACE_B               compare two runs (exit 2 on drift)
-  xptrace export [-o out.json] TRACE [...]   trace(s) -> one Chrome trace JSON
-  xptrace cpi TRACE                          CPI-stack breakdown of a -cpi run
-  xptrace intervals TRACE                    phase timeline of an -intervals run
+  xptrace report TRACE                   digest one run and its time breakdown
+  xptrace diff TRACE_A TRACE_B           compare two runs (exit 2 on drift)
+  xptrace export [-o out.json] TRACE     trace -> Chrome trace JSON
+  xptrace cpi TRACE                      CPI-stack breakdown of a -cpi run
+  xptrace intervals TRACE                phase timeline of an -intervals run
 `)
 }
 
-// exportCmd converts one or more traces to Chrome trace-event JSON. One stream takes the single-process path unchanged; several are
-// stitched by trace ID into one multi-process trace, a track group per
-// stream in argument order.
+// exportCmd converts one trace to Chrome trace-event JSON.
 func exportCmd(args []string) error {
 	fs := flag.NewFlagSet("export", flag.ExitOnError)
 	out := fs.String("o", "", "output file (default stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if fs.NArg() < 1 {
-		return fmt.Errorf("export: want one or more trace files")
+	if fs.NArg() != 1 {
+		return fmt.Errorf("export: want exactly one trace file, got %d args", fs.NArg())
 	}
-	streams, err := loadStreams(fs.Args())
+	f, err := os.Open(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	total := 0
-	for _, s := range streams {
-		total += len(s.Spans)
+	meta, spans, err := tracing.ReadSpans(f)
+	f.Close()
+	if err != nil {
+		return fmt.Errorf("%s: %w", fs.Arg(0), err)
 	}
 	w := os.Stdout
 	if *out != "" {
@@ -130,37 +122,14 @@ func exportCmd(args []string) error {
 			return err
 		}
 	}
-	if len(streams) == 1 {
-		err = tracing.WriteChromeTrace(w, streams[0].Meta.Tool, streams[0].Spans)
-	} else {
-		err = tracing.WriteChromeTraceMerged(w, streams)
-	}
-	if err != nil {
+	if err := tracing.WriteChromeTrace(w, meta.Tool, spans); err != nil {
 		return err
 	}
 	if *out != "" {
 		if err := w.Close(); err != nil {
 			return err
 		}
-		slog.Info("chrome trace written", "path", *out, "streams", len(streams), "spans", total)
+		slog.Info("chrome trace written", "path", *out, "spans", len(spans))
 	}
 	return nil
-}
-
-// loadStreams reads trace files in argument order.
-func loadStreams(paths []string) ([]tracing.Stream, error) {
-	streams := make([]tracing.Stream, 0, len(paths))
-	for _, path := range paths {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		meta, spans, err := tracing.ReadSpans(f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		streams = append(streams, tracing.Stream{Meta: meta, Spans: spans})
-	}
-	return streams, nil
 }

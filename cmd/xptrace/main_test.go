@@ -2,8 +2,8 @@
 // run a tiny traced exploration, and verify the analysis contract —
 // report digests the trace, diff finds zero drift between identical runs
 // (and drift between different ones, exit 2), export produces loadable
-// Chrome JSON from the same file, and tracing never perturbs the run's
-// stdout.
+// Chrome JSON from the same file, report and export refuse a second
+// trace, and tracing never perturbs the run's stdout.
 
 package main
 
@@ -53,6 +53,20 @@ func explore(t *testing.T, bin, trace string, seed string, extra ...string) []by
 	return stdout.Bytes()
 }
 
+// checkOneTrace runs an xptrace subcommand that reads exactly one trace
+// on several and checks it exits 1 with an error saying so.
+func checkOneTrace(t *testing.T, xptrace, sub string, traces ...string) {
+	t.Helper()
+	out, err := exec.Command(xptrace, append([]string{sub}, traces...)...).CombinedOutput()
+	ee, ok := err.(*exec.ExitError)
+	if !ok || ee.ExitCode() != 1 {
+		t.Fatalf("%s on %d traces: err=%v, want exit 1\n%s", sub, len(traces), err, out)
+	}
+	if !strings.Contains(string(out), "want exactly one trace file") {
+		t.Errorf("%s on %d traces: error does not say it wants one trace:\n%s", sub, len(traces), out)
+	}
+}
+
 func TestEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the real binaries")
@@ -83,7 +97,7 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	t.Run("report", func(t *testing.T) {
-		cmd := exec.Command(xptraceBin, "report", traceA, traceB)
+		cmd := exec.Command(xptraceBin, "report", traceA)
 		out, err := cmd.CombinedOutput()
 		if err != nil {
 			t.Fatalf("report: %v\n%s", err, out)
@@ -100,10 +114,11 @@ func TestEndToEnd(t *testing.T) {
 				t.Errorf("report missing %q:\n%s", want, out)
 			}
 		}
-		// One breakdown per trace given.
-		if n := strings.Count(string(out), "Phase time breakdown"); n != 2 {
-			t.Errorf("report printed %d phase breakdowns for two traces:\n%s", n, out)
+		if n := strings.Count(string(out), "Phase time breakdown"); n != 1 {
+			t.Errorf("report printed %d phase breakdowns for one trace:\n%s", n, out)
 		}
+		// A span stream is one process's trace: report reads exactly one.
+		checkOneTrace(t, xptraceBin, "report", traceA, traceB)
 	})
 
 	t.Run("diff-identical", func(t *testing.T) {
@@ -234,6 +249,7 @@ func TestEndToEnd(t *testing.T) {
 				t.Errorf("chrome trace lacks %q spans (have %v)", want, kinds)
 			}
 		}
+		checkOneTrace(t, xptraceBin, "export", traceA, traceB)
 	})
 
 	t.Run("diff-rejects-envelope-trace", func(t *testing.T) {

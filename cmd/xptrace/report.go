@@ -1,8 +1,7 @@
 // The report subcommand: digest one run into the views that answer "how
 // did the search behave" — per-chain convergence, the acceptance-rate
 // curve, the cache-effectiveness timeline, the run summary — and "where
-// did the time go": the per-phase time breakdown of its stream and of any
-// further streams given (one per process of a fleet run).
+// did the time go": the per-phase time breakdown of its stream.
 
 package main
 
@@ -20,19 +19,14 @@ import (
 const buckets = 10
 
 func reportCmd(args []string) error {
-	if len(args) < 1 {
-		return fmt.Errorf("report: want one or more trace files")
+	if len(args) != 1 {
+		return fmt.Errorf("report: want exactly one trace file, got %d args", len(args))
 	}
-	traces := make([]*trace, len(args))
-	for i, path := range args {
-		t, err := loadTrace(path)
-		if err != nil {
-			return err
-		}
-		traces[i] = t
+	t, err := loadTrace(args[0])
+	if err != nil {
+		return err
 	}
 
-	t := traces[0]
 	printManifest(t)
 	if err := printChains(t); err != nil {
 		return err
@@ -41,20 +35,12 @@ func reportCmd(args []string) error {
 	printCacheTimeline(t)
 	printSummary(t)
 
-	for _, t := range traces {
-		label := t.meta.Tool
-		if label == "" {
-			label = t.path
-		}
-		if len(traces) > 1 && t.meta.TraceID != "" {
-			label += " trace " + t.meta.TraceID
-		}
-		fmt.Printf("\nPhase time breakdown: %s (%d spans)\n", label, len(t.spans))
-		if err := tracing.WriteAttribution(os.Stdout, t.spans); err != nil {
-			return err
-		}
+	label := t.meta.Tool
+	if label == "" {
+		label = t.path
 	}
-	return nil
+	fmt.Printf("\nPhase time breakdown: %s (%d spans)\n", label, len(t.spans))
+	return tracing.WriteAttribution(os.Stdout, t.spans)
 }
 
 func printManifest(t *trace) {

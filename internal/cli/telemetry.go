@@ -1,7 +1,7 @@
 // Telemetry wiring shared by the command-line tools. Every tool registers
 // the same flags — -trace for the run's span stream (the xptrace input),
 // -progress for per-workload search progress on stderr, and the
-// introspection and trace-identity knobs — and funnels them through
+// introspection knobs -cpi and -intervals — and funnels them through
 // StartTelemetry, which connects them to the session. The span stream is
 // the run's one record: the header carries the manifest, every span is
 // written as it ends, and the run span, ending last, carries the engine's
@@ -41,22 +41,15 @@ type TelemetryConfig struct {
 	// trace's evaluation spans carries its snapshot series; analyze with
 	// xptrace intervals. It needs TracePath.
 	Intervals int
-	// TraceID joins this run to an existing trace instead of generating a
-	// fresh ID — the cross-process correlation seam: the stream and
-	// remote-cache requests carry it, so a fleet of processes started with
-	// the same ID merges into one causally-linked view. It must be 16
-	// lower-case hex characters, the form tracing.NewTraceID generates.
-	TraceID string
 }
 
-// RegisterFlags registers -trace, -progress, -cpi, -intervals and
-// -trace-id on the default flag set, pointing at this config.
+// RegisterFlags registers -trace, -progress, -cpi and -intervals on the
+// default flag set, pointing at this config.
 func (c *TelemetryConfig) RegisterFlags() {
 	flag.StringVar(&c.TracePath, "trace", "", "write the run's span stream to this file (analyze with xptrace)")
 	flag.BoolVar(&c.Progress, "progress", false, "report search progress to stderr")
 	flag.BoolVar(&c.CPI, "cpi", false, "attribute every simulated cycle to a CPI-stack bucket (analyze with xptrace cpi)")
 	flag.IntVar(&c.Intervals, "intervals", 0, "record an interval snapshot every N committed instructions on the -trace evaluation spans (0 off; implies -cpi; analyze with xptrace intervals)")
-	flag.StringVar(&c.TraceID, "trace-id", "", "join an existing trace ID (16 hex chars) instead of generating one (with -trace)")
 }
 
 // Telemetry is one run's observability session: the span recorder and
@@ -89,9 +82,6 @@ func StartTelemetry(tool string, sess *session.Session, cfg TelemetryConfig) (*T
 	if cfg.Intervals > 0 && cfg.TracePath == "" {
 		return t, fmt.Errorf("-intervals needs -trace: interval series are recorded on the trace's evaluation spans")
 	}
-	if cfg.TraceID != "" && !validTraceID(cfg.TraceID) {
-		return t, fmt.Errorf("-trace-id %q: want 16 lower-case hex characters", cfg.TraceID)
-	}
 	if cfg.CPI || cfg.Intervals > 0 {
 		t.introOn = true
 		sess.EnableIntrospection(cfg.Intervals)
@@ -100,7 +90,6 @@ func StartTelemetry(tool string, sess *session.Session, cfg TelemetryConfig) (*T
 		// Spans are recorded only for consumers that want them, and handed
 		// to them as they end: nothing is buffered for the run's length.
 		t.rec = tracing.NewRecorderFunc(t.consume)
-		t.rec.SetTraceID(cfg.TraceID)
 		if cfg.Progress {
 			t.progress = newProgressRenderer(os.Stderr)
 		}
@@ -112,26 +101,10 @@ func StartTelemetry(tool string, sess *session.Session, cfg TelemetryConfig) (*T
 			return t, fmt.Errorf("trace: %w", err)
 		}
 		t.stream = tracing.NewStreamWriter(f, tracing.Meta{
-			Tool: tool, TraceID: t.rec.TraceID(), OriginUnixNs: t.rec.Origin(), Manifest: manifest(),
+			Tool: tool, TraceID: tracing.NewTraceID(), Manifest: manifest(),
 		})
 	}
 	return t, nil
-}
-
-// validTraceID reports whether id has the form tracing.NewTraceID
-// generates. Anything else would reach the remote cache tier's trace
-// header, where a control character makes Go's HTTP client refuse every
-// request and the tier silently serve nothing.
-func validTraceID(id string) bool {
-	if len(id) != 16 {
-		return false
-	}
-	for i := 0; i < len(id); i++ {
-		if c := id[i]; !('0' <= c && c <= '9' || 'a' <= c && c <= 'f') {
-			return false
-		}
-	}
-	return true
 }
 
 // consume hands one ended span to the run's consumers.

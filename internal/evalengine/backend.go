@@ -28,10 +28,10 @@ type BatchGetter interface {
 }
 
 // CtxGetter is the optional context-aware read face of a CacheBackend.
-// Tiers that leave the process (the remote client) implement it to pick
-// up the caller's trace context — span parentage and propagation headers
-// for the request they issue. The engine prefers it over Get whenever the
-// backend offers it; the semantics are otherwise identical.
+// Tiers that leave the process (the remote client) implement it to record
+// each request as a span under the caller's current span. The engine
+// prefers it over Get whenever the backend offers it; the semantics are
+// otherwise identical.
 type CtxGetter interface {
 	GetCtx(ctx context.Context, key Key) (Eval, bool)
 }
@@ -117,9 +117,8 @@ func (t *tiered) Get(key Key) (Eval, bool) {
 	return t.GetCtx(context.Background(), key)
 }
 
-// GetCtx implements CtxGetter: the caller's trace context flows into
-// every tier that can use it (the remote client's request spans and
-// propagation headers).
+// GetCtx implements CtxGetter: the caller's context flows into every
+// tier that can use it (the remote client's request spans).
 func (t *tiered) GetCtx(ctx context.Context, key Key) (Eval, bool) {
 	for i, tier := range t.tiers {
 		if val, ok := backendGet(ctx, tier, key); ok {

@@ -132,18 +132,16 @@ func (c *Client) observe(start time.Time) {
 }
 
 // newRequest builds one request bounded by the client timeout. The
-// deadline stays detached from the caller's context on purpose — cache
+// deadline stays detached from the caller's context on purpose: cache
 // lookups must never inherit a nearly expired run deadline and turn it
-// into a peer failure — but the trace context still rides along as
-// headers.
-func (c *Client) newRequest(ctx context.Context, method, url string, body io.Reader) (*http.Request, context.CancelFunc, error) {
-	rctx, cancel := context.WithTimeout(context.Background(), c.timeout)
-	req, err := http.NewRequestWithContext(rctx, method, url, body)
+// into a peer failure.
+func (c *Client) newRequest(method, url string, body io.Reader) (*http.Request, context.CancelFunc, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
+	req, err := http.NewRequestWithContext(ctx, method, url, body)
 	if err != nil {
 		cancel()
 		return nil, nil, err
 	}
-	tracing.Inject(ctx, req.Header)
 	return req, cancel, nil
 }
 
@@ -175,17 +173,15 @@ func (c *Client) Get(k evalengine.Key) (evalengine.Eval, bool) {
 	return c.GetCtx(context.Background(), k)
 }
 
-// GetCtx implements evalengine.CtxGetter: the same lookup, but the
-// caller's trace context flows in — the round trip gets a remote.get span
-// under the context's current span, and the request carries propagation
-// headers so the owning peer's handler spans join the same trace. With
-// tracing off the context costs one branch and nothing else.
+// GetCtx implements evalengine.CtxGetter: the same lookup, recorded as a
+// remote.get span under the context's current span. With tracing off the
+// context costs one branch and nothing else.
 func (c *Client) GetCtx(ctx context.Context, k evalengine.Key) (evalengine.Eval, bool) {
 	if p := c.owner(k); p.available() {
 		th := tracing.FromContext(ctx)
 		sp := th.Begin(tracing.KindRemoteGet, p.base, 1)
 		start := time.Now()
-		val, ok := c.get(tracing.ChildContext(ctx, sp), p, k)
+		val, ok := c.get(p, k)
 		c.observe(start)
 		th.End(sp)
 		if ok {
@@ -200,8 +196,8 @@ func (c *Client) GetCtx(ctx context.Context, k evalengine.Key) (evalengine.Eval,
 // get is one GET of k from p; false is a miss. A request that fails marks
 // p down; a record that arrives whole but does not decode only counts an
 // error.
-func (c *Client) get(ctx context.Context, p *peer, k evalengine.Key) (evalengine.Eval, bool) {
-	req, cancel, err := c.newRequest(ctx, http.MethodGet, p.base+"/v1/cache/"+k.String(), nil)
+func (c *Client) get(p *peer, k evalengine.Key) (evalengine.Eval, bool) {
+	req, cancel, err := c.newRequest(http.MethodGet, p.base+"/v1/cache/"+k.String(), nil)
 	if err != nil {
 		c.fail(p)
 		return evalengine.Eval{}, false
@@ -254,7 +250,7 @@ func (c *Client) GetBatch(keys []evalengine.Key) map[evalengine.Key]evalengine.E
 }
 
 // GetBatchCtx implements evalengine.CtxBatchGetter: one remote.lookup
-// span and one set of propagation headers per owning-peer group.
+// span per owning-peer group.
 func (c *Client) GetBatchCtx(ctx context.Context, keys []evalengine.Key) map[evalengine.Key]evalengine.Eval {
 	found := make(map[evalengine.Key]evalengine.Eval)
 	groups := make(map[*peer][]evalengine.Key)
@@ -270,7 +266,7 @@ func (c *Client) GetBatchCtx(ctx context.Context, keys []evalengine.Key) map[eva
 		}
 		sp := th.Begin(tracing.KindRemoteLookup, p.base, int64(len(group)))
 		start := time.Now()
-		hits, err := c.lookup(tracing.ChildContext(ctx, sp), p, group)
+		hits, err := c.lookup(p, group)
 		c.observe(start)
 		th.End(sp)
 		if err != nil {
@@ -298,7 +294,7 @@ func (c *Client) GetBatchCtx(ctx context.Context, keys []evalengine.Key) map[eva
 	return found
 }
 
-func (c *Client) lookup(ctx context.Context, p *peer, keys []evalengine.Key) (map[string][]byte, error) {
+func (c *Client) lookup(p *peer, keys []evalengine.Key) (map[string][]byte, error) {
 	hexKeys := make([]string, len(keys))
 	for i, k := range keys {
 		hexKeys[i] = k.String()
@@ -307,7 +303,7 @@ func (c *Client) lookup(ctx context.Context, p *peer, keys []evalengine.Key) (ma
 	if err != nil {
 		return nil, err
 	}
-	req, cancel, err := c.newRequest(ctx, http.MethodPost, p.base+"/v1/cache/lookup", bytes.NewReader(body))
+	req, cancel, err := c.newRequest(http.MethodPost, p.base+"/v1/cache/lookup", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
@@ -376,7 +372,7 @@ func (c *Client) put(k evalengine.Key, val evalengine.Eval) bool {
 		c.errors.Add(1)
 		return false
 	}
-	req, cancel, err := c.newRequest(context.Background(), http.MethodPut, p.base+"/v1/cache/"+k.String(), &buf)
+	req, cancel, err := c.newRequest(http.MethodPut, p.base+"/v1/cache/"+k.String(), &buf)
 	if err != nil {
 		c.fail(p)
 		return false

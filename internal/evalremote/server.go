@@ -38,8 +38,8 @@ type EngineSource struct {
 }
 
 // Lookup implements Source: a disk probe under an open handler span is
-// recorded as an eval.disk child, so a merged trace shows which tier of
-// the owning peer answered.
+// recorded as an eval.disk child, so the peer's trace shows which of its
+// tiers answered.
 func (s EngineSource) Lookup(ctx context.Context, key evalengine.Key) (evalengine.Eval, bool) {
 	if s.Engine != nil {
 		if val, ok := s.Engine.Peek(key); ok {
@@ -66,8 +66,8 @@ func (s EngineSource) Store(key evalengine.Key, val evalengine.Eval) {
 	}
 }
 
-// shortKey is the span-name form of a cache key: enough hex to correlate
-// across processes without bloating every span line.
+// shortKey is the span-name form of a cache key: enough hex to tell keys
+// apart without bloating every span line.
 func shortKey(k evalengine.Key) string { return k.String()[:8] }
 
 // Register mounts the cache routes on mux. The record body format is
@@ -79,10 +79,9 @@ func shortKey(k evalengine.Key) string { return k.String()[:8] }
 // record under the wrong key is caught where it is served: the
 // requesting engine checks that a tier record answers its request.
 //
-// rec, when non-nil, records one serve.* span per handler invocation,
-// stamped with the caller's propagated trace context (trace ID, remote
-// parent span, job ID) — the server half of cross-process tracing. A nil
-// recorder keeps every handler at its uninstrumented cost.
+// rec, when non-nil, records one serve.* span per handler invocation, a
+// root span in the server's own trace. A nil recorder keeps every handler
+// at its uninstrumented cost.
 func Register(mux *http.ServeMux, src Source, rec *tracing.Recorder) {
 	mux.HandleFunc("GET /v1/cache/{key}", func(w http.ResponseWriter, r *http.Request) {
 		key, ok := evalengine.ParseKey(r.PathValue("key"))
@@ -91,7 +90,7 @@ func Register(mux *http.ServeMux, src Source, rec *tracing.Recorder) {
 			return
 		}
 		h := tracing.Root(rec)
-		sp := h.BeginRemote(tracing.KindServeGet, shortKey(key), 1, tracing.Extract(r.Header))
+		sp := h.Begin(tracing.KindServeGet, shortKey(key), 1)
 		defer h.End(sp)
 		ctx := tracing.ChildContext(tracing.NewContext(r.Context(), rec), sp)
 		val, ok := src.Lookup(ctx, key)
@@ -115,7 +114,7 @@ func Register(mux *http.ServeMux, src Source, rec *tracing.Recorder) {
 			return
 		}
 		h := tracing.Root(rec)
-		sp := h.BeginRemote(tracing.KindServePut, shortKey(key), 1, tracing.Extract(r.Header))
+		sp := h.Begin(tracing.KindServePut, shortKey(key), 1)
 		defer h.End(sp)
 		val, err := evalstore.DecodeRecord(http.MaxBytesReader(w, r.Body, maxRecordBytes))
 		if err != nil {
@@ -138,7 +137,7 @@ func Register(mux *http.ServeMux, src Source, rec *tracing.Recorder) {
 			return
 		}
 		h := tracing.Root(rec)
-		sp := h.BeginRemote(tracing.KindServeLookup, "", int64(len(lr.Keys)), tracing.Extract(r.Header))
+		sp := h.Begin(tracing.KindServeLookup, "", int64(len(lr.Keys)))
 		defer h.End(sp)
 		ctx := tracing.ChildContext(tracing.NewContext(r.Context(), rec), sp)
 		hits := make(map[string][]byte)

@@ -208,7 +208,7 @@ func (r *Registry) Func(name, help, kind string, fn func() float64) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m, ok := r.metrics[name]; ok {
+	if m := r.lookup(name); m != nil {
 		if m.fn == nil || m.kind != kind {
 			panic(fmt.Sprintf("telemetry: %s already registered as %s", name, m.kind))
 		}

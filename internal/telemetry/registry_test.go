@@ -146,14 +146,26 @@ func TestKindMismatchPanics(t *testing.T) {
 	}
 }
 
+// An invalid name would make the whole exposition unscrapable, so every
+// registration method refuses one.
 func TestInvalidNamePanics(t *testing.T) {
-	r := NewRegistry()
-	defer func() {
-		if recover() == nil {
-			t.Error("registering an invalid metric name did not panic")
+	for name, register := range map[string]func(r *Registry){
+		"Histogram": func(r *Registry) { r.Histogram("0bad name", "", []float64{1}) },
+		"Func":      func(r *Registry) { r.Func("0bad name", "", "gauge", func() float64 { return 1 }) },
+	} {
+		r := NewRegistry()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: registering an invalid metric name did not panic", name)
+				}
+			}()
+			register(r)
+		}()
+		if n := len(r.names()); n != 0 {
+			t.Errorf("%s: the invalid name was registered (%d metrics)", name, n)
 		}
-	}()
-	r.Histogram("0bad name", "", []float64{1})
+	}
 }
 
 // The Prometheus rendering is pinned against a golden: sorted names, HELP

@@ -12,11 +12,15 @@ package tracing
 
 import (
 	"bufio"
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
+	"time"
 )
 
 // streamMagic identifies a span-stream file's header line.
@@ -27,17 +31,23 @@ type Meta struct {
 	Stream string `json:"stream"`
 	// Tool names the command that recorded the stream.
 	Tool string `json:"tool,omitempty"`
-	// TraceID is the recorder's fleet-unique trace ID: the default trace
-	// every span in the stream belongs to unless a span carries its own.
-	// Merged exporters use it to resolve cross-process parent references.
+	// TraceID identifies the run or job the stream records. Whoever writes
+	// the header mints it with NewTraceID.
 	TraceID string `json:"trace_id,omitempty"`
-	// OriginUnixNs is the wall-clock instant (UnixNano) of the stream's
-	// zero timestamp, aligning streams from different processes on one
-	// time axis.
-	OriginUnixNs int64 `json:"origin_unix_ns,omitempty"`
 	// Manifest describes the run that recorded the stream, when a tool
 	// recorded it.
 	Manifest *Manifest `json:"manifest,omitempty"`
+}
+
+// NewTraceID returns a fresh trace ID: 16 lower-case hex characters from
+// a CSPRNG, with a clock-derived fallback if the system randomness source
+// fails (uniqueness is best-effort, not security).
+func NewTraceID() string {
+	var b [8]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		return strconv.FormatUint(uint64(time.Now().UnixNano()), 16)
+	}
+	return hex.EncodeToString(b[:])
 }
 
 // Manifest is what ran, with which knobs, on what build.
@@ -148,7 +158,9 @@ type spanLine struct {
 }
 
 // ReadSpans parses a span stream, returning the spans in file order. On a
-// malformed line it returns the spans before it with the error.
+// malformed line it returns the spans before it with the error. Fields it
+// does not know are skipped, so streams written by older builds still
+// read.
 func ReadSpans(r io.Reader) (Meta, []Span, error) {
 	dec := json.NewDecoder(r)
 	var meta Meta
@@ -188,11 +200,6 @@ type chromeEvent struct {
 	Pid  int            `json:"pid"`
 	Tid  int            `json:"tid"`
 	Args map[string]any `json:"args,omitempty"`
-	// FlowID and BindPoint are set only on flow events ("s"/"f" phases)
-	// emitted by the merged exporter; omitempty keeps single-process
-	// output byte-identical to the pre-merge format.
-	FlowID int    `json:"id,omitempty"`
-	Bind   string `json:"bp,omitempty"`
 }
 
 // WriteChromeTrace exports spans as a Chrome trace-event JSON document

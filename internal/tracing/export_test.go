@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -41,6 +42,16 @@ func writeStream(t testing.TB, meta Meta, spans []Span) *bytes.Buffer {
 		t.Fatalf("stream wrote %d spans, want %d", w.Len(), len(spans))
 	}
 	return &buf
+}
+
+func TestNewTraceID(t *testing.T) {
+	a, b := NewTraceID(), NewTraceID()
+	if !regexp.MustCompile(`^[0-9a-f]{16}$`).MatchString(a) {
+		t.Errorf("trace ID %q is not 16 hex chars", a)
+	}
+	if a == b {
+		t.Errorf("two trace IDs collided: %q", a)
+	}
 }
 
 func TestSpanStreamRoundtrip(t *testing.T) {

@@ -62,7 +62,7 @@ func attributedSpans() []Span {
 // values come back rendered, everything else unchanged, in write order.
 func TestStreamRoundTrip(t *testing.T) {
 	spans := attributedSpans()
-	meta := Meta{Tool: "xpscalar", TraceID: "c0ffee0123456789", OriginUnixNs: 5,
+	meta := Meta{Tool: "xpscalar", TraceID: "c0ffee0123456789",
 		Manifest: &Manifest{Seed: 7, GoVersion: "go1", OS: "linux", Arch: "amd64", MaxProcs: 2,
 			Flags: map[string]string{"seed": "7"}, Tech: map[string]float64{"fo4_ns": 0.036}}}
 	gotMeta, got, err := ReadSpans(writeStream(t, meta, spans))
@@ -93,7 +93,7 @@ func TestStreamConcurrentEnd(t *testing.T) {
 	var buf bytes.Buffer
 	var w *StreamWriter
 	rec := NewRecorderFunc(func(s Span) { w.Write(s) })
-	w = NewStreamWriter(&buf, Meta{Tool: "test", TraceID: rec.TraceID()})
+	w = NewStreamWriter(&buf, Meta{Tool: "test", TraceID: NewTraceID()})
 	ctx := NewContext(context.Background(), rec)
 	const workers, perWorker = 8, 150
 	var wg sync.WaitGroup
@@ -145,41 +145,6 @@ func TestStreamConcurrentEnd(t *testing.T) {
 	}
 }
 
-// A stream is stamped with its recorder's trace ID in the header; spans
-// that continue another process's trace carry that trace, job and remote
-// parent themselves, and local spans carry none.
-func TestStreamTraceStamping(t *testing.T) {
-	var buf bytes.Buffer
-	var w *StreamWriter
-	rec := NewRecorderFunc(func(s Span) { w.Write(s) })
-	rec.SetTraceID("aaaaaaaaaaaaaaaa")
-	w = NewStreamWriter(&buf, Meta{Tool: "xpserved", TraceID: rec.TraceID(), OriginUnixNs: rec.Origin()})
-	h := Root(rec)
-	remote := h.BeginRemote(KindServeGet, "k", 1, SpanContext{TraceID: "bbbbbbbbbbbbbbbb", Span: 9, Job: "j1"})
-	local := h.WithParent(remote).Begin(KindEvalDisk, "k", 0)
-	h.End(local)
-	h.End(remote)
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	meta, spans, err := ReadSpans(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.TraceID != "aaaaaaaaaaaaaaaa" || meta.OriginUnixNs == 0 || meta.Tool != "xpserved" {
-		t.Errorf("header = %+v", meta)
-	}
-	if len(spans) != 2 {
-		t.Fatalf("%d spans, want 2", len(spans))
-	}
-	if s := spans[0]; s.Kind != KindEvalDisk || s.Trace != "" || s.Job != "" || s.Parent != remote.ID {
-		t.Errorf("local span = %+v, want no stamp under the remote span", s)
-	}
-	if s := spans[1]; s.Trace != "bbbbbbbbbbbbbbbb" || s.Job != "j1" || s.RemoteParent != 9 {
-		t.Errorf("remote span = %+v, want the caller's trace, job and parent", s)
-	}
-}
-
 // checkBadLine reads a stream whose third line is each case's line and
 // checks the read fails with an error mentioning the case's want, keeping
 // the header and the one good span before it.
@@ -221,6 +186,37 @@ func TestReadSpansAttrsMismatch(t *testing.T) {
 	})
 }
 
+// olderBuildStream is a stream as builds with cross-process tracing wrote
+// it: the header carries a wall-clock origin and a manifest recording
+// -trace-id, and the serve.get span the caller's trace, remote parent and
+// job.
+const olderBuildStream = `{"stream":"xptrace-spans","tool":"xpserved","trace_id":"c0ffee0123456789","origin_unix_ns":1700000000000000000,"manifest":{"seed":7,"go_version":"go1.24.0","os":"linux","arch":"amd64","max_procs":2,"flags":{"seed":"7","trace-id":"0123456789abcdef"}}}
+{"id":2,"parent":1,"kind":"eval.disk","name":"abcd1234","start_ns":20,"end_ns":30}
+{"id":1,"track":1,"kind":"serve.get","name":"abcd1234","arg":1,"start_ns":10,"end_ns":40,"trace":"0123456789abcdef","remote_parent":9,"job":"job-0001"}
+`
+
+// A stream written by an older build reads: the fields this build no
+// longer writes are skipped, and every field it keeps comes back intact.
+func TestReadSpansOlderBuild(t *testing.T) {
+	meta, spans, err := ReadSpans(strings.NewReader(olderBuildStream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantMeta := Meta{Stream: streamMagic, Tool: "xpserved", TraceID: "c0ffee0123456789",
+		Manifest: &Manifest{Seed: 7, GoVersion: "go1.24.0", OS: "linux", Arch: "amd64", MaxProcs: 2,
+			Flags: map[string]string{"seed": "7", "trace-id": "0123456789abcdef"}}}
+	if !reflect.DeepEqual(meta, wantMeta) {
+		t.Errorf("header = %+v, want %+v", meta, wantMeta)
+	}
+	want := []Span{
+		{ID: 2, Parent: 1, Kind: KindEvalDisk, Name: "abcd1234", Start: 20, End: 30},
+		{ID: 1, Track: 1, Kind: KindServeGet, Name: "abcd1234", Arg: 1, Start: 10, End: 40},
+	}
+	if !reflect.DeepEqual(spans, want) {
+		t.Errorf("spans = %+v, want %+v", spans, want)
+	}
+}
+
 // FuzzReadSpans feeds arbitrary bytes to ReadSpans, the one reader of
 // -trace files and job event streams. No input may panic, and whatever it
 // accepts survives a write → read round trip unchanged.
@@ -248,6 +244,7 @@ func FuzzReadSpans(f *testing.F) {
 		`{"outcome":"miss","config":"w=2","intervals":[ {"instructions":4, "cycles":9, "stack":[5,4]}, {"note":"<&>"} ]}]}}` + "\n")
 	f.Add(`{"stream":"xptrace-spans"}` + "\n" + `{"id":1,"kind":"eval.batch","attrs":{"budget":8,"members":[` +
 		`{"outcome":"miss","intervals":null},{"outcome":"miss","intervals":[]},{"outcome":"miss","intervals":[1,"x"]}]}}` + "\n")
+	f.Add(olderBuildStream)
 	f.Fuzz(func(t *testing.T, data string) {
 		meta, spans, err := ReadSpans(strings.NewReader(data))
 		if err != nil {

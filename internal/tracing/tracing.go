@@ -78,8 +78,8 @@ const (
 	KindRemoteGet    = "remote.get"
 	KindRemoteLookup = "remote.lookup"
 	// KindServeGet/Put/Lookup cover the server side of the same round
-	// trips: one handler invocation on the owning peer, stamped with the
-	// caller's trace context so merged exporters can stitch the edge.
+	// trips: one handler invocation on the owning peer, a root span in
+	// that peer's own trace.
 	KindServeGet    = "serve.get"
 	KindServePut    = "serve.put"
 	KindServeLookup = "serve.lookup"
@@ -106,16 +106,6 @@ type Span struct {
 	// Start and End are nanoseconds since the recorder was created.
 	Start int64 `json:"start_ns"`
 	End   int64 `json:"end_ns"`
-	// Trace, RemoteParent, and Job carry cross-process identity. They are
-	// zero for purely local spans (the stream header's trace ID covers
-	// those); spans that continue a remote caller's trace — server-side
-	// cache handlers, scheduled jobs — are stamped explicitly so merged
-	// exporters can stitch the process boundary. Trace is the fleet-unique
-	// trace ID, RemoteParent the caller's span ID in *its* recorder, and
-	// Job the xpserve job ID the work belongs to.
-	Trace        string `json:"trace,omitempty"`
-	RemoteParent SpanID `json:"remote_parent,omitempty"`
-	Job          string `json:"job,omitempty"`
 	// Attrs is the kind's typed result, set by the instrumented layer on a
 	// live span (ID != 0) just before End; nil on kinds that carry none.
 	Attrs Attrs `json:"attrs,omitempty"`
@@ -131,13 +121,6 @@ func (s Span) DurNs() int64 { return s.End - s.Start }
 type Recorder struct {
 	clock  func() int64 // nanoseconds since construction, monotonic
 	nextID atomic.Uint64
-	// origin is the wall-clock instant of the recorder's zero timestamp
-	// (UnixNano), letting merged exporters align streams from different
-	// processes on one axis. Zero for clock-injected test recorders.
-	origin int64
-
-	idMu    sync.Mutex
-	traceID string
 
 	// consume, when set, receives every span as it ends instead of the
 	// buffer. It runs on the goroutine that ended the span — pool workers
@@ -148,20 +131,14 @@ type Recorder struct {
 	spans []Span
 }
 
-// NewRecorder returns a recorder stamping spans against the wall clock,
-// identified by a fresh fleet-unique trace ID.
+// NewRecorder returns a recorder stamping spans against the wall clock.
 func NewRecorder() *Recorder {
 	start := time.Now()
-	return &Recorder{
-		clock:   func() int64 { return int64(time.Since(start)) },
-		origin:  start.UnixNano(),
-		traceID: NewTraceID(),
-	}
+	return &Recorder{clock: func() int64 { return int64(time.Since(start)) }}
 }
 
-// NewRecorderFunc returns a wall-clock recorder, identified by a fresh
-// trace ID, that hands each span to consume as it ends and retains
-// nothing: Spans and Len stay empty.
+// NewRecorderFunc returns a wall-clock recorder that hands each span to
+// consume as it ends and retains nothing: Spans and Len stay empty.
 func NewRecorderFunc(consume func(Span)) *Recorder {
 	r := NewRecorder()
 	r.consume = consume
@@ -170,50 +147,9 @@ func NewRecorderFunc(consume func(Span)) *Recorder {
 
 // NewRecorderClock returns a recorder with an injected clock (nanoseconds
 // since some fixed origin, monotone non-decreasing) — deterministic
-// timestamps for golden tests. It carries no trace ID or wall-clock
-// origin until SetTraceID/SetOrigin install them.
+// timestamps for golden tests.
 func NewRecorderClock(clock func() int64) *Recorder {
 	return &Recorder{clock: clock}
-}
-
-// TraceID returns the recorder's fleet-unique trace ID ("" when unset or
-// the recorder is nil).
-func (r *Recorder) TraceID() string {
-	if r == nil {
-		return ""
-	}
-	r.idMu.Lock()
-	defer r.idMu.Unlock()
-	return r.traceID
-}
-
-// SetTraceID overrides the recorder's trace ID — the seam for callers that
-// must correlate spans with an externally chosen ID (a job's fleet ID, a
-// deterministic test). No-op on a nil recorder or an empty ID.
-func (r *Recorder) SetTraceID(id string) {
-	if r == nil || id == "" {
-		return
-	}
-	r.idMu.Lock()
-	r.traceID = id
-	r.idMu.Unlock()
-}
-
-// Origin returns the wall-clock UnixNano of the recorder's zero timestamp
-// (0 when unknown).
-func (r *Recorder) Origin() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.origin
-}
-
-// SetOrigin installs the wall-clock origin on a clock-injected recorder.
-func (r *Recorder) SetOrigin(unixNs int64) {
-	if r == nil {
-		return
-	}
-	r.origin = unixNs
 }
 
 // Enabled reports whether spans are being recorded.
@@ -310,21 +246,6 @@ func (h Handle) End(s Span) { h.rec.end(s) }
 func (h Handle) WithParent(s Span) Handle {
 	h.parent = s.ID
 	return h
-}
-
-// BeginRemote starts a span that continues a remote caller's trace: like
-// Begin, but the span is stamped with the caller's trace ID, remote parent
-// span, and job ID so merged exporters can stitch the cross-process edge.
-// An invalid SpanContext degrades to a plain Begin.
-func (h Handle) BeginRemote(kind, name string, arg int64, sc SpanContext) Span {
-	s := h.rec.begin(h.parent, h.track, kind, name, arg)
-	if s.ID == 0 {
-		return s
-	}
-	s.Trace = sc.TraceID
-	s.RemoteParent = sc.Span
-	s.Job = sc.Job
-	return s
 }
 
 // Root returns a handle at the root of rec's span tree — the server-side

@@ -4,6 +4,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"xpscalar/internal/workload"
 )
 
 // hugeChains is a request that once crashed the server: accepted with 202,
@@ -15,15 +17,22 @@ const hugeChains = `{"kind":"explore","workloads":["gzip"],"iterations":1,"chain
 // nor shutdown could stop it.
 const hugeBudgets = `{"kind":"explore","workloads":["gzip"],"short_budget":1000000000000,"long_budget":1000000000000}`
 
+// tooManyClusters is a subsetting request that took a queue slot and a
+// worker, extracted every suite workload, and only then failed: k-means
+// cannot make more clusters than the suite has workloads.
+const tooManyClusters = `{"kind":"subsetting","kmeans":12,"instructions":2000}`
+
 // TestHugeFanOutRejected: requests whose chain or neighborhood fan-out is
-// beyond the annealer's bound, or whose instruction budget is beyond
-// maxBudget, get a 400 before they take a queue slot.
+// beyond the annealer's bound, whose instruction budget is beyond
+// maxBudget, or whose k-means asks for more clusters than the suite has
+// workloads, get a 400 before they take a queue slot.
 func TestHugeFanOutRejected(t *testing.T) {
 	bodies := []string{
 		hugeChains,
 		`{"kind":"matrix","workloads":["gzip"],"neighborhood":1125899906842624}`,
 		hugeBudgets,
 		`{"kind":"matrix","workloads":["gzip"],"instructions":1000000000000}`,
+		tooManyClusters,
 	}
 	// Checked before any server starts: a huge budget that got through
 	// would hold a job worker, and so the test's shutdown, for days.
@@ -54,8 +63,9 @@ func TestHugeFanOutRejected(t *testing.T) {
 
 // FuzzJobRequest feeds arbitrary bodies to submit's decode and validation.
 // No input may panic, every request they accept maps to annealer options
-// that pass the annealer's option check, and every budget it accepts is
-// within maxBudget.
+// that pass the annealer's option check, every budget it accepts is
+// within maxBudget, and every k-means it accepts is at most the suite
+// size.
 //
 //	go test ./internal/xpserve -run '^$' -fuzz FuzzJobRequest -fuzztime 60s
 func FuzzJobRequest(f *testing.F) {
@@ -65,6 +75,7 @@ func FuzzJobRequest(f *testing.F) {
 	f.Add(hugeBudgets)
 	f.Add(`{"kind":"explore","chain":2}`)
 	f.Add(`{"kind":"subsetting","kmeans":`)
+	f.Add(tooManyClusters)
 	f.Fuzz(func(t *testing.T, body string) {
 		req, err := decodeJobRequest(strings.NewReader(body))
 		if err != nil || validate(req) != nil {
@@ -79,6 +90,9 @@ func FuzzJobRequest(f *testing.F) {
 		}
 		if opt.ShortBudget > maxBudget || opt.LongBudget > maxBudget || req.Instructions > maxBudget {
 			t.Fatalf("accepted request %+v has a budget over %d", req, maxBudget)
+		}
+		if n := len(workload.Suite()); req.KMeans > n {
+			t.Fatalf("accepted request %+v asks for more clusters than the %d suite workloads", req, n)
 		}
 	})
 }

@@ -18,6 +18,7 @@ import (
 	"xpscalar/internal/session"
 	"xpscalar/internal/telemetry"
 	"xpscalar/internal/tracing"
+	"xpscalar/internal/workload"
 )
 
 // Options sizes a Scheduler. The zero value selects defaults.
@@ -133,7 +134,8 @@ const maxBudget = 100_000_000
 // validate rejects malformed requests before they occupy a queue slot.
 // The annealing knobs must pass the annealer's own option check, which
 // bounds the fan-out a request can ask for; each instruction budget must
-// be within maxBudget.
+// be within maxBudget; k-means cannot ask for more clusters than the
+// suite has workloads.
 func validate(req JobRequest) error {
 	switch req.Kind {
 	case KindExplore, KindMatrix, KindSubsetting:
@@ -146,6 +148,9 @@ func validate(req JobRequest) error {
 	if req.ShortBudget > maxBudget || req.LongBudget > maxBudget || req.Instructions > maxBudget {
 		return fmt.Errorf("xpserve: short_budget %d, long_budget %d, instructions %d: each must be at most %d",
 			req.ShortBudget, req.LongBudget, req.Instructions, maxBudget)
+	}
+	if n := len(workload.Suite()); req.KMeans > n {
+		return fmt.Errorf("xpserve: kmeans %d: the suite has %d workloads", req.KMeans, n)
 	}
 	_, err := exploreOptions(req)
 	return err
@@ -200,31 +205,25 @@ func (s *Scheduler) runJob(j *Job) {
 
 // execute dispatches on the job kind under the job's own recorder, which
 // streams the job's span subtree into its event buffer: the stream header
-// first, then each span as it ends, flushed through at once so tailing
-// clients see steps, evaluations and matrix rows as they happen.
-//
-// Every job carries its fleet-unique trace ID three ways: in its stream's
-// header, stamped (with the job ID) on the root "job" span, and propagated
-// over HTTP by the remote-cache client via the job-ID context — so one
-// grep for the trace ID correlates a job's stream with the serve.* spans
-// it caused on other peers.
+// (carrying the trace ID minted at submit) first, then each span as it
+// ends, flushed through at once so tailing clients see steps, evaluations
+// and matrix rows as they happen. A root "job" span parents the work.
 func (s *Scheduler) execute(j *Job) (json.RawMessage, error) {
 	var stream *tracing.StreamWriter
 	rec := tracing.NewRecorderFunc(func(sp tracing.Span) {
 		stream.Write(sp)
 		stream.Flush()
 	})
-	rec.SetTraceID(j.traceID)
-	stream = tracing.NewStreamWriter(j.events, tracing.Meta{Tool: "xpserved", TraceID: j.traceID, OriginUnixNs: rec.Origin()})
+	stream = tracing.NewStreamWriter(j.events, tracing.Meta{Tool: "xpserved", TraceID: j.traceID})
 	s.mu.Lock()
 	j.stream = stream
 	s.mu.Unlock()
 	defer stream.Close()
 
 	h := tracing.Root(rec)
-	sp := h.BeginRemote(tracing.KindJob, j.req.Kind, 0, tracing.SpanContext{TraceID: j.traceID, Job: j.id})
+	sp := h.Begin(tracing.KindJob, j.req.Kind, 0)
 	defer h.End(sp)
-	ctx := tracing.ChildContext(tracing.NewContext(tracing.WithJobID(j.ctx, j.id), rec), sp)
+	ctx := tracing.ChildContext(tracing.NewContext(j.ctx, rec), sp)
 	switch j.req.Kind {
 	case KindExplore:
 		return runExplore(ctx, s.sess, j.req)

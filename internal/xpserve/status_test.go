@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -156,14 +157,14 @@ func TestReadiness(t *testing.T) {
 	}
 }
 
-// TestJobTraceStamping: every job gets a fleet-unique trace ID that shows
-// up in its status, in its event stream's header, and on the stream's root
-// "job" span, which parents the work's spans.
+// TestJobTraceStamping: every job gets a trace ID, minted at submit, that
+// is stable across its states and heads its event stream, whose root "job"
+// span, named for the job's kind, parents the work's spans.
 func TestJobTraceStamping(t *testing.T) {
 	srv, _ := newTestServer(t, Options{})
 
 	st := submit(t, srv, tinyExplore())
-	if len(st.TraceID) != 16 {
+	if !regexp.MustCompile(`^[0-9a-f]{16}$`).MatchString(st.TraceID) {
 		t.Fatalf("trace ID %q, want 16 hex chars", st.TraceID)
 	}
 	done := await(t, srv, st.ID)
@@ -172,11 +173,11 @@ func TestJobTraceStamping(t *testing.T) {
 	}
 
 	meta, spans := readStream(t, srv, st.ID)
-	if meta.TraceID != st.TraceID || meta.Tool != "xpserved" || meta.OriginUnixNs == 0 {
+	if meta.TraceID != st.TraceID || meta.Tool != "xpserved" {
 		t.Fatalf("stream header %+v, want the job's trace %s", meta, st.TraceID)
 	}
 
-	// The job span roots the work under the job's trace ID.
+	// The job span roots the work.
 	var job *tracing.Span
 	byID := map[tracing.SpanID]tracing.Span{}
 	for _, s := range spans {
@@ -189,8 +190,8 @@ func TestJobTraceStamping(t *testing.T) {
 	if job == nil {
 		t.Fatal("no job span recorded")
 	}
-	if job.Trace != st.TraceID || job.Job != st.ID || job.Name != KindExplore || job.Parent != 0 {
-		t.Errorf("job span %+v, want root with trace %s job %s", job, st.TraceID, st.ID)
+	if job.Name != KindExplore || job.Parent != 0 {
+		t.Errorf("job span %+v, want a root named %s", job, KindExplore)
 	}
 	// Every other span of the stream descends from the job span.
 	for _, s := range spans {

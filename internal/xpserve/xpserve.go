@@ -77,9 +77,8 @@ type JobStatus struct {
 	State string `json:"state"`
 	Error string `json:"error,omitempty"`
 
-	// TraceID is the fleet-unique trace the job's event stream and
-	// remote-cache requests are stamped with; grepping any peer's trace
-	// file for it finds this job's share of the fleet's work.
+	// TraceID identifies the job's trace: minted at submit, it is the
+	// trace ID in the header of the job's event stream.
 	TraceID string `json:"trace_id,omitempty"`
 
 	CreatedAt  time.Time  `json:"created_at"`
