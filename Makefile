@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race race-hot bench bench-smoke fuzz-smoke bench-compare fleet-smoke e2ebench-check verify clean
+.PHONY: all build test vet race race-hot bench bench-smoke fuzz-smoke bench-compare e2ebench-check verify clean
 
 all: build
 
@@ -21,21 +21,25 @@ race:
 # streaming consumer runs on pool workers, the annealer, the kernel
 # packages whose pooled runners concurrent workers arm and disarm, the
 # per-technology delay tables that concurrent annealing chains build and
-# share, the write-behind disk and remote cache tiers, and the
-# multi-tenant job scheduler. Four tests run ten times, because what
-# they catch is a rare interleaving: the concurrent-end stream test (a
-# torn or lost span line), the two-stores-one-directory test (interleaved
-# or quarantined entries, or a file beside the pack, when two stores
-# append to one cache directory), the three-stores test (a reader
-# serving a torn or unwritten value, or a store opened mid-stream
-# indexing a torn entry), and the delay tables' first-build test (a wrong
-# answer while goroutines build a technology's table, publish it to the
-# one-entry fast path and build its candidate lists).
+# share, the write-behind disk cache tier, and the multi-tenant job
+# scheduler. Four tests run ten times, because what they catch is a rare
+# interleaving: the concurrent-end stream test (a torn or lost span
+# line), the two-stores-one-directory test (interleaved or quarantined
+# entries, or a file beside the pack, when two stores append to one cache
+# directory), the three-stores test (a reader serving a torn or unwritten
+# value, or a store opened mid-stream indexing a torn entry), and the
+# delay tables' first-build test (a wrong answer while goroutines build a
+# technology's table, publish it to the one-entry fast path and build its
+# candidate lists). The remote cache client, which only the end-to-end
+# benchmark's explore-warm-remote workload still uses, runs its whole
+# degraded-network suite (dead, hung and dying peers, corrupt records)
+# ten times.
 race-hot:
-	$(GO) test -race ./internal/evalengine ./internal/telemetry ./internal/tracing ./internal/explore ./internal/pipeline ./internal/sim ./internal/timing ./internal/evalstore ./internal/evalremote ./internal/xpserve
+	$(GO) test -race ./internal/evalengine ./internal/telemetry ./internal/tracing ./internal/explore ./internal/pipeline ./internal/sim ./internal/timing ./internal/evalstore ./internal/xpserve
 	$(GO) test -race -count=10 -run '^TestStreamConcurrentEnd$$' ./internal/tracing
 	$(GO) test -race -count=10 -run '^(TestTwoStoresOneDirectory|TestThreeStoresOneDirectory)$$' ./internal/evalstore
 	$(GO) test -race -count=10 -run '^TestTablesConcurrentFirstBuild$$' ./internal/timing
+	$(GO) test -race -count=10 ./internal/evalremote
 
 # bench reports the headline reproduction metrics plus the evaluation
 # engine's cache hit rate and sim-latency quantiles (cacheHit%, simP50ms,
@@ -74,16 +78,6 @@ fuzz-smoke:
 # comparison is the change against itself.
 bench-compare:
 	$(GO) run ./cmd/benchjson -compare BENCH_kernel.json -benchtime 20x
-
-# fleet-smoke is the gate for the remote cache tier. It runs the
-# degraded-network suite (dead, hung and dying peers, corrupt records)
-# ten times under the race detector, then the multi-process end-to-end
-# tests: real xpserved peers serving real xpscalar clients over HTTP — the
-# warm/dead-peer cache contract, and each process's -trace file holding
-# its own trace while Table 4 stays byte-identical.
-fleet-smoke:
-	$(GO) test -race -count=10 ./internal/evalremote
-	$(GO) test ./cmd/xpscalar/ -run '^TestFleet(WarmExploration|TraceFiles)$$' -count=1 -timeout 600s
 
 # e2ebench-check vets and tests the end-to-end benchmark. e2ebench/ is its
 # own Go module (it replaces xpscalar with ../), so ./... from the root

@@ -5,7 +5,8 @@
 //
 // Usage:
 //
-//	combos [-source paper|sim] [-maxk n] [-figure4] [-summary] [-weights w1,w2,...]
+//	combos [-source paper|sim|file:path|outcomes:path]
+//	       [-maxk n] [-figure4] [-summary] [-weights w1,w2,...]
 //	       [-trace file] [-progress]
 //
 // Tables go to stdout; diagnostics go to stderr.
@@ -32,7 +33,7 @@ func main() {
 
 func run(ctx context.Context) error {
 	var (
-		source      = flag.String("source", "paper", "matrix source: paper or sim")
+		source      = flag.String("source", "paper", "matrix source: paper, sim, file:<path> (a crossconf -savematrix file) or outcomes:<path> (an xpscalar -save file)")
 		maxK        = flag.Int("maxk", 4, "largest core count to search")
 		fig4        = flag.Bool("figure4", false, "print per-benchmark IPT under the chosen core sets (Figure 4)")
 		summary     = flag.Bool("summary", false, "print the dual-core summary (Table 7)")

@@ -6,9 +6,9 @@
 //
 // Usage:
 //
-//	crossconf [-source paper|sim] [-slowdown] [-mark none|forward|full] [-n instr] [-iterations n] [-seed n]
-//	          [-timeout d] [-evalstats] [-cache-dir dir]
-//	          [-cache-peers urls] [-trace file] [-progress]
+//	crossconf [-source paper|sim|file:path|outcomes:path] [-slowdown] [-mark none|forward|full]
+//	          [-n instr] [-iterations n] [-seed n] [-savematrix file]
+//	          [-timeout d] [-evalstats] [-cache-dir dir] [-trace file] [-progress]
 //	          [-cpuprofile file] [-memprofile file]
 //
 // Matrices go to stdout; diagnostics go to stderr. With -source sim, -trace
@@ -40,7 +40,7 @@ func main() {
 
 func run(ctx context.Context) error {
 	var (
-		source     = flag.String("source", "paper", "matrix source: paper (published Table 5) or sim (regenerate)")
+		source     = flag.String("source", "paper", "matrix source: paper (published Table 5), sim (regenerate), file:<path> (a -savematrix file) or outcomes:<path> (cross-simulate an xpscalar -save file)")
 		slowdown   = flag.Bool("slowdown", false, "print the Appendix A percentage-slowdown matrix")
 		mark       = flag.String("mark", "", "star the links of a surrogate policy: none|forward|full")
 		n          = flag.Int("n", 60000, "instructions per cross-configuration evaluation (sim source)")

@@ -6,7 +6,8 @@
 //
 // Usage:
 //
-//	mtsim [-source paper|sim] [-cores k] [-jobs n] [-interarrival t] [-work w] [-sweep]
+//	mtsim [-source paper|sim|file:path|outcomes:path]
+//	      [-cores k] [-jobs n] [-interarrival t] [-work w] [-sweep]
 //	      [-trace file] [-progress]
 //
 // Tables go to stdout; diagnostics go to stderr.
@@ -32,7 +33,7 @@ func main() {
 
 func run(ctx context.Context) error {
 	var (
-		source = flag.String("source", "paper", "matrix source: paper or sim")
+		source = flag.String("source", "paper", "matrix source: paper, sim, file:<path> (a crossconf -savematrix file) or outcomes:<path> (an xpscalar -save file)")
 		cores  = flag.Int("cores", 2, "number of cores")
 		jobs   = flag.Int("jobs", 4000, "jobs to simulate")
 		inter  = flag.Float64("interarrival", 25, "mean job interarrival time")

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	surrogate [-source paper|sim] [-policy none|forward|full|all]
+//	surrogate [-source paper|sim|file:path|outcomes:path] [-policy none|forward|full|all]
 //	          [-trace file] [-progress]
 //
 // Graphs go to stdout; diagnostics go to stderr.
@@ -30,7 +30,7 @@ func main() {
 
 func run(ctx context.Context) error {
 	var (
-		source = flag.String("source", "paper", "matrix source: paper or sim")
+		source = flag.String("source", "paper", "matrix source: paper, sim, file:<path> (a crossconf -savematrix file) or outcomes:<path> (an xpscalar -save file)")
 		policy = flag.String("policy", "all", "propagation policy: none|forward|full|all")
 	)
 	var rcfg cli.RunConfig

@@ -8,7 +8,7 @@
 //
 //	xpscalar [-workload name] [-iterations n] [-chains n] [-short n] [-long n] [-seed n]
 //	         [-neighborhood k] [-timeout d] [-evalstats]
-//	         [-cache-dir dir] [-cache-peers urls] [-trace file]
+//	         [-cache-dir dir] [-trace file]
 //	         [-progress] [-log-level l] [-log-format text|json]
 //	         [-cpuprofile file] [-memprofile file]
 //
@@ -29,12 +29,9 @@
 // dir; a rerun (same flags, same seed) over the same directory replays
 // from disk instead of simulating, bit-identically — check with -evalstats
 // (sims drop to zero) or xptrace diff (clean against the cold run).
-// -cache-peers adds a remote tier behind the disk: a comma-separated list
-// of xpserved base URLs forming a fleet cache, each evaluation key owned
-// by one peer (rendezvous hashing). A run against a warm fleet pulls its
-// evaluations over HTTP instead of simulating — same bit-identity
-// guarantee — and a dead or slow peer only lowers the hit rate, never
-// fails or stalls the run.
+// Processes running at once may share one directory, and the directory's
+// pack file (xpeval-record-v2.pack) carries the work to another machine:
+// copy it, or cat several packs into one.
 //
 // The run is interruptible: Ctrl-C (or -timeout expiry) stops the search
 // at the next annealing iteration, prints the outcomes of the workloads

@@ -1,8 +1,9 @@
-// End-to-end interruption tests: build the real binary, interrupt a real
-// run, and verify the contract of the graceful-shutdown path — a distinct
-// exit status, a parseable span stream (manifest first, run span with the
-// summary last), and a valid saved-outcomes file holding exactly the
-// workloads that finished.
+// End-to-end tests of the real binary. The interruption tests verify the
+// contract of the graceful-shutdown path — a distinct exit status, a
+// parseable span stream (manifest first, run span with the summary last),
+// and a valid saved-outcomes file holding exactly the workloads that
+// finished. The cache tests verify that processes sharing a -cache-dir
+// share their evaluations without changing a result.
 
 package main
 
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"xpscalar/internal/evalstore"
 	"xpscalar/internal/store"
 	"xpscalar/internal/tech"
 	"xpscalar/internal/tracing"
@@ -103,19 +105,10 @@ func TestInterruptGracefulShutdown(t *testing.T) {
 		t.Errorf("stderr does not report the interruption:\n%s", stderr.Bytes())
 	}
 
-	// The trace was flushed on the way out: every line parses, the run
-	// manifest opens it and the summary closes it.
-	// Every line parses, the header (with the manifest) comes first, and
-	// the run span (with the engine's counters) comes last.
-	f, ferr := os.Open(tracePath)
-	if ferr != nil {
-		t.Fatal(ferr)
-	}
-	defer f.Close()
-	meta, spans, ferr := tracing.ReadSpans(f)
-	if ferr != nil {
-		t.Fatalf("interrupted trace unparseable: %v", ferr)
-	}
+	// The trace was flushed on the way out: every line parses, the header
+	// (with the manifest) comes first, and the run span (with the engine's
+	// counters) comes last.
+	meta, spans := readSpanFile(t, tracePath)
 	if meta.Manifest == nil || meta.Tool != "xpscalar" {
 		t.Fatalf("trace header %+v lacks the manifest", meta)
 	}
@@ -185,4 +178,102 @@ func TestWarmStartFromCacheDir(t *testing.T) {
 	if ws.DiskHits == 0 {
 		t.Fatalf("warm summary %+v, want disk hits", ws)
 	}
+}
+
+// TestTwoProcessesShareCacheDir: two cold runs with different seeds write
+// one -cache-dir at the same time. A warm rerun of either seed then
+// simulates nothing and prints that seed's cold Table 4, and the shared
+// pack opens with no torn or interleaved entry.
+func TestTwoProcessesShareCacheDir(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real binary four times")
+	}
+	bin := buildBinary(t)
+	dir := t.TempDir()
+	cacheDir := filepath.Join(dir, "cache")
+	seeds := []string{"3", "4"}
+
+	type proc struct {
+		cmd            *exec.Cmd
+		stdout, stderr bytes.Buffer
+	}
+	start := func(seed string, extra ...string) *proc {
+		p := &proc{}
+		args := []string{
+			"-workload", "gzip", "-iterations", "3", "-chains", "1",
+			"-short", "1000", "-long", "1000", "-seed", seed, "-cache-dir", cacheDir}
+		p.cmd = exec.Command(bin, append(args, extra...)...)
+		p.cmd.Stdout, p.cmd.Stderr = &p.stdout, &p.stderr
+		if err := p.cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	wait := func(procs ...*proc) []string {
+		out := make([]string, len(procs))
+		for i, p := range procs {
+			if err := p.cmd.Wait(); err != nil {
+				t.Errorf("%v: %v\nstderr: %s", p.cmd.Args, err, p.stderr.Bytes())
+			}
+			out[i] = p.stdout.String()
+		}
+		if t.Failed() {
+			t.FailNow()
+		}
+		return out
+	}
+
+	// Both cold writers run at once.
+	cold := wait(start(seeds[0]), start(seeds[1]))
+
+	for i, seed := range seeds {
+		trace := "warm-" + seed + ".jsonl"
+		warm := wait(start(seed, "-trace", filepath.Join(dir, trace)))[0]
+		if warm != cold[i] {
+			t.Fatalf("seed %s: warm run printed a different Table 4:\n%s\nvs cold\n%s", seed, warm, cold[i])
+		}
+		if s := readSummary(t, dir, trace); s.Misses != 0 || s.DiskHits == 0 {
+			t.Fatalf("seed %s: warm summary %+v, want 0 misses and disk hits", seed, s)
+		}
+	}
+
+	disk, err := evalstore.Open(cacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := disk.Stats()
+	if err := disk.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st.Quarantined != 0 || st.Entries == 0 {
+		t.Fatalf("shared pack: %d entries, %d quarantined; want entries and none quarantined", st.Entries, st.Quarantined)
+	}
+}
+
+// readSpanFile loads one trace from disk.
+func readSpanFile(t *testing.T, path string) (tracing.Meta, []tracing.Span) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	meta, spans, err := tracing.ReadSpans(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return meta, spans
+}
+
+// readSummary parses the engine counters the trace's closing run span
+// carries.
+func readSummary(t *testing.T, dir, trace string) *tracing.RunAttrs {
+	t.Helper()
+	_, spans := readSpanFile(t, filepath.Join(dir, trace))
+	last := spans[len(spans)-1]
+	s, ok := last.Attrs.(*tracing.RunAttrs)
+	if last.Kind != tracing.KindRun || !ok {
+		t.Fatalf("trace %s does not end in the run span", trace)
+	}
+	return s
 }

@@ -2,12 +2,14 @@
 // shuts down gracefully, and a second process over the same cache
 // directory answers the identical job from disk — byte-identical result,
 // zero simulations — proving the persistent tier survives restarts and
-// the graceful-shutdown path flushes it.
+// the graceful-shutdown path flushes it. The pack is the server's only
+// channel for sharing evaluations: it serves none of them over HTTP.
 
 package main
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"net/http"
 	"os"
@@ -205,6 +207,26 @@ func TestRestartServedFromDisk(t *testing.T) {
 	}
 	if n := s2.metric(t, "xpscalar_eval_disk_entries"); n != float64(records) {
 		t.Fatalf("disk entries gauge %v, want %d records found on disk", n, records)
+	}
+
+	// The pack is the one way the server shares evaluations: a key it
+	// holds (the pack's first entry opens with its key) is not served
+	// over HTTP, while the operator's endpoints answer.
+	packs, err := filepath.Glob(filepath.Join(cacheDir, "*.pack"))
+	if err != nil || len(packs) != 1 {
+		t.Fatalf("packs in the cache directory: %v (%v), want one", packs, err)
+	}
+	pack, err := os.ReadFile(packs[0])
+	if err != nil || len(pack) < 32 {
+		t.Fatalf("pack of %d bytes: %v", len(pack), err)
+	}
+	if code := s2.status(t, "/v1/cache/"+hex.EncodeToString(pack[:32])); code != http.StatusNotFound {
+		t.Fatalf("GET /v1/cache/<held key> answered %d, want 404", code)
+	}
+	for _, path := range []string{"/metrics", "/readyz"} {
+		if code := s2.status(t, path); code != http.StatusOK {
+			t.Fatalf("GET %s answered %d, want 200", path, code)
+		}
 	}
 }
 

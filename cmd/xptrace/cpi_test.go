@@ -347,9 +347,9 @@ func FuzzLoadTraceIntervals(f *testing.F) {
 }
 
 // Introspection flags are observability-only: two manifests differing
-// solely in -cpi/-intervals, or in the retired -interval-size and
-// -trace-id that older builds' manifests carry, must show no manifest
-// drift.
+// solely in -cpi/-intervals, or in the retired -interval-size, -trace-id
+// and -cache-peers that older builds' manifests carry, must show no
+// manifest drift.
 func TestDiffIgnoresIntrospectionFlags(t *testing.T) {
 	a := &trace{path: "a", meta: tracing.Meta{Tool: "xpscalar", Manifest: &tracing.Manifest{
 		Seed:  42,
@@ -362,6 +362,8 @@ func TestDiffIgnoresIntrospectionFlags(t *testing.T) {
 			"cpi":      "true", "intervals": "i.jsonl", "interval-size": "500",
 			// Retired; only ever named the trace.
 			"trace-id": "0123456789abcdef",
+			// Retired with the remote cache tier.
+			"cache-peers": "http://127.0.0.1:1",
 		},
 	}}}
 	if diffManifests(a, b) {

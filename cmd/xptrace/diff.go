@@ -35,9 +35,11 @@ var ignoredFlags = map[string]bool{
 	// run must diff clean against a plain one. -interval-size is gone, but
 	// traces written by earlier builds still carry it.
 	"cpi": true, "intervals": true, "interval-size": true,
-	// The persistent cache tiers only ever serve values an engine computed
-	// and stored — a warm-cache or fleet-warm run is bit-identical to a
-	// cold one, and diffing the two is exactly how that claim is checked.
+	// The persistent cache tier only ever serves values an engine computed
+	// and stored — a warm-cache run is bit-identical to a cold one, and
+	// diffing the two is exactly how that claim is checked. -cache-peers
+	// is gone with the remote tier, but manifests written by earlier
+	// builds still carry it.
 	"cache-dir": true, "cache-peers": true,
 	// -trace-id is gone, but manifests written by earlier builds still
 	// carry it; it only ever named the trace.

@@ -121,6 +121,28 @@ func TestEndToEnd(t *testing.T) {
 		checkOneTrace(t, xptraceBin, "report", traceA, traceB)
 	})
 
+	t.Run("report-older-build", func(t *testing.T) {
+		// Builds with a remote cache tier wrote its counters into the run
+		// span. Their traces still read, and the report has no line for
+		// the tier.
+		older := filepath.Join(dir, "older.jsonl")
+		stream := `{"stream":"xptrace-spans","tool":"xpscalar","manifest":{"seed":7}}` + "\n" +
+			`{"id":1,"kind":"run","name":"xpscalar","start_ns":0,"end_ns":50,"attrs":{"requests":5,"hits":1,"deduped":0,"misses":0,"evictions":0,"cache_entries":4,"disk_hits":4,"remote_hits":3,"remote_misses":1}}` + "\n"
+		if err := os.WriteFile(older, []byte(stream), 0o666); err != nil {
+			t.Fatal(err)
+		}
+		out, err := exec.Command(xptraceBin, "report", older).CombinedOutput()
+		if err != nil {
+			t.Fatalf("report on an older build's trace: %v\n%s", err, out)
+		}
+		if !strings.Contains(string(out), "Disk tier: 4 hits") {
+			t.Errorf("report lacks the disk tier line:\n%s", out)
+		}
+		if strings.Contains(string(out), "Remote tier") {
+			t.Errorf("report prints a remote tier line:\n%s", out)
+		}
+	})
+
 	t.Run("diff-identical", func(t *testing.T) {
 		cmd := exec.Command(xptraceBin, "diff", traceA, traceB)
 		out, err := cmd.CombinedOutput()

@@ -218,9 +218,6 @@ func printSummary(t *trace) {
 	if s.DiskHits > 0 || s.DiskMisses > 0 {
 		fmt.Printf("Disk tier: %d hits, %d misses\n", s.DiskHits, s.DiskMisses)
 	}
-	if s.RemoteHits > 0 || s.RemoteMisses > 0 {
-		fmt.Printf("Remote tier: %d hits, %d misses\n", s.RemoteHits, s.RemoteMisses)
-	}
 	if s.LockstepGroups > 0 || s.ScalarFallbacks > 0 {
 		avg := 0.0
 		if s.LockstepGroups > 0 {

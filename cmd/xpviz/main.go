@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	xpviz [-source paper|sim] [-trace file] [-progress]
+//	xpviz [-source paper|sim|file:path|outcomes:path] [-trace file] [-progress]
 //
 // The heat map goes to stdout; diagnostics go to stderr.
 package main
@@ -30,7 +30,7 @@ func main() {
 }
 
 func run(ctx context.Context) error {
-	source := flag.String("source", "paper", "matrix source: paper or sim")
+	source := flag.String("source", "paper", "matrix source: paper, sim, file:<path> (a crossconf -savematrix file) or outcomes:<path> (an xpscalar -save file)")
 	var rcfg cli.RunConfig
 	rcfg.RegisterFlags()
 	var tcfg cli.TelemetryConfig

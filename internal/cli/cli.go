@@ -103,7 +103,7 @@ func LoadMatrix(ctx context.Context, source string, o MatrixOptions) (*core.Matr
 		}
 		return sess.CrossMatrix(ctx, profiles, configs, n, tech.Default())
 	default:
-		return nil, fmt.Errorf("cli: unknown matrix source %q (want paper or sim)", source)
+		return nil, fmt.Errorf("cli: unknown matrix source %q (want paper, sim, file:<path> or outcomes:<path>)", source)
 	}
 }
 

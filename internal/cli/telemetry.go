@@ -199,8 +199,6 @@ func (t *Telemetry) Close() (firstErr error) {
 				ScalarFallbacks: s.ScalarFallbacks,
 				DiskHits:        s.DiskHits,
 				DiskMisses:      s.DiskMisses,
-				RemoteHits:      s.Disk.RemoteHits,
-				RemoteMisses:    s.Disk.RemoteMisses,
 			}
 			t.root.End(t.runSpan)
 		}

@@ -1,7 +1,6 @@
-// Tier composition and the batched read-through. Tiered's contract is
-// behavioral (promotion, fan-out, field-wise stats) and EvaluateBatch's
-// is economic: a group of owned misses must cost the persistent tier ONE
-// multi-get, not one probe per key.
+// The batched read-through. EvaluateBatch's contract is economic: a
+// group of owned misses must cost the persistent tier ONE multi-get, not
+// one probe per key.
 
 package evalengine
 
@@ -84,89 +83,6 @@ func synthEval(score float64) Eval {
 	e.Result.Workload = "unit"
 	e.Result.Instructions = 1000
 	return e
-}
-
-func synthKeys(n int) []Key {
-	keys := make([]Key, n)
-	for i := range keys {
-		keys[i][0] = byte(i + 1)
-	}
-	return keys
-}
-
-// TestTieredCollapse: the composition disappears at zero or one live
-// tier.
-func TestTieredCollapse(t *testing.T) {
-	if Tiered() != nil || Tiered(nil, nil) != nil {
-		t.Fatal("empty composition should be nil")
-	}
-	be := newMemBackend()
-	if got := Tiered(nil, be); got != CacheBackend(be) {
-		t.Fatal("single live tier should collapse to the tier itself")
-	}
-}
-
-// TestTieredPromotion: a hit in a slow tier is promoted into every
-// faster tier on the way out, for both the single and batched reads.
-func TestTieredPromotion(t *testing.T) {
-	fast, slow := newMemBackend(), newBatchBackend()
-	tiers := Tiered(fast, slow)
-	keys := synthKeys(4)
-	want := synthEval(2.5)
-	slow.Put(keys[0], want)
-
-	got, ok := tiers.Get(keys[0])
-	if !ok || !reflect.DeepEqual(got, want) {
-		t.Fatalf("tiered Get: %+v, %v", got, ok)
-	}
-	if !fast.has(keys[0]) {
-		t.Fatal("hit was not promoted into the faster tier")
-	}
-	if _, ok := tiers.Get(keys[1]); ok {
-		t.Fatal("tiered Get hit an absent key")
-	}
-
-	// Batched: keys split across tiers, all resolved, slow-tier hits
-	// promoted; the slow tier is asked once (it is batchable).
-	fast.Put(keys[2], synthEval(1))
-	slow.Put(keys[3], synthEval(3))
-	slow.mu.Lock()
-	slow.batches = 0
-	slow.mu.Unlock()
-	found := tiers.(*tiered).GetBatch(keys)
-	if len(found) != 3 {
-		t.Fatalf("batch resolved %d keys, want 3 (one absent)", len(found))
-	}
-	if !fast.has(keys[3]) {
-		t.Fatal("batched hit was not promoted into the faster tier")
-	}
-	slow.mu.Lock()
-	batches := slow.batches
-	slow.mu.Unlock()
-	if batches != 1 {
-		t.Fatalf("slow tier saw %d batch calls, want 1", batches)
-	}
-}
-
-// TestTieredPutAndStats: Put fans out to every tier and Stats sums
-// field-wise.
-func TestTieredPutAndStats(t *testing.T) {
-	a, b := newMemBackend(), newMemBackend()
-	tiers := Tiered(a, b)
-	k := synthKeys(1)[0]
-	tiers.Put(k, synthEval(1))
-	if !a.has(k) || !b.has(k) {
-		t.Fatal("Put did not fan out to every tier")
-	}
-	if s := tiers.Stats(); s.Entries != 2 {
-		t.Fatalf("summed entries %d, want 2", s.Entries)
-	}
-	if err := tiers.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tiers.Close(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestBatchReadThrough: a fully tier-warm batch is served with exactly

@@ -121,13 +121,13 @@ func (e *Engine) evaluate(ctx context.Context, dst []Eval, cfgs []sim.Config, p 
 	}
 
 	// Read-through: the owned misses go to the persistent tier in one
-	// exchange — one sequential disk pass, one POST per remote peer, one
-	// plain GET for a lone miss — instead of a round trip per key. A tier
-	// hit resolves the claimed entry on the spot (promoting the record into
-	// the memory LRU, where claim already inserted it) and never occupies a
-	// lockstep lane; only the keys every tier missed go on to simulate. A
-	// tier record that does not answer its member's request is a miss: the
-	// member simulates, and the write-behind Put below replaces the record.
+	// exchange — one call into its batch face, one plain Get for a lone
+	// miss — instead of a round trip per key. A tier hit resolves the
+	// claimed entry on the spot (promoting the record into the memory
+	// LRU, where claim already inserted it) and never occupies a lockstep
+	// lane; only the keys the tier missed go on to simulate. A tier record
+	// that does not answer its member's request is a miss: the member
+	// simulates, and the write-behind Put below replaces the record.
 	// A lone miss, an annealing step's usual request, is read into lone
 	// rather than a map.
 	var found map[Key]Eval

@@ -77,10 +77,10 @@ type CacheBackend interface {
 }
 
 // BackendStats is a snapshot of a cache backend's counters, surfaced
-// through the engine's Stats so one -evalstats line covers every tier.
-// Each backend populates only the fields it owns — the disk store the
-// entry/write family, the remote client the Remote* family — so a tier
-// composition merges snapshots by plain summation.
+// through the engine's Stats so one -evalstats line covers the memory
+// tier and the backend behind it. Each backend populates only the fields
+// it owns: the disk store the entry/write family, internal/evalremote's
+// client the Remote* family.
 type BackendStats struct {
 	// Entries is the number of distinct records currently stored; Bytes
 	// the store's size on disk (for the disk tier, the size of its pack
@@ -267,46 +267,6 @@ func (e *Engine) EnableTelemetry(reg *telemetry.Registry) {
 			}
 			return 0
 		})
-	reg.Func("xpscalar_eval_remote_hits_total", "evaluations served by a remote cache peer", "counter",
-		func() float64 {
-			if be := e.tier(); be != nil {
-				return float64(be.Stats().RemoteHits)
-			}
-			return 0
-		})
-	reg.Func("xpscalar_eval_remote_misses_total", "remote-tier lookups no peer could answer", "counter",
-		func() float64 {
-			if be := e.tier(); be != nil {
-				return float64(be.Stats().RemoteMisses)
-			}
-			return 0
-		})
-	reg.Func("xpscalar_eval_remote_errors_total", "remote-tier lookups failed by transport, timeout or decode (served as misses)", "counter",
-		func() float64 {
-			if be := e.tier(); be != nil {
-				return float64(be.Stats().RemoteErrors)
-			}
-			return 0
-		})
-	reg.Func("xpscalar_eval_remote_writes_total", "evaluations delivered to a remote cache peer", "counter",
-		func() float64 {
-			if be := e.tier(); be != nil {
-				return float64(be.Stats().RemoteWrites)
-			}
-			return 0
-		})
-	reg.Func("xpscalar_eval_remote_dropped_total", "remote writes abandoned to queue overflow or peer failure", "counter",
-		func() float64 {
-			if be := e.tier(); be != nil {
-				return float64(be.Stats().RemoteDropped)
-			}
-			return 0
-		})
-	// A backend with metrics of its own (the remote client's per-request
-	// latency histogram) registers them beside the engine's.
-	if bt, ok := e.tier().(backendTelemetry); ok {
-		bt.EnableTelemetry(reg)
-	}
 	reg.Func("xpscalar_eval_cache_entries", "memoized evaluations currently cached", "gauge",
 		func() float64 { return float64(e.CacheEntries()) })
 	reg.Func("xpscalar_trace_instr_built_total", "instructions materialized by the trace store", "counter",
@@ -579,10 +539,6 @@ func (s Stats) String() string {
 	}
 	base += fmt.Sprintf("; disk: %d hits, %d misses, %d entries (%d bytes), %d writes (%d errors), %d quarantined",
 		s.DiskHits, s.DiskMisses, s.Disk.Entries, s.Disk.Bytes, s.Disk.Writes, s.Disk.WriteErrors, s.Disk.Quarantined)
-	if s.Disk.RemoteHits != 0 || s.Disk.RemoteMisses != 0 || s.Disk.RemoteWrites != 0 || s.Disk.RemoteDropped != 0 {
-		base += fmt.Sprintf("; remote: %d hits, %d misses (%d errors), %d writes, %d dropped",
-			s.Disk.RemoteHits, s.Disk.RemoteMisses, s.Disk.RemoteErrors, s.Disk.RemoteWrites, s.Disk.RemoteDropped)
-	}
 	return base
 }
 

@@ -625,6 +625,51 @@ func TestTwoStoresOneDirectory(t *testing.T) {
 	}
 }
 
+// TestConcatenatedPacksServeUnion: packs written in two directories and
+// concatenated into a third, as cat does, make one pack. It serves every
+// key of both, the later pack's entry for a key in both, quarantines
+// nothing and counts each distinct key once.
+func TestConcatenatedPacksServeUnion(t *testing.T) {
+	// Keys 0..3 go to the first pack and 3..6 to the second: key 3 is in
+	// both, under different values.
+	const perPack, distinct = 4, 7
+	value := func(pack, i int) evalengine.Eval {
+		v := testEval(float64(pack + 1))
+		v.Result.Cycles = uint64(1000*(pack+1) + i)
+		return v
+	}
+	dirs := [2]string{t.TempDir(), t.TempDir()}
+	for p, dir := range dirs {
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < perPack; j++ {
+			i := p*(perPack-1) + j
+			s.Put(testKey(int64(i)), value(p, i))
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	union := t.TempDir()
+	writePack(t, union, append(readPack(t, dirs[0]), readPack(t, dirs[1])...))
+
+	s := openStore(t, union)
+	if st := s.Stats(); st.Entries != distinct || st.Quarantined != 0 {
+		t.Fatalf("concatenated pack: %d entries, %d quarantined; want %d and 0", st.Entries, st.Quarantined, distinct)
+	}
+	for i := 0; i < distinct; i++ {
+		want := value(0, i)
+		if i >= perPack-1 {
+			want = value(1, i)
+		}
+		if got, ok := s.Get(testKey(int64(i))); !ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("key %d: %+v, %v; want %+v", i, got, ok, want)
+		}
+	}
+}
+
 // TestThreeStoresOneDirectory: while one store appends from several
 // goroutines, a second, opened before the stream, serves Gets, and a
 // third opens mid-stream. Every value any of them serves is one a writer

@@ -203,11 +203,26 @@ type RunAttrs struct {
 	LockstepLanes   uint64 `json:"lockstep_lanes,omitempty"`
 	ScalarFallbacks uint64 `json:"scalar_fallbacks,omitempty"`
 	// DiskHits are evaluations served from a previous run's persistent
-	// tier; RemoteHits the network subset of them, pulled from a peer.
-	DiskHits     uint64 `json:"disk_hits,omitempty"`
-	DiskMisses   uint64 `json:"disk_misses,omitempty"`
-	RemoteHits   uint64 `json:"remote_hits,omitempty"`
-	RemoteMisses uint64 `json:"remote_misses,omitempty"`
+	// tier.
+	DiskHits   uint64 `json:"disk_hits,omitempty"`
+	DiskMisses uint64 `json:"disk_misses,omitempty"`
+}
+
+// UnmarshalJSON decodes run attributes, rejecting unknown fields except
+// the remote-tier counters that builds with a remote tier wrote; those
+// are read and dropped, so older traces still read.
+func (a *RunAttrs) UnmarshalJSON(data []byte) error {
+	type fields RunAttrs
+	var w struct {
+		fields
+		RemoteHits   uint64 `json:"remote_hits"`
+		RemoteMisses uint64 `json:"remote_misses"`
+	}
+	if err := decodeStrict(data, &w); err != nil {
+		return err
+	}
+	*a = RunAttrs(w.fields)
+	return nil
 }
 
 func (*StepAttrs) attrs()  {}

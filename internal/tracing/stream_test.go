@@ -179,6 +179,7 @@ func TestReadSpansAttrsMismatch(t *testing.T) {
 	checkBadLine(t, map[string]struct{ line, want string }{
 		"wrong type":      {`{"id":2,"kind":"step","attrs":{"score":"high"}}`, "step attributes"},
 		"other kind":      {`{"id":2,"kind":"step","attrs":{"best_ipt":1}}`, "step attributes"},
+		"run field":       {`{"id":2,"kind":"run","attrs":{"requests":1,"remote_errors":1}}`, "run attributes"},
 		"unattributed":    {`{"id":2,"kind":"simulate","attrs":{"budget":1}}`, "carry no attributes"},
 		"unknown kind":    {`{"id":2,"kind":"no_such_kind","attrs":{}}`, "carry no attributes"},
 		"member field":    {`{"id":2,"kind":"eval.hit","attrs":{"budget":1,"members":[{"outcome":"hit","ipc":2}]}}`, "eval.hit attributes"},
@@ -186,13 +187,14 @@ func TestReadSpansAttrsMismatch(t *testing.T) {
 	})
 }
 
-// olderBuildStream is a stream as builds with cross-process tracing wrote
-// it: the header carries a wall-clock origin and a manifest recording
-// -trace-id, and the serve.get span the caller's trace, remote parent and
-// job.
+// olderBuildStream is a stream as builds with cross-process tracing and a
+// remote cache tier wrote it: the header carries a wall-clock origin and a
+// manifest recording -trace-id, the serve.get span the caller's trace,
+// remote parent and job, and the run span the remote tier's counters.
 const olderBuildStream = `{"stream":"xptrace-spans","tool":"xpserved","trace_id":"c0ffee0123456789","origin_unix_ns":1700000000000000000,"manifest":{"seed":7,"go_version":"go1.24.0","os":"linux","arch":"amd64","max_procs":2,"flags":{"seed":"7","trace-id":"0123456789abcdef"}}}
 {"id":2,"parent":1,"kind":"eval.disk","name":"abcd1234","start_ns":20,"end_ns":30}
 {"id":1,"track":1,"kind":"serve.get","name":"abcd1234","arg":1,"start_ns":10,"end_ns":40,"trace":"0123456789abcdef","remote_parent":9,"job":"job-0001"}
+{"id":3,"kind":"run","name":"xpscalar","start_ns":0,"end_ns":50,"attrs":{"requests":5,"hits":1,"deduped":0,"misses":0,"evictions":0,"cache_entries":4,"disk_hits":4,"remote_hits":3,"remote_misses":1}}
 `
 
 // A stream written by an older build reads: the fields this build no
@@ -211,6 +213,8 @@ func TestReadSpansOlderBuild(t *testing.T) {
 	want := []Span{
 		{ID: 2, Parent: 1, Kind: KindEvalDisk, Name: "abcd1234", Start: 20, End: 30},
 		{ID: 1, Track: 1, Kind: KindServeGet, Name: "abcd1234", Arg: 1, Start: 10, End: 40},
+		{ID: 3, Kind: KindRun, Name: "xpscalar", Start: 0, End: 50,
+			Attrs: &RunAttrs{Requests: 5, Hits: 1, CacheEntries: 4, DiskHits: 4}},
 	}
 	if !reflect.DeepEqual(spans, want) {
 		t.Errorf("spans = %+v, want %+v", spans, want)
