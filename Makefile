@@ -43,13 +43,9 @@ race-hot:
 
 # bench reports the headline reproduction metrics plus the evaluation
 # engine's cache hit rate and sim-latency quantiles (cacheHit%, simP50ms,
-# simP95ms), then re-records the kernel benchmark set into
-# BENCH_kernel.json (ns/op, allocs/op, and speedup over the recorded
-# pre-rework baseline), overwriting the committed recording in the
-# working tree.
+# simP95ms).
 bench:
 	$(GO) test -run '^$$' -bench 'Table4|Table5' -benchtime=1x .
-	$(GO) run ./cmd/benchjson -out BENCH_kernel.json -benchtime 20x
 
 # bench-smoke runs every benchmark in the tree exactly once: a cheap guard
 # that benchmark code compiles and completes, without measuring anything.
@@ -71,13 +67,17 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadTraceIntervals$$' -fuzztime 10s ./cmd/xptrace
 	$(GO) test -run '^$$' -fuzz '^FuzzJobRequest$$' -fuzztime 10s ./internal/xpserve
 
-# bench-compare runs the kernel benchmark set fresh and diffs it against
-# BENCH_kernel.json as the working tree holds it, failing past a 15%
-# ns/op regression. After `make bench` (which `make verify` runs) that
-# file is this host's own fresh recording, not the committed one, so the
-# comparison is the change against itself.
+# bench-compare is the kernel speed gate. It checks BASE (default HEAD~1,
+# the parent commit) out into a temporary git worktree, and cmd/benchjson
+# runs the kernel benchmark set there and in the working tree, interleaved
+# on this host, failing when the working tree's ns/op is more than 15%
+# above the parent's (40% for the loopback remote hit). The worktree is
+# removed whether the gate passes or fails.
+BASE ?= HEAD~1
 bench-compare:
-	$(GO) run ./cmd/benchjson -compare BENCH_kernel.json -benchtime 20x
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"; git worktree prune' EXIT && \
+	git worktree add --detach --quiet "$$dir" $(BASE) && \
+	$(GO) run ./cmd/benchjson -base "$$dir"
 
 # e2ebench-check vets and tests the end-to-end benchmark. e2ebench/ is its
 # own Go module (it replaces xpscalar with ../), so ./... from the root

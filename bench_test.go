@@ -372,8 +372,8 @@ func BenchmarkAblationWakeupLatency(b *testing.B) {
 // annealing chain on a fresh session per iteration, so the memo cache
 // starts cold and every step pays a real simulation. It isolates the
 // steady-state evaluate path — trace replay feeding the pipeline kernel —
-// that the allocation-free kernel rework targets; BENCH_kernel.json records
-// its trajectory.
+// that the allocation-free kernel rework targets; `make bench-compare`
+// holds it against the parent commit.
 func BenchmarkAnnealChainKernel(b *testing.B) {
 	gzip, _ := WorkloadByName("gzip")
 	opt := DefaultExploreOptions(42)

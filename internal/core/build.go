@@ -28,7 +28,8 @@ import (
 // and returns the context's error; completed rows are observable through
 // the engine's cache and their spans, but no partial Matrix is returned (a
 // Matrix with holes would silently corrupt every downstream figure of
-// merit).
+// merit). Names are checked before the first row runs, so a repeated or
+// empty workload name fails without simulating anything.
 func BuildMatrix(ctx context.Context, eng *evalengine.Engine, profiles []workload.Profile, configs []sim.Config, n int, t tech.Params) (*Matrix, error) {
 	if len(profiles) == 0 || len(profiles) != len(configs) {
 		return nil, fmt.Errorf("core: %d profiles for %d configs", len(profiles), len(configs))
@@ -36,6 +37,9 @@ func BuildMatrix(ctx context.Context, eng *evalengine.Engine, profiles []workloa
 	names := make([]string, len(profiles))
 	for i, p := range profiles {
 		names[i] = p.Name
+	}
+	if err := checkNames(names); err != nil {
+		return nil, err
 	}
 	ipt := make([][]float64, len(profiles))
 	for i := range ipt {

@@ -79,6 +79,15 @@ func TestBuildMatrixRejectsMismatch(t *testing.T) {
 	if _, err := BuildMatrix(context.Background(), eng, []workload.Profile{gzip}, nil, 1000, tp); err == nil {
 		t.Error("accepted mismatched profiles/configs")
 	}
+	// A repeated workload fails before any row simulates.
+	fresh := evalengine.New(evalengine.Options{})
+	cfg := sim.InitialConfig(tp)
+	if _, err := BuildMatrix(context.Background(), fresh, []workload.Profile{gzip, gzip}, []sim.Config{cfg, cfg}, 1000, tp); err == nil {
+		t.Error("accepted a repeated workload")
+	}
+	if st := fresh.Stats(); st.Requests != 0 {
+		t.Errorf("a repeated workload was rejected after %d evaluations, want 0", st.Requests)
+	}
 }
 
 func TestBuildMatrixDeterministic(t *testing.T) {

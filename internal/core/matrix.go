@@ -45,14 +45,23 @@ func NewMatrix(names []string, ipt [][]float64) (*Matrix, error) {
 			}
 		}
 	}
+	if err := checkNames(names); err != nil {
+		return nil, err
+	}
+	return &Matrix{Names: names, IPT: ipt}, nil
+}
+
+// checkNames rejects an empty or repeated name: rows and columns are
+// found by name.
+func checkNames(names []string) error {
 	seen := map[string]bool{}
 	for _, name := range names {
 		if name == "" || seen[name] {
-			return nil, fmt.Errorf("core: duplicate or empty name %q", name)
+			return fmt.Errorf("core: duplicate or empty name %q", name)
 		}
 		seen[name] = true
 	}
-	return &Matrix{Names: names, IPT: ipt}, nil
+	return nil
 }
 
 // N returns the number of workloads (and architectures).

@@ -187,8 +187,8 @@ func TestRunnerIntrospectionOffAllocs(t *testing.T) {
 
 // BenchmarkRunnerIntrospectionOff is BenchmarkRunnerSteadyState with the
 // introspection hook explicitly disarmed — the number that must not move
-// relative to the steady-state baseline, recorded in BENCH_kernel.json so
-// the bench-compare gate holds the line.
+// relative to the steady state; both are in the kernel speed gate
+// (`make bench-compare`), which holds each against the parent commit.
 func BenchmarkRunnerIntrospectionOff(b *testing.B) {
 	benchOneLane(b, (*MultiRunner).DisableIntrospection)
 }

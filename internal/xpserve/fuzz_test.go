@@ -22,10 +22,23 @@ const hugeBudgets = `{"kind":"explore","workloads":["gzip"],"short_budget":10000
 // cannot make more clusters than the suite has workloads.
 const tooManyClusters = `{"kind":"subsetting","kmeans":12,"instructions":2000}`
 
+// repeatedWorkload is a matrix request that took a worker and ran its
+// explorations before the matrix failed: a matrix's rows must be distinct
+// workloads.
+const repeatedWorkload = `{"kind":"matrix","workloads":["gzip","gzip"],"iterations":1,"chains":1,"short_budget":1000,"long_budget":1000,"instructions":1000}`
+
+// manyWorkloads lists one workload 20,000 times in a 140 KB body, a
+// fan-out with no bound but the body size.
+var manyWorkloads = `{"kind":"explore","workloads":["gzip"` + strings.Repeat(`,"gzip"`, 19999) + `]}`
+
+// trailingGarbage is a valid request followed by bytes that are not JSON.
+const trailingGarbage = `{"kind":"explore"} trailing garbage`
+
 // TestHugeFanOutRejected: requests whose chain or neighborhood fan-out is
 // beyond the annealer's bound, whose instruction budget is beyond
-// maxBudget, or whose k-means asks for more clusters than the suite has
-// workloads, get a 400 before they take a queue slot.
+// maxBudget, whose k-means asks for more clusters than the suite has
+// workloads, that list a workload twice, or that carry data after the
+// object, get a 400 before they take a queue slot.
 func TestHugeFanOutRejected(t *testing.T) {
 	bodies := []string{
 		hugeChains,
@@ -33,6 +46,9 @@ func TestHugeFanOutRejected(t *testing.T) {
 		hugeBudgets,
 		`{"kind":"matrix","workloads":["gzip"],"instructions":1000000000000}`,
 		tooManyClusters,
+		repeatedWorkload,
+		manyWorkloads,
+		trailingGarbage,
 	}
 	// Checked before any server starts: a huge budget that got through
 	// would hold a job worker, and so the test's shutdown, for days.
@@ -64,8 +80,8 @@ func TestHugeFanOutRejected(t *testing.T) {
 // FuzzJobRequest feeds arbitrary bodies to submit's decode and validation.
 // No input may panic, every request they accept maps to annealer options
 // that pass the annealer's option check, every budget it accepts is
-// within maxBudget, and every k-means it accepts is at most the suite
-// size.
+// within maxBudget, every k-means it accepts is at most the suite size,
+// and the workloads it accepts are distinct.
 //
 //	go test ./internal/xpserve -run '^$' -fuzz FuzzJobRequest -fuzztime 60s
 func FuzzJobRequest(f *testing.F) {
@@ -76,6 +92,9 @@ func FuzzJobRequest(f *testing.F) {
 	f.Add(`{"kind":"explore","chain":2}`)
 	f.Add(`{"kind":"subsetting","kmeans":`)
 	f.Add(tooManyClusters)
+	f.Add(repeatedWorkload)
+	f.Add(manyWorkloads)
+	f.Add(trailingGarbage)
 	f.Fuzz(func(t *testing.T, body string) {
 		req, err := decodeJobRequest(strings.NewReader(body))
 		if err != nil || validate(req) != nil {
@@ -93,6 +112,13 @@ func FuzzJobRequest(f *testing.F) {
 		}
 		if n := len(workload.Suite()); req.KMeans > n {
 			t.Fatalf("accepted request %+v asks for more clusters than the %d suite workloads", req, n)
+		}
+		seen := map[string]bool{}
+		for _, name := range req.Workloads {
+			if seen[name] {
+				t.Fatalf("accepted request %+v lists workload %q twice", req, name)
+			}
+			seen[name] = true
 		}
 	})
 }

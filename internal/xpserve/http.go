@@ -68,13 +68,17 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// decodeJobRequest parses a submit body, rejecting unknown fields.
+// decodeJobRequest parses a submit body: one JSON object with no unknown
+// fields and nothing after it but white space.
 func decodeJobRequest(r io.Reader) (JobRequest, error) {
 	var req JobRequest
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return JobRequest{}, fmt.Errorf("xpserve: decoding job request: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return JobRequest{}, errors.New("xpserve: decoding job request: data after the object")
 	}
 	return req, nil
 }

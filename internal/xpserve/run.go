@@ -42,16 +42,23 @@ func objective(name string) (power.Objective, error) {
 }
 
 // profiles resolves the request's workload names (empty = whole suite).
+// Each name may appear once: a matrix's rows are distinct workloads, and
+// exploring one twice only repeats work. So a list is at most the suite.
 func profiles(names []string) ([]workload.Profile, error) {
 	if len(names) == 0 {
 		return workload.Suite(), nil
 	}
-	out := make([]workload.Profile, 0, len(names))
+	var out []workload.Profile
+	seen := map[string]bool{}
 	for _, name := range names {
 		p, ok := workload.ByName(name)
 		if !ok {
 			return nil, fmt.Errorf("xpserve: unknown workload %q", name)
 		}
+		if seen[name] {
+			return nil, fmt.Errorf("xpserve: workload %q listed twice", name)
+		}
+		seen[name] = true
 		out = append(out, p)
 	}
 	return out, nil
