@@ -5,18 +5,17 @@
 //
 // Usage:
 //
-//	combos [-source paper|sim|file:path|outcomes:path]
-//	       [-maxk n] [-figure4] [-summary] [-weights w1,w2,...]
-//	       [-trace file] [-progress]
+//	combos [-source paper|file:path] [-maxk n] [-figure4] [-summary] [-weights w1,w2,...]
 //
-// Tables go to stdout; diagnostics go to stderr.
+// A matrix of the synthetic suite comes from crossconf -source sim
+// -savematrix m.json, read with -source file:m.json. Tables go to stdout;
+// diagnostics go to stderr.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"strconv"
 	"strings"
@@ -24,25 +23,20 @@ import (
 	"xpscalar/internal/cli"
 	"xpscalar/internal/core"
 	"xpscalar/internal/report"
-	"xpscalar/internal/session"
 )
 
 func main() {
 	os.Exit(cli.Main(run))
 }
 
-func run(ctx context.Context) error {
+func run(context.Context) error {
 	var (
-		source      = flag.String("source", "paper", "matrix source: paper, sim, file:<path> (a crossconf -savematrix file) or outcomes:<path> (an xpscalar -save file)")
+		source      = flag.String("source", "paper", "matrix source: paper or file:<path> (a crossconf -savematrix file)")
 		maxK        = flag.Int("maxk", 4, "largest core count to search")
 		fig4        = flag.Bool("figure4", false, "print per-benchmark IPT under the chosen core sets (Figure 4)")
 		summary     = flag.Bool("summary", false, "print the dual-core summary (Table 7)")
 		weightsFlag = flag.String("weights", "", "comma-separated importance weights, one per benchmark")
 	)
-	var rcfg cli.RunConfig
-	rcfg.RegisterFlags()
-	var tcfg cli.TelemetryConfig
-	tcfg.RegisterFlags()
 	var lcfg cli.LogConfig
 	lcfg.RegisterFlags()
 	flag.Parse()
@@ -50,24 +44,7 @@ func run(ctx context.Context) error {
 		return err
 	}
 
-	ctx, stop := rcfg.Context(ctx)
-	defer stop()
-
-	sess := session.Default()
-	tel, err := cli.StartTelemetry("combos", sess, tcfg)
-	defer func() {
-		if cerr := tel.Close(); cerr != nil {
-			slog.Error(cerr.Error())
-		}
-	}()
-	if err != nil {
-		return err
-	}
-	ctx = tel.Context(ctx)
-
-	mo := cli.DefaultMatrixOptions()
-	mo.Session = sess
-	m, err := cli.LoadMatrix(ctx, *source, mo)
+	m, err := cli.ReadMatrix(*source)
 	if err != nil {
 		return err
 	}

@@ -2,7 +2,9 @@
 // (Table 5) and the derived percentage-slowdown matrix (Appendix A), either
 // from the paper's published data or regenerated end-to-end by exploring
 // the synthetic suite and simulating every workload on every customized
-// configuration.
+// configuration. It is the one tool that makes a matrix: -savematrix
+// writes it for the analysis tools (combos, surrogate, mtsim, xpviz),
+// which read it with -source file:<path>.
 //
 // Usage:
 //

@@ -6,25 +6,25 @@
 //
 // Usage:
 //
-//	mtsim [-source paper|sim|file:path|outcomes:path]
-//	      [-cores k] [-jobs n] [-interarrival t] [-work w] [-sweep]
-//	      [-trace file] [-progress]
+//	mtsim [-source paper|file:path]
+//	      [-cores k] [-jobs n] [-interarrival t] [-work w] [-sweep] [-seed n]
+//	      [-timeout d]
 //
-// Tables go to stdout; diagnostics go to stderr.
+// A matrix of the synthetic suite comes from crossconf -source sim
+// -savematrix m.json, read with -source file:m.json. -timeout bounds the
+// contention simulation. Tables go to stdout; diagnostics go to stderr.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 
 	"xpscalar/internal/cli"
 	"xpscalar/internal/core"
 	"xpscalar/internal/multithread"
 	"xpscalar/internal/report"
-	"xpscalar/internal/session"
 )
 
 func main() {
@@ -33,7 +33,7 @@ func main() {
 
 func run(ctx context.Context) error {
 	var (
-		source = flag.String("source", "paper", "matrix source: paper, sim, file:<path> (a crossconf -savematrix file) or outcomes:<path> (an xpscalar -save file)")
+		source = flag.String("source", "paper", "matrix source: paper or file:<path> (a crossconf -savematrix file)")
 		cores  = flag.Int("cores", 2, "number of cores")
 		jobs   = flag.Int("jobs", 4000, "jobs to simulate")
 		inter  = flag.Float64("interarrival", 25, "mean job interarrival time")
@@ -43,8 +43,6 @@ func run(ctx context.Context) error {
 	)
 	var rcfg cli.RunConfig
 	rcfg.RegisterFlags()
-	var tcfg cli.TelemetryConfig
-	tcfg.RegisterFlags()
 	var lcfg cli.LogConfig
 	lcfg.RegisterFlags()
 	flag.Parse()
@@ -55,21 +53,7 @@ func run(ctx context.Context) error {
 	ctx, stop := rcfg.Context(ctx)
 	defer stop()
 
-	sess := session.Default()
-	tel, err := cli.StartTelemetry("mtsim", sess, tcfg)
-	defer func() {
-		if cerr := tel.Close(); cerr != nil {
-			slog.Error(cerr.Error())
-		}
-	}()
-	if err != nil {
-		return err
-	}
-	ctx = tel.Context(ctx)
-
-	mo := cli.DefaultMatrixOptions()
-	mo.Session = sess
-	m, err := cli.LoadMatrix(ctx, *source, mo)
+	m, err := cli.ReadMatrix(*source)
 	if err != nil {
 		return err
 	}

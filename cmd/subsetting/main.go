@@ -9,7 +9,6 @@
 // Usage:
 //
 //	subsetting [-kiviat] [-dendrogram] [-kmeans k] [-norm none|minmax|zscore] [-n instr]
-//	           [-trace file]
 //
 // Reports go to stdout; diagnostics go to stderr.
 package main
@@ -18,7 +17,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"strings"
 
@@ -33,7 +31,7 @@ func main() {
 	os.Exit(cli.Main(run))
 }
 
-func run(ctx context.Context) error {
+func run(context.Context) error {
 	var (
 		kiviat = flag.Bool("kiviat", false, "print Kiviat vectors of the Figure 1 illustrative workloads and the suite")
 		dendro = flag.Bool("dendrogram", false, "print the raw-characteristics dendrogram of the suite")
@@ -41,33 +39,15 @@ func run(ctx context.Context) error {
 		norm   = flag.String("norm", "minmax", "k-means normalization: none|minmax|zscore")
 		n      = flag.Int("n", 50000, "instructions per characteristic extraction")
 	)
-	var rcfg cli.RunConfig
-	rcfg.RegisterFlags()
-	var tcfg cli.TelemetryConfig
-	tcfg.RegisterFlags()
 	var lcfg cli.LogConfig
 	lcfg.RegisterFlags()
 	flag.Parse()
 	if err := lcfg.Setup("subsetting"); err != nil {
 		return err
 	}
-
-	ctx, stop := rcfg.Context(ctx)
-	defer stop()
 	if !*kiviat && !*dendro && *kmeans == 0 {
 		*kiviat, *dendro = true, true
 	}
-
-	tel, err := cli.StartTelemetry("subsetting", nil, tcfg)
-	defer func() {
-		if cerr := tel.Close(); cerr != nil {
-			slog.Error(cerr.Error())
-		}
-	}()
-	if err != nil {
-		return err
-	}
-	ctx = tel.Context(ctx)
 
 	if *kiviat {
 		fmt.Println("Illustrative workloads α, β, γ (Figure 1)")

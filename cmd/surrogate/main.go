@@ -5,38 +5,33 @@
 //
 // Usage:
 //
-//	surrogate [-source paper|sim|file:path|outcomes:path] [-policy none|forward|full|all]
-//	          [-trace file] [-progress]
+//	surrogate [-source paper|file:path] [-policy none|forward|full|all]
 //
-// Graphs go to stdout; diagnostics go to stderr.
+// A matrix of the synthetic suite comes from crossconf -source sim
+// -savematrix m.json, read with -source file:m.json. Graphs go to stdout;
+// diagnostics go to stderr.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 
 	"xpscalar/internal/cli"
 	"xpscalar/internal/core"
 	"xpscalar/internal/report"
-	"xpscalar/internal/session"
 )
 
 func main() {
 	os.Exit(cli.Main(run))
 }
 
-func run(ctx context.Context) error {
+func run(context.Context) error {
 	var (
-		source = flag.String("source", "paper", "matrix source: paper, sim, file:<path> (a crossconf -savematrix file) or outcomes:<path> (an xpscalar -save file)")
+		source = flag.String("source", "paper", "matrix source: paper or file:<path> (a crossconf -savematrix file)")
 		policy = flag.String("policy", "all", "propagation policy: none|forward|full|all")
 	)
-	var rcfg cli.RunConfig
-	rcfg.RegisterFlags()
-	var tcfg cli.TelemetryConfig
-	tcfg.RegisterFlags()
 	var lcfg cli.LogConfig
 	lcfg.RegisterFlags()
 	flag.Parse()
@@ -44,24 +39,7 @@ func run(ctx context.Context) error {
 		return err
 	}
 
-	ctx, stop := rcfg.Context(ctx)
-	defer stop()
-
-	sess := session.Default()
-	tel, err := cli.StartTelemetry("surrogate", sess, tcfg)
-	defer func() {
-		if cerr := tel.Close(); cerr != nil {
-			slog.Error(cerr.Error())
-		}
-	}()
-	if err != nil {
-		return err
-	}
-	ctx = tel.Context(ctx)
-
-	mo := cli.DefaultMatrixOptions()
-	mo.Session = sess
-	m, err := cli.LoadMatrix(ctx, *source, mo)
+	m, err := cli.ReadMatrix(*source)
 	if err != nil {
 		return err
 	}

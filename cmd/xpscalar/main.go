@@ -127,17 +127,8 @@ func run(ctx context.Context) error {
 	opt.ShortBudget = *short
 	opt.LongBudget = *long
 	opt.NeighborhoodK = *neighbors
-	switch *obj {
-	case "ipt":
-		opt.Objective = power.ObjIPT
-	case "ipt-per-watt":
-		opt.Objective = power.ObjIPTPerWatt
-	case "edp":
-		opt.Objective = power.ObjInverseEDP
-	case "ed2p":
-		opt.Objective = power.ObjInverseED2P
-	default:
-		return fmt.Errorf("unknown -objective %q", *obj)
+	if opt.Objective, err = power.ParseObjective(*obj); err != nil {
+		return err
 	}
 
 	profiles := workload.Suite()

@@ -7,21 +7,21 @@
 //
 // Usage:
 //
-//	xpviz [-source paper|sim|file:path|outcomes:path] [-trace file] [-progress]
+//	xpviz [-source paper|file:path]
 //
-// The heat map goes to stdout; diagnostics go to stderr.
+// A matrix of the synthetic suite comes from crossconf -source sim
+// -savematrix m.json, read with -source file:m.json. The heat map goes to
+// stdout; diagnostics go to stderr.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 
 	"xpscalar/internal/cli"
 	"xpscalar/internal/report"
-	"xpscalar/internal/session"
 	"xpscalar/internal/stats"
 )
 
@@ -29,12 +29,8 @@ func main() {
 	os.Exit(cli.Main(run))
 }
 
-func run(ctx context.Context) error {
-	source := flag.String("source", "paper", "matrix source: paper, sim, file:<path> (a crossconf -savematrix file) or outcomes:<path> (an xpscalar -save file)")
-	var rcfg cli.RunConfig
-	rcfg.RegisterFlags()
-	var tcfg cli.TelemetryConfig
-	tcfg.RegisterFlags()
+func run(context.Context) error {
+	source := flag.String("source", "paper", "matrix source: paper or file:<path> (a crossconf -savematrix file)")
 	var lcfg cli.LogConfig
 	lcfg.RegisterFlags()
 	flag.Parse()
@@ -42,24 +38,7 @@ func run(ctx context.Context) error {
 		return err
 	}
 
-	ctx, stop := rcfg.Context(ctx)
-	defer stop()
-
-	sess := session.Default()
-	tel, err := cli.StartTelemetry("xpviz", sess, tcfg)
-	defer func() {
-		if cerr := tel.Close(); cerr != nil {
-			slog.Error(cerr.Error())
-		}
-	}()
-	if err != nil {
-		return err
-	}
-	ctx = tel.Context(ctx)
-
-	mo := cli.DefaultMatrixOptions()
-	mo.Session = sess
-	m, err := cli.LoadMatrix(ctx, *source, mo)
+	m, err := cli.ReadMatrix(*source)
 	if err != nil {
 		return err
 	}

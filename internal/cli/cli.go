@@ -1,7 +1,8 @@
 // Package cli holds the small amount of plumbing the command-line tools
-// share: obtaining a cross-configuration matrix either from the paper's
-// published Table 5 or by running the full exploration + cross-simulation
-// pipeline on the synthetic suite.
+// share. The analysis tools read a cross-configuration matrix with
+// ReadMatrix: the paper's published Table 5, or a matrix crossconf saved.
+// crossconf alone makes one, with LoadMatrix, by running the exploration
+// and cross-simulation pipeline on the synthetic suite.
 package cli
 
 import (
@@ -20,7 +21,7 @@ import (
 	"xpscalar/internal/workload"
 )
 
-// MatrixOptions controls LoadMatrix's simulation path.
+// MatrixOptions controls LoadMatrix's simulation paths.
 type MatrixOptions struct {
 	// Instructions per cross-configuration evaluation.
 	Instructions int
@@ -28,14 +29,9 @@ type MatrixOptions struct {
 	Iterations int
 	// Seed for the whole pipeline.
 	Seed int64
-	// Session is the evaluation session the simulation paths run on; nil
-	// selects the process-default session.
+	// Session is the evaluation session the simulation paths run on. It
+	// is required.
 	Session *session.Session
-}
-
-// DefaultMatrixOptions returns a moderate regeneration budget.
-func DefaultMatrixOptions() MatrixOptions {
-	return MatrixOptions{Instructions: 60000, Iterations: 200, Seed: 42}
 }
 
 // PaperMatrix returns the published Table 5 as a matrix.
@@ -43,68 +39,66 @@ func PaperMatrix() (*core.Matrix, error) {
 	return core.NewMatrix(paperdata.Benchmarks, paperdata.Table5IPT)
 }
 
-// LoadMatrix returns a cross-configuration matrix from the named source:
-// "paper" for the published Table 5, "sim" to regenerate it end-to-end
-// (explore every synthetic workload, then simulate all workload ×
-// architecture pairs), "file:<path>" for a matrix saved by crossconf
-// -savematrix, or "outcomes:<path>" to cross-simulate configurations saved
-// by xpscalar -save. The simulation paths run on o.Session and honour
-// ctx; the file and paper paths are instantaneous and ignore it.
-func LoadMatrix(ctx context.Context, source string, o MatrixOptions) (*core.Matrix, error) {
-	sess := o.Session
-	if sess == nil {
-		sess = session.Default()
-	}
+// ReadMatrix returns the matrix an analysis tool reads from the named
+// source: "paper" for the published Table 5, or "file:<path>" for a
+// matrix saved by crossconf -savematrix. It never simulates: a matrix of
+// the synthetic suite is made once, by crossconf, and read from its file.
+func ReadMatrix(source string) (*core.Matrix, error) {
 	if path, ok := strings.CutPrefix(source, "file:"); ok {
 		return store.LoadMatrix(path)
 	}
-	if path, ok := strings.CutPrefix(source, "outcomes:"); ok {
+	if source == "paper" {
+		return PaperMatrix()
+	}
+	return nil, fmt.Errorf("cli: matrix source %q: want paper or file:<path>; make a matrix with crossconf -source sim|outcomes:<path> -savematrix <path>", source)
+}
+
+// LoadMatrix returns crossconf's matrix from the named source: ReadMatrix's
+// "paper" and "file:<path>", "sim" to regenerate it end-to-end (explore
+// every synthetic workload, then simulate all workload × architecture
+// pairs), or "outcomes:<path>" to cross-simulate configurations saved by
+// xpscalar -save. The simulation paths run on o.Session and honour ctx.
+func LoadMatrix(ctx context.Context, source string, o MatrixOptions) (*core.Matrix, error) {
+	profiles := workload.Suite()
+	configs := make([]sim.Config, len(profiles))
+	path, isOutcomes := strings.CutPrefix(source, "outcomes:")
+	switch {
+	case source == "paper" || strings.HasPrefix(source, "file:"):
+		return ReadMatrix(source)
+	case isOutcomes:
 		outs, err := store.LoadOutcomes(path, tech.Default())
 		if err != nil {
 			return nil, err
 		}
-		profiles := workload.Suite()
 		if len(outs) != len(profiles) {
 			return nil, fmt.Errorf("cli: %d saved outcomes for %d suite workloads", len(outs), len(profiles))
 		}
-		configs := make([]sim.Config, len(outs))
 		for i, out := range outs {
 			if out.Workload != profiles[i].Name {
 				return nil, fmt.Errorf("cli: saved outcome %d is %s, want %s", i, out.Workload, profiles[i].Name)
 			}
 			configs[i] = out.Best
 		}
-		n := o.Instructions
-		if n <= 0 {
-			n = 60000
-		}
-		return sess.CrossMatrix(ctx, profiles, configs, n, tech.Default())
-	}
-	switch source {
-	case "paper":
-		return PaperMatrix()
-	case "sim":
+	case source == "sim":
 		opt := explore.DefaultOptions(o.Seed)
 		if o.Iterations > 0 {
 			opt.Iterations = o.Iterations
 		}
-		profiles := workload.Suite()
-		outs, err := sess.ExploreSuite(ctx, profiles, opt)
+		outs, err := o.Session.ExploreSuite(ctx, profiles, opt)
 		if err != nil {
 			return nil, err
 		}
-		configs := make([]sim.Config, len(outs))
 		for i, out := range outs {
 			configs[i] = out.Best
 		}
-		n := o.Instructions
-		if n <= 0 {
-			n = 60000
-		}
-		return sess.CrossMatrix(ctx, profiles, configs, n, tech.Default())
 	default:
 		return nil, fmt.Errorf("cli: unknown matrix source %q (want paper, sim, file:<path> or outcomes:<path>)", source)
 	}
+	n := o.Instructions
+	if n <= 0 {
+		n = 60000
+	}
+	return o.Session.CrossMatrix(ctx, profiles, configs, n, tech.Default())
 }
 
 // NamedConfig pairs a benchmark name with a configuration.

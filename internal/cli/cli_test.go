@@ -30,13 +30,48 @@ func TestPaperMatrixMatchesTable5(t *testing.T) {
 	}
 }
 
-func TestLoadMatrixSources(t *testing.T) {
-	ctx := context.Background()
-	paper, err := LoadMatrix(ctx, "paper", DefaultMatrixOptions())
+// ReadMatrix serves the analysis tools' two sources and refuses the
+// simulating ones, pointing at crossconf, which makes a matrix.
+func TestReadMatrixSources(t *testing.T) {
+	paper, err := ReadMatrix("paper")
 	if err != nil {
 		t.Fatalf("paper source: %v", err)
 	}
-	_, err = LoadMatrix(ctx, "nosuch", DefaultMatrixOptions())
+
+	// file: a matrix saved by crossconf -savematrix round-trips.
+	matrixPath := filepath.Join(t.TempDir(), "matrix.json")
+	if err := store.SaveMatrix(matrixPath, paper); err != nil {
+		t.Fatal(err)
+	}
+	m, err := ReadMatrix("file:" + matrixPath)
+	if err != nil {
+		t.Fatalf("file source: %v", err)
+	}
+	if !reflect.DeepEqual(m, paper) {
+		t.Errorf("file source read %+v, want the saved %+v", m, paper)
+	}
+
+	for _, source := range []string{"nosuch", "sim", "outcomes:" + matrixPath} {
+		_, err := ReadMatrix(source)
+		if err == nil {
+			t.Fatalf("ReadMatrix accepted source %q", source)
+		}
+		for _, want := range []string{"paper", "file:", "crossconf -source sim|outcomes:<path> -savematrix <path>"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("source %q: error %q does not name %s", source, err, want)
+			}
+		}
+	}
+}
+
+// LoadMatrix is crossconf's: all four sources, two of them simulating on
+// the session it is given.
+func TestLoadMatrixSources(t *testing.T) {
+	ctx := context.Background()
+	sess := session.New(session.Options{})
+	defer sess.Close()
+	o := MatrixOptions{Instructions: 2000, Session: sess}
+	_, err := LoadMatrix(ctx, "nosuch", o)
 	if err == nil {
 		t.Fatal("accepted unknown source")
 	}
@@ -46,13 +81,17 @@ func TestLoadMatrixSources(t *testing.T) {
 		}
 	}
 
-	// file: a matrix saved by crossconf -savematrix round-trips.
+	// paper and file: are ReadMatrix's.
+	paper, err := LoadMatrix(ctx, "paper", o)
+	if err != nil {
+		t.Fatalf("paper source: %v", err)
+	}
 	dir := t.TempDir()
 	matrixPath := filepath.Join(dir, "matrix.json")
 	if err := store.SaveMatrix(matrixPath, paper); err != nil {
 		t.Fatal(err)
 	}
-	m, err := LoadMatrix(ctx, "file:"+matrixPath, DefaultMatrixOptions())
+	m, err := LoadMatrix(ctx, "file:"+matrixPath, o)
 	if err != nil {
 		t.Fatalf("file source: %v", err)
 	}
@@ -78,9 +117,6 @@ func TestLoadMatrixSources(t *testing.T) {
 		}
 		return "outcomes:" + path
 	}
-	sess := session.New(session.Options{})
-	defer sess.Close()
-	o := MatrixOptions{Instructions: 2000, Session: sess}
 	swapped := append([]explore.Outcome(nil), outs...)
 	swapped[0], swapped[1] = swapped[1], swapped[0]
 	for name, bad := range map[string][]explore.Outcome{

@@ -1,6 +1,7 @@
-// The shared run lifecycle of the command-line tools: one -timeout flag,
-// SIGINT/SIGTERM-driven graceful shutdown, and a distinct exit status per
-// way a run can end. Every tool's main reduces to
+// The shared run lifecycle of the command-line tools: a distinct exit
+// status per way a run can end and, for the tools that run long, one
+// -timeout flag and SIGINT/SIGTERM-driven graceful shutdown. Every tool's
+// main reduces to
 //
 //	func main() { os.Exit(cli.Main(run)) }
 //	func run(ctx context.Context) error { ... }

@@ -1,13 +1,13 @@
-// Telemetry wiring shared by the command-line tools. Every tool registers
-// the same flags — -trace for the run's span stream (the xptrace input),
-// -progress for per-workload search progress on stderr, and the
-// introspection knobs -cpi and -intervals — and funnels them through
-// StartTelemetry, which connects them to the session. The span stream is
-// the run's one record: the header carries the manifest, every span is
-// written as it ends, and the run span, ending last, carries the engine's
-// counters. All of it is opt-in: with no flags set, StartTelemetry returns
-// a *Telemetry whose every method is a cheap no-op and the instrumented
-// hot paths stay at their uninstrumented cost.
+// Telemetry wiring for the two tools that simulate, xpscalar and
+// crossconf. Both register the same flags — -trace for the run's span
+// stream (the xptrace input), -progress for per-workload search progress
+// on stderr, and the introspection knobs -cpi and -intervals — and funnel
+// them through StartTelemetry, which connects them to the session. The
+// span stream is the run's one record: the header carries the manifest,
+// every span is written as it ends, and the run span, ending last, carries
+// the engine's counters. All of it is opt-in: with no flags set,
+// StartTelemetry returns a *Telemetry whose every method is a cheap no-op
+// and the instrumented hot paths stay at their uninstrumented cost.
 
 package cli
 
@@ -26,7 +26,7 @@ import (
 	"xpscalar/internal/tracing"
 )
 
-// TelemetryConfig carries the observability flags.
+// TelemetryConfig carries the observability flags of a simulating tool.
 type TelemetryConfig struct {
 	// TracePath is the span-stream file ("" for none); analyze or export
 	// it with cmd/xptrace.
@@ -68,13 +68,10 @@ type Telemetry struct {
 }
 
 // StartTelemetry opens the trace stream and progress renderer requested by
-// cfg and arms sess's introspection when -cpi or -intervals asks for it. A
-// nil sess selects the process-default session. The caller must Close the
-// returned Telemetry when the run ends; it is never nil, even on error.
+// cfg and arms sess's introspection when -cpi or -intervals asks for it.
+// sess is required. The caller must Close the returned Telemetry when the
+// run ends; it is never nil, even on error.
 func StartTelemetry(tool string, sess *session.Session, cfg TelemetryConfig) (*Telemetry, error) {
-	if sess == nil {
-		sess = session.Default()
-	}
 	t := &Telemetry{sess: sess, tool: tool}
 	if cfg.Intervals < 0 {
 		return t, fmt.Errorf("-intervals %d: want a sampling period in committed instructions, or 0 for off", cfg.Intervals)
@@ -177,13 +174,11 @@ func (t *Telemetry) Close() (firstErr error) {
 	if t == nil {
 		return nil
 	}
-	if t.sess != nil {
-		defer func() {
-			if err := t.sess.Close(); err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("cache store: %w", err)
-			}
-		}()
-	}
+	defer func() {
+		if err := t.sess.Close(); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("cache store: %w", err)
+		}
+	}()
 	if t.rec != nil {
 		if t.runSpan.ID != 0 {
 			s := t.sess.Stats()

@@ -132,7 +132,6 @@ type span struct {
 // directory. Safe for concurrent use. It implements
 // evalengine.CacheBackend.
 type Store struct {
-	dir   string
 	path  string // the pack
 	queue chan writeReq
 	wg    sync.WaitGroup
@@ -181,7 +180,6 @@ func OpenOptions(dir string, o Options) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{
-		dir:   dir,
 		path:  path,
 		queue: make(chan writeReq, o.QueueDepth),
 		f:     f,
@@ -692,6 +690,3 @@ func (s *Store) Stats() evalengine.BackendStats {
 		Quarantined: s.quarantined.Load(),
 	}
 }
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }

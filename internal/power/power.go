@@ -199,6 +199,23 @@ func (o Objective) String() string {
 	}
 }
 
+// ParseObjective maps an objective's name, as xpscalar's -objective flag
+// and xpserved's requests spell it, to the Objective.
+func ParseObjective(name string) (Objective, error) {
+	switch name {
+	case "ipt":
+		return ObjIPT, nil
+	case "ipt-per-watt":
+		return ObjIPTPerWatt, nil
+	case "edp":
+		return ObjInverseEDP, nil
+	case "ed2p":
+		return ObjInverseED2P, nil
+	default:
+		return ObjIPT, fmt.Errorf("power: unknown objective %q (want ipt, ipt-per-watt, edp or ed2p)", name)
+	}
+}
+
 // Score evaluates the objective for a simulation result; higher is better
 // for every objective.
 func Score(res sim.Result, obj Objective, t tech.Params) (float64, error) {

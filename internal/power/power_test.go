@@ -207,6 +207,27 @@ func TestObjectiveStrings(t *testing.T) {
 	}
 }
 
+func TestParseObjective(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		want Objective
+		ok   bool
+	}{
+		{"ipt", ObjIPT, true},
+		{"ipt-per-watt", ObjIPTPerWatt, true},
+		{"edp", ObjInverseEDP, true},
+		{"ed2p", ObjInverseED2P, true},
+		{"1/edp", 0, false},
+		{"IPT", 0, false},
+		{"", 0, false},
+	} {
+		got, err := ParseObjective(c.name)
+		if (err == nil) != c.ok || (c.ok && got != c.want) {
+			t.Errorf("ParseObjective(%q) = %v, %v; want %v (ok=%v)", c.name, got, err, c.want, c.ok)
+		}
+	}
+}
+
 func BenchmarkEvaluate(b *testing.B) {
 	tp := tech.Default()
 	cfg := sim.InitialConfig(tp)

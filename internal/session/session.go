@@ -19,7 +19,6 @@ import (
 	"xpscalar/internal/evalengine"
 	"xpscalar/internal/explore"
 	"xpscalar/internal/power"
-	"xpscalar/internal/regression"
 	"xpscalar/internal/sim"
 	"xpscalar/internal/tech"
 	"xpscalar/internal/telemetry"
@@ -75,20 +74,6 @@ func Default() *Session {
 	return defaultSess
 }
 
-// SetDefault replaces the process-default session and returns the previous
-// one (nil if none had been created). Passing nil resets the lazy slot, so
-// the next Default() builds a fresh zero-config session. This is the seam
-// tests and tools use to run the facade's zero-config API against a
-// configured session — a disk-backed cache, say — and then restore
-// isolation afterwards. The caller owns closing the displaced session.
-func SetDefault(s *Session) *Session {
-	defaultMu.Lock()
-	defer defaultMu.Unlock()
-	prev := defaultSess
-	defaultSess = s
-	return prev
-}
-
 // Close releases the session's durable resources: it flushes and closes
 // the engine's persistent cache tier (a no-op for memory-only sessions).
 // The session stays usable afterwards — evaluation continues memory-only —
@@ -111,10 +96,6 @@ func (s *Session) Engine() *evalengine.Engine { return s.engine }
 func (s *Session) trace(ctx context.Context) context.Context {
 	return tracing.Ensure(ctx, s.rec)
 }
-
-// Pool returns the session's worker pool, the fan-out primitive every
-// simulation caller in the session shares.
-func (s *Session) Pool() *evalengine.Pool { return s.engine.Pool() }
 
 // Stats snapshots the session engine's counters.
 func (s *Session) Stats() evalengine.Stats { return s.engine.Stats() }
@@ -167,9 +148,4 @@ func (s *Session) ExploreSuite(ctx context.Context, profiles []workload.Profile,
 // CrossMatrix builds the cross-configuration IPT matrix on this session.
 func (s *Session) CrossMatrix(ctx context.Context, profiles []workload.Profile, configs []sim.Config, n int, t tech.Params) (*core.Matrix, error) {
 	return core.BuildMatrix(s.trace(ctx), s.engine, profiles, configs, n, t)
-}
-
-// CollectSamples gathers regression training data on this session.
-func (s *Session) CollectSamples(ctx context.Context, p workload.Profile, configs []sim.Config, instr int, t tech.Params) ([]regression.Sample, error) {
-	return regression.CollectSamples(s.trace(ctx), s.engine, p, configs, instr, t)
 }

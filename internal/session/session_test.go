@@ -83,22 +83,17 @@ func TestSessionExploreWiresEngine(t *testing.T) {
 	}
 }
 
-// Regression for the session-reset telemetry trap: a registry wired to
-// one session and then, after a SetDefault swap, to its replacement used
-// to keep the first engine's Func closures — scrapes then read a dead
-// engine's counters (and any kind drift panicked). Re-registration must
-// be panic-free and follow the live session.
-func TestEnableTelemetryAcrossSetDefaultResets(t *testing.T) {
+// Regression for the session-replacement telemetry trap: a registry
+// wired to one session and then to another used to keep the first
+// engine's Func closures — scrapes then read a dead engine's counters
+// (and any kind drift panicked). Re-registration must be panic-free and
+// follow the latest session.
+func TestEnableTelemetryFollowsLatestSession(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	prev := SetDefault(nil)
-	defer SetDefault(prev)
+	New(Options{}).EnableTelemetry(reg)
 
-	Default().EnableTelemetry(reg)
-
-	// Reset the default session, as cli teardown/tests do, and wire the
-	// replacement into the same registry. This must not panic.
-	SetDefault(nil)
-	sess := Default()
+	// Wire a second session into the same registry. This must not panic.
+	sess := New(Options{})
 	sess.EnableTelemetry(reg)
 
 	// Drive one evaluation through the NEW session; the registry's request

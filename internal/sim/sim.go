@@ -196,14 +196,6 @@ func (c Config) Vector() []float64 {
 	}
 }
 
-// VectorNames names the entries of Vector.
-func VectorNames() []string {
-	return []string{
-		"clock-ns", "width", "fe-stages", "log2-rob", "log2-iq", "log2-lsq",
-		"sched-depth", "wakeup", "log2-l1-bytes", "l1-lat", "log2-l2-bytes", "l2-lat",
-	}
-}
-
 // Result reports the outcome of evaluating a workload on a configuration.
 type Result struct {
 	Config   Config

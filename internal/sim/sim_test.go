@@ -181,8 +181,8 @@ func TestConfigVectorShape(t *testing.T) {
 	tp := tech.Default()
 	c := InitialConfig(tp)
 	v := c.Vector()
-	if len(v) != len(VectorNames()) {
-		t.Fatalf("vector length %d != names %d", len(v), len(VectorNames()))
+	if len(v) != 12 {
+		t.Fatalf("vector length %d, want 12, one per parameter", len(v))
 	}
 	if v[0] != c.ClockNs || v[1] != float64(c.Width) {
 		t.Errorf("vector prefix %v does not encode clock/width", v[:2])

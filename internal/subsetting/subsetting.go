@@ -60,17 +60,6 @@ func KiviatSet(cs []workload.Characteristics) ([]Kiviat, error) {
 	return out, nil
 }
 
-// AxisLabels returns the Figure 1 axis labels A–E.
-func AxisLabels() []string {
-	return []string{
-		"A working-set size",
-		"B branch predictability",
-		"C dependence-chain density",
-		"D load frequency",
-		"E conditional-branch frequency",
-	}
-}
-
 // DistanceMatrix computes pairwise Euclidean distances between rows of a
 // feature matrix.
 func DistanceMatrix(features [][]float64) [][]float64 {

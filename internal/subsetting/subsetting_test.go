@@ -46,9 +46,6 @@ func TestKiviatSetScalesToTen(t *testing.T) {
 			t.Errorf("axis %d not normalized: range [%v,%v]", axis, lo, hi)
 		}
 	}
-	if len(AxisLabels()) != 5 {
-		t.Error("expected 5 Figure 1 axis labels")
-	}
 }
 
 func TestKiviatEmptySet(t *testing.T) {

@@ -57,19 +57,6 @@ func (c Characteristics) Vector() []float64 {
 	}
 }
 
-// AxisNames names the entries of Vector, Figure 1 axes first.
-func AxisNames() []string {
-	return []string{
-		"working-set",
-		"branch-predictability",
-		"dep-chain-density",
-		"load-frequency",
-		"branch-frequency",
-		"store-frequency",
-		"avg-dep-distance",
-	}
-}
-
 // Extract measures the characteristics of the first n instructions of the
 // profile's stream.
 func Extract(p Profile, n int) (Characteristics, error) {

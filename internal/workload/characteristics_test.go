@@ -23,8 +23,8 @@ func TestExtractBasics(t *testing.T) {
 	if c.LoadFrac <= 0 || c.BranchFrac <= 0 {
 		t.Error("mix fractions must be positive")
 	}
-	if len(c.Vector()) != len(AxisNames()) {
-		t.Errorf("vector length %d != axis names %d", len(c.Vector()), len(AxisNames()))
+	if len(c.Vector()) != 7 {
+		t.Errorf("vector length %d, want 7, one per characteristic", len(c.Vector()))
 	}
 }
 

@@ -277,9 +277,6 @@ func (g *Generator) Reset() {
 	}
 }
 
-// Profile returns the generating profile.
-func (g *Generator) Profile() Profile { return g.p }
-
 // Next fills ins with the next dynamic instruction.
 func (g *Generator) Next(ins *Instr) {
 	p := &g.p

@@ -78,10 +78,3 @@ func (b *eventBuffer) next(ctx context.Context, off int) (chunk []byte, ok bool)
 		b.cond.Wait()
 	}
 }
-
-// snapshot returns the bytes written so far.
-func (b *eventBuffer) snapshot() []byte {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf[:len(b.buf):len(b.buf)]
-}

@@ -62,7 +62,7 @@ func TestEventBufferConcurrentTail(t *testing.T) {
 	wg.Wait()
 	buf.close()
 
-	want := buf.snapshot()
+	want := buf.buf // every writer is done
 	if n := bytes.Count(want, []byte("\n")); n != writers*linesPer {
 		t.Fatalf("buffer holds %d lines, want %d", n, writers*linesPer)
 	}
@@ -143,7 +143,7 @@ func TestEventBufferReaderCancel(t *testing.T) {
 		got = append(got, chunk...)
 		off += len(chunk)
 	}
-	if !bytes.Equal(got, buf.snapshot()) {
-		t.Errorf("post-cancel reader saw %d bytes, want %d", len(got), len(buf.snapshot()))
+	if !bytes.Equal(got, buf.buf) {
+		t.Errorf("post-cancel reader saw %d bytes, want %d", len(got), len(buf.buf))
 	}
 }

@@ -1,6 +1,7 @@
 package xpserve
 
 import (
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -28,7 +29,8 @@ const tooManyClusters = `{"kind":"subsetting","kmeans":12,"instructions":2000}`
 const repeatedWorkload = `{"kind":"matrix","workloads":["gzip","gzip"],"iterations":1,"chains":1,"short_budget":1000,"long_budget":1000,"instructions":1000}`
 
 // manyWorkloads lists one workload 20,000 times in a 140 KB body, a
-// fan-out with no bound but the body size.
+// fan-out bounded only by the body size: over HTTP it exceeds
+// maxRequestBytes.
 var manyWorkloads = `{"kind":"explore","workloads":["gzip"` + strings.Repeat(`,"gzip"`, 19999) + `]}`
 
 // trailingGarbage is a valid request followed by bytes that are not JSON.
@@ -38,7 +40,8 @@ const trailingGarbage = `{"kind":"explore"} trailing garbage`
 // beyond the annealer's bound, whose instruction budget is beyond
 // maxBudget, whose k-means asks for more clusters than the suite has
 // workloads, that list a workload twice, or that carry data after the
-// object, get a 400 before they take a queue slot.
+// object, are rejected before they take a queue slot: a 400, or a 413
+// for a body over maxRequestBytes.
 func TestHugeFanOutRejected(t *testing.T) {
 	bodies := []string{
 		hugeChains,
@@ -64,8 +67,12 @@ func TestHugeFanOutRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", body, resp.StatusCode)
+		want := http.StatusBadRequest
+		if len(body) > maxRequestBytes {
+			want = http.StatusRequestEntityTooLarge
+		}
+		if resp.StatusCode != want {
+			t.Errorf("%.80s: status %d, want %d", body, resp.StatusCode, want)
 		}
 	}
 	if jobs := sched.List(); len(jobs) != 0 {
@@ -74,6 +81,33 @@ func TestHugeFanOutRejected(t *testing.T) {
 	// The server is still up and serving.
 	if final := await(t, srv, submit(t, srv, tinyExplore()).ID); final.State != StateDone {
 		t.Fatalf("follow-up job ended %s (%s)", final.State, final.Error)
+	}
+}
+
+// TestOversizedSubmitRejected: a submit body over maxRequestBytes gets a
+// 413 with a short error, read no further than the bound and never
+// decoded. An 8 MB objective name used to be read and decoded whole, and
+// then echoed back in full in the 400 that rejected it.
+func TestOversizedSubmitRejected(t *testing.T) {
+	srv, sched := newTestServer(t, Options{})
+	body := `{"kind":"explore","objective":"` + strings.Repeat("a", 8<<20) + `"}`
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("status %d, want 413", resp.StatusCode)
+	}
+	if len(got) >= 1<<10 {
+		t.Errorf("response body is %d bytes, want under 1 KiB", len(got))
+	}
+	if jobs := sched.List(); len(jobs) != 0 {
+		t.Fatalf("an oversized request was queued: %+v", jobs)
 	}
 }
 

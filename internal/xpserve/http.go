@@ -14,12 +14,13 @@
 // if this fails; /readyz is READINESS — send it new work only on 200. A
 // full backlog or a vanished disk-cache directory flips readiness while
 // liveness stays green. Errors are JSON {"error": ...} with conventional
-// status codes: 400 malformed, 404 unknown job, 429 backlog full, 503
-// shutting down.
+// status codes: 400 malformed, 404 unknown job, 413 submit body over
+// maxRequestBytes, 429 backlog full, 503 shutting down.
 
 package xpserve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -54,10 +55,17 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// maxRequestBytes bounds a submit body. The largest valid request, with
+// every suite workload named and every knob set, is under 1 KiB.
+const maxRequestBytes = 64 << 10
+
 // writeError maps scheduler errors onto status codes.
 func writeError(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		status = http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrNotFound):
 		status = http.StatusNotFound
 	case errors.Is(err, ErrBacklogFull):
@@ -84,7 +92,12 @@ func decodeJobRequest(r io.Reader) (JobRequest, error) {
 }
 
 func (s *Scheduler) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeJobRequest(r.Body)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if err != nil {
+		writeError(w, fmt.Errorf("xpserve: reading job request: %w", err))
+		return
+	}
+	req, err := decodeJobRequest(bytes.NewReader(body))
 	if err != nil {
 		writeError(w, err)
 		return

@@ -25,22 +25,6 @@ import (
 	"xpscalar/internal/workload"
 )
 
-// objective parses the request's objective name ("" = ipt).
-func objective(name string) (power.Objective, error) {
-	switch name {
-	case "", "ipt":
-		return power.ObjIPT, nil
-	case "ipt-per-watt":
-		return power.ObjIPTPerWatt, nil
-	case "edp":
-		return power.ObjInverseEDP, nil
-	case "ed2p":
-		return power.ObjInverseED2P, nil
-	default:
-		return power.ObjIPT, fmt.Errorf("xpserve: unknown objective %q", name)
-	}
-}
-
 // profiles resolves the request's workload names (empty = whole suite).
 // Each name may appear once: a matrix's rows are distinct workloads, and
 // exploring one twice only repeats work. So a list is at most the suite.
@@ -65,7 +49,7 @@ func profiles(names []string) ([]workload.Profile, error) {
 }
 
 // exploreOptions maps request knobs onto the annealer's options;
-// zero-valued knobs keep the defaults.
+// zero-valued knobs keep the defaults (an empty objective is ipt).
 func exploreOptions(req JobRequest) (explore.Options, error) {
 	seed := int64(42)
 	if req.Seed != nil {
@@ -87,11 +71,13 @@ func exploreOptions(req JobRequest) (explore.Options, error) {
 	if req.NeighborhoodK > 0 {
 		opt.NeighborhoodK = req.NeighborhoodK
 	}
-	obj, err := objective(req.Objective)
-	if err != nil {
-		return opt, err
+	if req.Objective != "" {
+		obj, err := power.ParseObjective(req.Objective)
+		if err != nil {
+			return opt, err
+		}
+		opt.Objective = obj
 	}
-	opt.Objective = obj
 	return opt, opt.Validate()
 }
 
